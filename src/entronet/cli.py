@@ -37,6 +37,7 @@ from .netmodel import (
     Network,
     NetworkCode,
     RateCapacityTuple,
+    ResourceError,
     check_admissible,
     evaluate_code,
     to_dot,
@@ -366,7 +367,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NegativeCapacityError, ValueError, KeyError) as exc:
+    except (NegativeCapacityError, ResourceError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,10 +10,12 @@ nonzero value is decided by interval evaluation at increasing precision.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import mpmath
+import numpy as np
 
 RationalLike = Union[int, Fraction]
 
@@ -82,6 +84,14 @@ class LogScalar:
                     clean[p] = qf
         self._terms = clean
 
+    @classmethod
+    def _trusted(cls, terms: Dict[int, Fraction]) -> "LogScalar":
+        """Wrap a map of prime keys to nonzero Fraction coefficients without
+        re-validating it; for results built from validated LogScalars."""
+        out = object.__new__(cls)
+        out._terms = terms
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -115,8 +125,12 @@ class LogScalar:
     def _merge(self, other: "LogScalar", sign: int) -> "LogScalar":
         terms = dict(self._terms)
         for p, q in other._terms.items():
-            terms[p] = terms.get(p, Fraction(0)) + sign * q
-        return LogScalar(terms)
+            r = terms.get(p, 0) + sign * q
+            if r:
+                terms[p] = r
+            else:
+                del terms[p]
+        return LogScalar._trusted(terms)
 
     def __add__(self, other: "LogScalar") -> "LogScalar":
         if not isinstance(other, LogScalar):
@@ -129,12 +143,14 @@ class LogScalar:
         return self._merge(other, -1)
 
     def __neg__(self) -> "LogScalar":
-        return LogScalar({p: -q for p, q in self._terms.items()})
+        return LogScalar._trusted({p: -q for p, q in self._terms.items()})
 
     def __mul__(self, c: RationalLike) -> "LogScalar":
         if not isinstance(c, (int, Fraction)):
             return NotImplemented
-        return LogScalar({p: q * c for p, q in self._terms.items()})
+        if not c:
+            return LogScalar._trusted({})
+        return LogScalar._trusted({p: q * c for p, q in self._terms.items()})
 
     __rmul__ = __mul__
 
@@ -222,6 +238,47 @@ class LogScalar:
 
 
 ZERO = LogScalar.zero()
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def negative_rows(
+    values: Sequence[LogScalar], index: np.ndarray, weights: Sequence[int]
+) -> List[Tuple[int, LogScalar]]:
+    """Every row r of ``index`` (an integer array with one column per term)
+    whose combination ``sum_t weights[t] * values[index[r, t]]`` is negative,
+    paired with that combination, in row order.
+
+    The values become an integer matrix, one column per prime, over one
+    common denominator, and every row is gathered from it at once.  A row
+    with no negative entry holds; a row with negative and no positive
+    entries is negative; only a row with both goes to :meth:`LogScalar.sign`.
+    The matrix is int64 when no partial sum can overflow, Python ints
+    otherwise.
+    """
+    primes = sorted({p for v in values for p in v._terms})
+    col = {p: j for j, p in enumerate(primes)}
+    den = math.lcm(*(q.denominator for v in values for q in v._terms.values()))
+    ints = [[0] * len(primes) for _ in values]
+    top = 0
+    for row, v in zip(ints, values):
+        for p, q in v._terms.items():
+            row[col[p]] = x = q.numerator * (den // q.denominator)
+            top = max(top, abs(x))
+    # every partial sum of a row is bounded by top * sum(|weights|)
+    dtype = np.int64 if top * sum(abs(w) for w in weights) <= _INT64_MAX else object
+    mat = np.array(ints, dtype=dtype).reshape(len(values), len(primes))
+    rows = sum(w * mat[index[:, t]] for t, w in enumerate(weights))
+    mixed = (rows > 0).any(axis=1)
+    out = []
+    for r in np.flatnonzero((rows < 0).any(axis=1)).tolist():
+        slack = LogScalar._trusted(
+            {p: Fraction(x, den) for p, x in zip(primes, rows[r].tolist()) if x}
+        )
+        if not mixed[r] or slack.sign() < 0:
+            out.append((r, slack))
+    return out
 
 
 def log2_units(coeff: RationalLike) -> LogScalar:

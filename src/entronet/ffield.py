@@ -22,14 +22,12 @@ _CONWAY = {
     8: (2, [1, 1, 0]),       # x^3 + x + 1
     16: (2, [1, 1, 0, 0]),   # x^4 + x + 1
     32: (2, [1, 0, 1, 0, 0]),        # x^5 + x^2 + 1
-    64: (2, [1, 1, 0, 1, 1, 0]),     # x^6 + x^5 + x^4 + x + 1? see note
+    64: (2, [1, 1, 0, 1, 1, 0]),     # x^6 + x^4 + x^3 + x + 1
     9: (3, [2, 2]),          # x^2 + 2x + 2
     27: (3, [1, 2, 0]),      # x^3 + 2x + 1
     25: (5, [2, 4]),         # x^2 + 4x + 2
     49: (7, [3, 6]),         # x^2 + 6x + 3
 }
-# GF(64): Conway polynomial x^6 + x^4 + x^3 + x + 1
-_CONWAY[64] = (2, [1, 1, 0, 1, 1, 0])
 
 
 class GF:

@@ -88,23 +88,19 @@ class FiniteGroup:
         return frozenset(elems)
 
     def all_subgroups(self) -> List[FrozenSet[int]]:
-        """All subgroups, found as closures of generator sets of size <= 2
-        plus iterated extension (sufficient for order <= 24: every group of
-        such order has subgroups generated by at most 3 elements)."""
+        """All subgroups: the trivial group closed under adjoining one
+        element until nothing new appears (every subgroup is reached through
+        a chain of one-generator extensions)."""
         found = {frozenset([self.identity])}
-        n = self.order
-        for a in range(n):
-            found.add(self.closure([a]))
-        for a in range(n):
-            for b in range(a + 1, n):
-                found.add(self.closure([a, b]))
-        # one more generator round to catch e.g. the elementary abelian (2,2,2)
-        extra = set()
-        for sub in found:
-            for c in range(n):
-                if c not in sub:
-                    extra.add(self.closure(list(sub) + [c]))
-        found |= extra
+        frontier = list(found)
+        while frontier:
+            new = set()
+            for sub in frontier:
+                for c in range(self.order):
+                    if c not in sub:
+                        new.add(self.closure(list(sub) + [c]))
+            frontier = list(new - found)
+            found |= new
         return sorted(found, key=lambda s: (len(s), sorted(s)))
 
     def to_json(self) -> dict:

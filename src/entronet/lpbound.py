@@ -1166,7 +1166,9 @@ def verify_connection_constraints(
 ) -> bool:
     """Exact check of every connection-constraint clause (edge and decoder
     functional dependence, source independence, rate lower bounds, capacity
-    upper bounds) inside whichever local function covers its variables."""
+    upper bounds) inside whichever local function covers its variables.
+    Fails as well when the certificate is for another N or a local function
+    is not a polymatroid."""
     net, conn = layout.network, layout.conn
     ok = True
 
@@ -1175,6 +1177,15 @@ def verify_connection_constraints(
         ok = False
         if failures is not None:
             failures.append(msg)
+
+    if cert.n != layout.n:
+        fail(f"certificate is for N={cert.n}, the layout has N={layout.n}")
+        return False
+    for tag, lw in sorted(cert.locals_.items()):
+        rep = check_polymatroid(lw.func)
+        if not rep.ok:
+            v = rep.instances[0]
+            fail(f"local {tag}: not a polymatroid ({v.family} at {v.subsets})")
 
     def find_local(varnames: Sequence[str]) -> Tuple[LocalWitness, List[str]]:
         for lw in cert.locals_.values():

@@ -7,11 +7,15 @@ serialized output are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from functools import lru_cache
+from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .exactlog import ZERO, LogScalar
+import numpy as np
+
+from .exactlog import ZERO, LogScalar, negative_rows
 
 SubsetLike = Union[int, Iterable[str]]
 
@@ -212,42 +216,41 @@ class ViolationReport:
         }
 
 
-def scalar_sign(x: LogScalar) -> int:
-    return x.sign()
+# elemental rows (a|i, a|j, a|i|j, a): the slack f(a|i) + f(a|j) - f(a|i|j) - f(a)
+_ELEMENTAL_WEIGHTS = (1, 1, -1, -1)
+
+
+@lru_cache(maxsize=None)
+def _elemental_index(k: int) -> np.ndarray:
+    """Index rows of the elemental inequalities on k elements: first the k
+    monotonicity rows (full, {}, full - i, {}), whose two empty-set terms
+    cancel, then every submodularity row (a|i, a|j, a|i|j, a), i < j."""
+    full = (1 << k) - 1
+    masks = np.arange(1 << k)
+    blocks = [np.array([[full, 0, full & ~(1 << i), 0] for i in range(k)])]
+    for i in range(k):
+        for j in range(i + 1, k):
+            bi, bj = 1 << i, 1 << j
+            a = masks[(masks & (bi | bj)) == 0]
+            blocks.append(np.stack([a | bi, a | bj, a | bi | bj, a], axis=1))
+    index = np.concatenate(blocks)
+    index.setflags(write=False)
+    return index
 
 
 def check_polymatroid(f: SetFunction) -> ViolationReport:
     """Elemental Shannon checks: single-element monotonicity at the top and
     pairwise conditional submodularity; these imply the full axioms."""
     g = f.ground
-    n = len(g)
-    full = g.full_mask
-    vals = f.values
+    k = len(g)
+    index = _elemental_index(k)
     out: List[Violation] = []
-    for i in range(n):
-        slack = vals[full] - vals[full & ~(1 << i)]
-        if slack.sign() < 0:
-            out.append(
-                Violation("monotonicity", (g.subset(full & ~(1 << i)), g.subset(full)), slack)
-            )
-    for i in range(n):
-        for j in range(i + 1, n):
-            bi, bj = 1 << i, 1 << j
-            rest = full & ~(bi | bj)
-            a = rest
-            while True:
-                slack = vals[a | bi] + vals[a | bj] - vals[a | bi | bj] - vals[a]
-                if slack.sign() < 0:
-                    out.append(
-                        Violation(
-                            "submodularity",
-                            (g.subset(a | bi), g.subset(a | bj), g.subset(a)),
-                            slack,
-                        )
-                    )
-                if a == 0:
-                    break
-                a = (a - 1) & rest
+    for r, slack in negative_rows(f.values, index, _ELEMENTAL_WEIGHTS):
+        s = [g.subset(m) for m in index[r].tolist()]
+        if r < k:
+            out.append(Violation("monotonicity", (s[2], s[0]), slack))
+        else:
+            out.append(Violation("submodularity", (s[0], s[1], s[3]), slack))
     out.sort(key=lambda v: (v.family, v.subsets))
     return ViolationReport("polymatroid", tuple(out))
 
@@ -277,72 +280,63 @@ def is_independent(f: SetFunction, parts: Sequence[SubsetLike]) -> bool:
     return f.values[union] == total
 
 
-def _ordered_quadruples(n: int):
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if len({a, b, c, d}) == 4:
-                        yield a, b, c, d
+@lru_cache(maxsize=None)
+def _quadruples(k: int) -> np.ndarray:
+    """Every ordered assignment of 4 distinct elements to a, b, c, d, in
+    lexicographic order."""
+    quads = np.array(list(itertools.permutations(range(k), 4)))
+    quads.setflags(write=False)
+    return quads
+
+
+@lru_cache(maxsize=None)
+def _quadruple_index(k: int, terms: Tuple[str, ...]) -> np.ndarray:
+    """Column t holds the mask of terms[t] (letters of "abcd") under each
+    assignment of `_quadruples(k)`."""
+    bits = 1 << _quadruples(k)
+    index = np.stack(
+        [sum(bits[:, "abcd".index(ch)] for ch in term) for term in terms], axis=1
+    )
+    index.setflags(write=False)
+    return index
+
+
+def _check_quadruples(
+    f: SetFunction, kind: str, terms: Tuple[str, ...], weights: Tuple[int, ...]
+) -> ViolationReport:
+    g = f.ground
+    k = len(g)
+    if k < 4:
+        raise ValueError(f"{kind.title()} check requires at least 4 ground elements")
+    quads = _quadruples(k)
+    out = [
+        Violation(kind, tuple((g.labels[x],) for x in quads[r].tolist()), slack)
+        for r, slack in negative_rows(f.values, _quadruple_index(k, terms), weights)
+    ]
+    return ViolationReport(kind, tuple(out))
+
+
+# g(ab)+g(ac)+g(ad)+g(bc)+g(bd) - g(a) - g(b) - g(cd) - g(abc) - g(abd)
+_INGLETON_TERMS = ("ab", "ac", "ad", "bc", "bd", "a", "b", "cd", "abc", "abd")
+_INGLETON_WEIGHTS = (1, 1, 1, 1, 1, -1, -1, -1, -1, -1)
+
+# I(a;b) + I(a;cd) + 3 I(c;d|a) + I(c;d|b) - 2 I(c;d), term by term
+_ZY_TERMS = ("a", "b", "ab", "a", "cd", "acd", "ac", "ad", "acd", "a",
+             "bc", "bd", "bcd", "b", "c", "d", "cd")
+_ZY_WEIGHTS = (1, 1, -1, 1, 1, -1, 3, 3, -3, -3, 1, 1, -1, -1, -2, -2, 2)
 
 
 def check_ingleton(f: SetFunction) -> ViolationReport:
     """g(12)+g(13)+g(14)+g(23)+g(24) >= g(1)+g(2)+g(34)+g(123)+g(124),
     evaluated over every ordered assignment of 4 distinct elements."""
-    g = f.ground
-    n = len(g)
-    if n < 4:
-        raise ValueError("Ingleton check requires at least 4 ground elements")
-    v = f.values
-    out: List[Violation] = []
-    for a, b, c, d in _ordered_quadruples(n):
-        A, B, C, D = 1 << a, 1 << b, 1 << c, 1 << d
-        slack = (
-            v[A | B] + v[A | C] + v[A | D] + v[B | C] + v[B | D]
-            - v[A] - v[B] - v[C | D] - v[A | B | C] - v[A | B | D]
-        )
-        if slack.sign() < 0:
-            out.append(
-                Violation(
-                    "ingleton",
-                    (g.subset(A), g.subset(B), g.subset(C), g.subset(D)),
-                    slack,
-                )
-            )
-    return ViolationReport("ingleton", tuple(out))
+    return _check_quadruples(f, "ingleton", _INGLETON_TERMS, _INGLETON_WEIGHTS)
 
 
 def check_zhang_yeung(f: SetFunction) -> ViolationReport:
     """The 1998 non-Shannon inequality
     2 I(3;4) <= I(1;2) + I(1;34) + 3 I(3;4|1) + I(3;4|2),
     over every ordered assignment of 4 distinct elements."""
-    g = f.ground
-    n = len(g)
-    if n < 4:
-        raise ValueError("Zhang-Yeung check requires at least 4 ground elements")
-    v = f.values
-
-    def mi(x: int, y: int) -> LogScalar:
-        return v[x] + v[y] - v[x | y]
-
-    def cmi(x: int, y: int, z: int) -> LogScalar:
-        return v[x | z] + v[y | z] - v[x | y | z] - v[z]
-
-    out: List[Violation] = []
-    for a, b, c, d in _ordered_quadruples(n):
-        A, B, C, D = 1 << a, 1 << b, 1 << c, 1 << d
-        slack = (
-            mi(A, B) + mi(A, C | D) + 3 * cmi(C, D, A) + cmi(C, D, B) - 2 * mi(C, D)
-        )
-        if slack.sign() < 0:
-            out.append(
-                Violation(
-                    "zhang-yeung",
-                    (g.subset(A), g.subset(B), g.subset(C), g.subset(D)),
-                    slack,
-                )
-            )
-    return ViolationReport("zhang-yeung", tuple(out))
+    return _check_quadruples(f, "zhang-yeung", _ZY_TERMS, _ZY_WEIGHTS)
 
 
 def flats(f: SetFunction) -> List[Tuple[str, ...]]:

@@ -139,6 +139,13 @@ def test_lp_subcommands(tmp_path, capsys, monkeypatch):
     assert run(["lp", "implies", "-", "--n", "4"]) == 1
 
 
+def test_lp_implies_over_the_variable_cap_exits_2(tmp_path, capsys):
+    expr_path = tmp_path / "e.txt"
+    expr_path.write_text("I(1;2) >= 0\n")
+    assert run(["lp", "implies", str(expr_path), "--n", "40"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_structural_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

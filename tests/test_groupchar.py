@@ -38,6 +38,8 @@ def test_subgroup_counts_of_known_groups():
     assert len(quaternion().all_subgroups()) == 6
     assert len(dihedral(4).all_subgroups()) == 10
     assert len(symmetric(4).all_subgroups()) == 30
+    c2_4 = direct_product(direct_product(cyclic(2), cyclic(2)), direct_product(cyclic(2), cyclic(2)))
+    assert len(c2_4.all_subgroups()) == 67            # the whole group included
 
 
 def test_all_subgroups_are_subgroups():

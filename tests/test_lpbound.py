@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import perturb_non_polymatroid, random_integer_polymatroid
 from entronet.construct import build_gdagger, rate_capacity
@@ -11,6 +13,7 @@ from entronet.lpbound import (
     CoverageError,
     ExtensionError,
     InfoExpression,
+    LocalWitness,
     WitnessCertificate,
     WitnessError,
     build_witness,
@@ -32,7 +35,7 @@ from entronet.netmodel import (
     ResourceError,
     UNCAPPED,
 )
-from entronet.setfunc import check_polymatroid
+from entronet.setfunc import SetFunction, check_polymatroid
 
 
 # --- extension calculus ------------------------------------------------------
@@ -269,3 +272,52 @@ def test_witness_verify_fails_on_perturbed_capacity():
     ok = verify_connection_constraints(cert, lay, RateCapacityTuple(tup.rates, caps),
                                        failures=failures)
     assert not ok and failures
+
+
+# --- forged certificates -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def witness_n2():
+    lay = build_gdagger(2)
+    h = SetFunction.from_log2("12", {"1": 1, "2": 2, "12": 2})
+    return lay, build_witness(h, lay), rate_capacity(h, lay)
+
+
+def forge(cert, tag, values):
+    lw = cert.locals_[tag]
+    local = LocalWitness(SetFunction(lw.func.ground, values), lw.var_map)
+    return WitnessCertificate(cert.n, {**cert.locals_, tag: local})
+
+
+def test_verify_rejects_a_zeroed_sources_local(witness_n2):
+    lay, cert, tup = witness_n2
+    assert verify_connection_constraints(cert, lay, tup)
+    values = list(cert.locals_["sources"].func.values)
+    values[-1] = ZERO
+    failures = []
+    assert not verify_connection_constraints(forge(cert, "sources", values), lay, tup, failures)
+    assert failures[0].startswith("local sources: not a polymatroid")
+
+
+def test_verify_rejects_a_certificate_for_another_n(witness_n2):
+    lay, cert, tup = witness_n2
+    failures = []
+    assert not verify_connection_constraints(WitnessCertificate(7, cert.locals_), lay, tup, failures)
+    assert failures == ["certificate is for N=7, the layout has N=2"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_verify_rejects_every_non_polymatroid_local(witness_n2, data):
+    """Lift a proper subset above the full set, or push the full set below
+    zero: either breaks monotonicity in whichever local is forged."""
+    lay, cert, tup = witness_n2
+    tag = data.draw(st.sampled_from(sorted(cert.locals_)))
+    values = list(cert.locals_[tag].func.values)
+    full = len(values) - 1
+    m = data.draw(st.integers(1, full))
+    values[m] = values[full] + log2_units(1) if m < full else -log2_units(1)
+    failures = []
+    assert not verify_connection_constraints(forge(cert, tag, values), lay, tup, failures)
+    assert any(f.startswith(f"local {tag}: not a polymatroid") for f in failures)

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_polymatroid,
@@ -13,6 +16,8 @@ from entronet.groupchar import builtin_function
 from entronet.setfunc import (
     GroundSet,
     SetFunction,
+    Violation,
+    ViolationReport,
     adhesion_compatible,
     check_ingleton,
     check_polymatroid,
@@ -121,3 +126,86 @@ def test_violation_report_shapes():
     assert not rep.ok
     j = rep.to_json()
     assert j["format"] == "violationreport/1" and j["instances"]
+
+
+# ---------------------------------------------------------------------------
+# the vectorised kernel against the scalar per-row loops it replaced
+
+
+def scalar_polymatroid(f):
+    g, n, full, v = f.ground, len(f.ground), f.ground.full_mask, f.values
+    out = []
+    for i in range(n):
+        slack = v[full] - v[full & ~(1 << i)]
+        if slack.sign() < 0:
+            out.append(Violation("monotonicity", (g.subset(full & ~(1 << i)), g.subset(full)), slack))
+    for i, j in itertools.combinations(range(n), 2):
+        bi, bj = 1 << i, 1 << j
+        for a in range(1 << n):
+            if a & (bi | bj):
+                continue
+            slack = v[a | bi] + v[a | bj] - v[a | bi | bj] - v[a]
+            if slack.sign() < 0:
+                subsets = (g.subset(a | bi), g.subset(a | bj), g.subset(a))
+                out.append(Violation("submodularity", subsets, slack))
+    out.sort(key=lambda x: (x.family, x.subsets))
+    return ViolationReport("polymatroid", tuple(out))
+
+
+def scalar_quadruples(f, kind):
+    g, v = f.ground, f.values
+    out = []
+    for a, b, c, d in itertools.permutations(range(len(g)), 4):
+        A, B, C, D = 1 << a, 1 << b, 1 << c, 1 << d
+        if kind == "ingleton":
+            slack = (v[A | B] + v[A | C] + v[A | D] + v[B | C] + v[B | D]
+                     - v[A] - v[B] - v[C | D] - v[A | B | C] - v[A | B | D])
+        else:
+            def mi(x, y):
+                return v[x] + v[y] - v[x | y]
+
+            def cmi(x, y, z):
+                return v[x | z] + v[y | z] - v[x | y | z] - v[z]
+
+            slack = mi(A, B) + mi(A, C | D) + 3 * cmi(C, D, A) + cmi(C, D, B) - 2 * mi(C, D)
+        if slack.sign() < 0:
+            out.append(Violation(kind, (g.subset(A), g.subset(B), g.subset(C), g.subset(D)), slack))
+    return ViolationReport(kind, tuple(out))
+
+
+MIXED_PRIMES = (2, 3, 5)
+coefficients = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6, 7]))
+
+
+@st.composite
+def mixed_set_functions(draw):
+    """A nonnegative combination of truncated modular functions
+    min(|S & T|, r) over the primes 2, 3, 5 (a polymatroid), with a few
+    values then moved by mixed-prime amounts.  A scale past 2**62 puts the
+    kernel's integer matrix on Python ints."""
+    k = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1, 1, 2**62 + 1, 3**40]))
+    values = [ZERO] * (1 << k)
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.sampled_from(MIXED_PRIMES))
+        t = draw(st.integers(1, (1 << k) - 1))
+        r = draw(st.integers(1, k))
+        c = abs(draw(coefficients)) * scale
+        for m in range(1 << k):
+            values[m] = values[m] + LogScalar({p: c * min(bin(m & t).count("1"), r)})
+    for _ in range(draw(st.integers(0, 3))):
+        m = draw(st.integers(1, (1 << k) - 1))
+        shift = {p: draw(coefficients) * scale for p in MIXED_PRIMES}
+        values[m] = values[m] + LogScalar(shift)
+    return SetFunction(GroundSet([str(i + 1) for i in range(k)]), values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_set_functions())
+def test_kernel_matches_the_scalar_loops_and_brute_force(f):
+    rep = check_polymatroid(f)
+    assert rep == scalar_polymatroid(f)
+    assert rep.ok == brute_force_polymatroid(f.values, len(f.ground))
+    if len(f.ground) >= 4:
+        assert check_ingleton(f) == scalar_quadruples(f, "ingleton")
+        assert check_zhang_yeung(f) == scalar_quadruples(f, "zhang-yeung")
