@@ -258,7 +258,13 @@ def cmd_witness_build(args) -> int:
 def cmd_witness_verify(args) -> int:
     cert = WitnessCertificate.from_json(_read(args.cert))
     tup = RateCapacityTuple.from_json(_read(args.tuple))
-    layout = build_gdagger(cert.n)
+    # the layout over N elements has one session, so one rate, per nonempty
+    # subset; N comes from the tuple, never from the certificate under test
+    count = len(tup.rates)
+    n = (count + 1).bit_length() - 1
+    if count < 1 or count != (1 << n) - 1:
+        raise UsageError(f"the tuple has {count} rates; the network over N elements has 2^N - 1")
+    layout = build_gdagger(n)
     failures = []
     ok = verify_connection_constraints(cert, layout, tup, failures=failures)
     report = {"format": "report/1", "check": "witness", "ok": ok, "failures": failures}

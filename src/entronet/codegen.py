@@ -160,12 +160,10 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
     }
     for j in range(1, N + 1):
         set_encoder(layout.v_edges[j], coord_alpha[j], lambda t, j=j: t[j - 1])
-    fan_edges = [e for e in net.edges if e.id.startswith("fan[")]
     v_order = sorted(layout.v_edges.values())
-    for e in fan_edges:
-        j = int(e.id.split("]", 1)[0][len("fan[V["):])
+    for eid, j in layout.fans.items():
         jpos = v_order.index(layout.v_edges[j])
-        set_encoder(e.id, coord_alpha[j], lambda *vs, jpos=jpos: vs[jpos])
+        set_encoder(eid, coord_alpha[j], lambda *vs, jpos=jpos: vs[jpos])
 
     for sub in layout.subnets:
         a = sub.alpha
@@ -207,9 +205,8 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
         slc2 = P.slices(ca, (i - 1,))  # for W'' / W*
         mai = m[a | (1 << (i - 1))]
         mi = m[1 << (i - 1)]
-        tag = sub.role_edges["W"].rsplit(".", 1)[0]
-        for suffix in ("Sa>n1", "Sa>rxU"):
-            set_encoder(f"{tag}.{suffix}", alphabets[sess_a], lambda sv: sv)
+        for role in ("Sa>n1", "Sa>rxU"):
+            set_encoder(sub.role_edges[role], alphabets[sess_a], lambda sv: sv)
         # n1 feeds: Sa>n1 first, then fans of V_α in j order
         set_encoder(
             sub.role_edges["W"],
@@ -347,7 +344,6 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
     gf = fam.gf
     q = fam.q
     n = fam.ambient_dim
-    net, conn = layout.network, layout.conn
     full = (1 << N) - 1
 
     # f_j with left kernel V_j (double annihilator)
@@ -401,19 +397,17 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
         set_encoder(layout.v_edges[j], cdim[j], f[j])
     v_order = sorted(layout.v_edges.values())
     v_elem = {layout.v_edges[j]: j for j in range(1, N + 1)}
-    fan_edges = [e for e in net.edges if e.id.startswith("fan[")]
     total_c = sum(cdim[j] for j in range(1, N + 1))
     v_offset = {}
     off = 0
     for eid in v_order:
         v_offset[v_elem[eid]] = off
         off += cdim[v_elem[eid]]
-    for e in fan_edges:
-        j = int(e.id.split("]", 1)[0][len("fan[V["):])
+    for eid, j in layout.fans.items():
         M = gf.zeros(total_c, cdim[j])
         for r in range(cdim[j]):
             M[v_offset[j] + r][r] = 1
-        set_encoder(e.id, cdim[j], M)
+        set_encoder(eid, cdim[j], M)
 
     def stack_positions(mask: int, order_elems: List[int]) -> List[Tuple[int, int]]:
         """(offset within the feed concat, element) for each element of the
@@ -448,9 +442,8 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
             continue
         # type 2
         i = sub.i
-        tag = sub.role_edges["W"].rsplit(".", 1)[0]
-        for suffix in ("Sa>n1", "Sa>rxU"):
-            set_encoder(f"{tag}.{suffix}", dp, gf.identity(dp))
+        for role in ("Sa>n1", "Sa>rxU"):
+            set_encoder(sub.role_edges[role], dp, gf.identity(dp))
         # n1 feeds: Sa>n1 (dp) then fans of V_α (stack); W = s + stack@sel
         Wenc = [row[:] for row in gf.identity(dp)] + [row[:] for row in sel[a]]
         set_encoder(sub.role_edges["W"], dp, Wenc)

@@ -66,6 +66,7 @@ class GDaggerLayout:
     session_labels: Dict[int, str]  # alpha mask -> session label
     v_edges: Dict[int, str]  # j (1-based) -> edge id
     subnets: Tuple[Subnet, ...]
+    fans: Dict[str, int]  # fan edge id -> j (1-based) of the V[j] it forwards
 
 
 def session_label(mask: int, n: int) -> str:
@@ -152,8 +153,10 @@ def build_gdagger(N: int) -> GDaggerLayout:
                 wp = f"{tag}.W'"
                 wpp = f"{tag}.W''"
                 ws = f"{tag}.W*"
-                edges.append(Edge(f"{tag}.Sa>n1", o_alpha, n1, UNCAPPED))
-                edges.append(Edge(f"{tag}.Sa>rxU", o_alpha, rxu, UNCAPPED))
+                sa_n1 = f"{tag}.Sa>n1"
+                sa_rxu = f"{tag}.Sa>rxU"
+                edges.append(Edge(sa_n1, o_alpha, n1, UNCAPPED))
+                edges.append(Edge(sa_rxu, o_alpha, rxu, UNCAPPED))
                 edges.append(Edge(w, n1, split, ZERO))
                 edges.append(Edge(wu, split, rxu, UNCAPPED))
                 edges.append(Edge(wl, split, rxl, UNCAPPED))
@@ -170,13 +173,17 @@ def build_gdagger(N: int) -> GDaggerLayout:
                         2,
                         mask,
                         i,
-                        {"W": w, "W>U": wu, "W>L": wl, "W'": wp, "W''": wpp, "W*": ws},
+                        {"Sa>n1": sa_n1, "Sa>rxU": sa_rxu, "W": w, "W>U": wu,
+                         "W>L": wl, "W'": wp, "W''": wpp, "W*": ws},
                         {rxu: session_labels[full], rxl: session_labels[mask]},
                     )
                 )
 
+    fans: Dict[str, int] = {}
     for j, node in fan_requests:
-        edges.append(Edge(f"fan[V[{j}]->{node}]", dist, node, UNCAPPED))
+        eid = f"fan[V[{j}]->{node}]"
+        fans[eid] = j
+        edges.append(Edge(eid, dist, node, UNCAPPED))
 
     # placeholder zero capacities on role edges become real values in
     # rate_capacity; the Network object itself stores UNCAPPED vs capped only
@@ -185,7 +192,7 @@ def build_gdagger(N: int) -> GDaggerLayout:
     ])
     conn = ConnectionRequirement(sessions, origin, receivers)
     conn.validate_against(net)
-    return GDaggerLayout(N, net, conn, session_labels, v_edges, tuple(subnets))
+    return GDaggerLayout(N, net, conn, session_labels, v_edges, tuple(subnets), fans)
 
 
 def rate_capacity(

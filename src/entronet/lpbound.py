@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .construct import GDaggerLayout
-from .exactlog import ZERO, LogScalar
+from .exactlog import ZERO, LogScalar, negative_rows
 from .netmodel import (
     ConnectionRequirement,
     Network,
@@ -21,7 +21,14 @@ from .netmodel import (
     decoder_feeds,
     edge_feeds,
 )
-from .setfunc import GroundSet, SetFunction, SubsetLike, check_polymatroid
+from .setfunc import (
+    ELEMENTAL_WEIGHTS,
+    GroundSet,
+    SetFunction,
+    SubsetLike,
+    check_polymatroid,
+    elemental_index,
+)
 
 
 class ExtensionError(ValueError):
@@ -711,33 +718,44 @@ def solve_phase1(lp: LinearProgram):
 
 
 # ---------------------------------------------------------------------------
-# elemental Shannon inequalities over an abstract index set
+# the two constraint families: elemental Shannon inequalities (the rows of
+# setfunc.elemental_index) and the connection constraints of a network
 
 
-def elemental_inequalities(k: int):
-    """Yield (description, {mask: coeff}) with the row asserted >= 0:
-    top monotonicity f(full) - f(full \\ i) >= 0 and conditional pairwise
-    submodularity f(iA)+f(jA)-f(ijA)-f(A) >= 0."""
-    full = (1 << k) - 1
-    for i in range(k):
-        yield ("mono", (i,), {full: Fraction(1), full ^ (1 << i): Fraction(-1)})
-    for i in range(k):
-        for j in range(i + 1, k):
-            rest = full ^ (1 << i) ^ (1 << j)
-            a = rest
-            while True:
-                row = {}
-                def bump(mask, c):
-                    if mask:
-                        row[mask] = row.get(mask, Fraction(0)) + c
-                bump(a | (1 << i), Fraction(1))
-                bump(a | (1 << j), Fraction(1))
-                bump(a | (1 << i) | (1 << j), Fraction(-1))
-                bump(a, Fraction(-1))
-                yield ("submod", (i, j, a), row)
-                if a == 0:
-                    break
-                a = (a - 1) & rest
+def _elemental_key(r: int, row: Sequence[int], k: int):
+    """Certificate key of row r of elemental_index(k): ("mono", (i,)) for
+    f(full) - f(full - i) >= 0, ("submod", (i, j, a)) for
+    f(a|i) + f(a|j) - f(a|i|j) - f(a) >= 0."""
+    if r < k:
+        return ("mono", (r,))
+    ai, aj, _, a = row
+    return ("submod", ((ai ^ a).bit_length() - 1, (aj ^ a).bit_length() - 1, a))
+
+
+def connection_clauses(net: Network, conn: ConnectionRequirement, tup: RateCapacityTuple):
+    """Every connection-constraint clause of the network at the tuple's
+    rates and capacities, as (message, terms, rhs, sense): the clause says
+    Σ c·g(B) over the terms (c, B) is `sense` ("=", "<=" or ">=") rhs, for
+    the entropy function g over session labels and edge ids.  In order:
+    each edge, then each decoder, is a function of its feeds; the sessions
+    are independent; each rate is met; each capacity is kept."""
+    for e in net.edges:
+        feeds = tuple(edge_feeds(net, conn, e))
+        yield (f"edge {e.id}: not a function of its feeds",
+               [(1, (e.id,) + feeds), (-1, feeds)], ZERO, "=")
+    for r, s in conn.demands():
+        feeds = tuple(decoder_feeds(net, conn, r))
+        yield (f"decode {s} at {r}: not a function of the received values",
+               [(1, (s,) + feeds), (-1, feeds)], ZERO, "=")
+    if len(conn.sessions) > 1:
+        yield ("source independence fails",
+               [(1, conn.sessions)] + [(-1, (s,)) for s in conn.sessions], ZERO, "=")
+    for s in conn.sessions:
+        yield f"rate of {s} below the required lower bound", [(1, (s,))], tup.rates[s], ">="
+    for e in net.edges:
+        cap = tup.cap(e.id)
+        if cap is not UNCAPPED:
+            yield f"capacity of {e.id} exceeded", [(1, (e.id,))], cap, "<="
 
 
 # ---------------------------------------------------------------------------
@@ -752,51 +770,6 @@ class LPResult:
     constraints: int
 
 
-def _connection_rows(
-    net: Network,
-    conn: ConnectionRequirement,
-    tup: RateCapacityTuple,
-    index: Mapping[str, int],
-):
-    """Rows of eqn-style connection constraints over entropy variables g(B),
-    B a nonempty subset mask of sessions ∪ edges.  Yields
-    (description, {mask: coeff}, rhs, equality, is_geq)."""
-
-    def mask_of(keys):
-        m = 0
-        for kk in keys:
-            m |= 1 << index[kk]
-        return m
-
-    for e in net.edges:
-        feeds = edge_feeds(net, conn, e)
-        fm = mask_of(feeds)
-        em = mask_of([e.id])
-        if fm:
-            yield (f"edge {e.id}", {em | fm: Fraction(1), fm: Fraction(-1)}, ZERO, True, False)
-        else:
-            yield (f"edge {e.id}", {em: Fraction(1)}, ZERO, True, False)
-    for r, s in conn.demands():
-        feeds = decoder_feeds(net, conn, r)
-        fm = mask_of(feeds)
-        sm = mask_of([s])
-        row = {sm | fm: Fraction(1)}
-        if fm:
-            row[fm] = row.get(fm, Fraction(0)) - 1
-        yield (f"decode {s} at {r}", row, ZERO, True, False)
-    if len(conn.sessions) > 1:
-        row = {mask_of(conn.sessions): Fraction(1)}
-        for s in conn.sessions:
-            row[mask_of([s])] = row.get(mask_of([s]), Fraction(0)) - 1
-        yield ("source independence", row, ZERO, True, False)
-    for s in conn.sessions:
-        yield (f"rate {s}", {mask_of([s]): Fraction(1)}, tup.rates[s], False, True)
-    for e in net.edges:
-        cap = tup.cap(e.id)
-        if cap is not UNCAPPED:
-            yield (f"capacity {e.id}", {mask_of([e.id]): Fraction(1)}, cap, False, False)
-
-
 def lp_feasible(
     net: Network,
     conn: ConnectionRequirement,
@@ -808,9 +781,14 @@ def lp_feasible(
 ) -> LPResult:
     """Decide whether some polymatroid over sessions ∪ edges satisfies all
     connection constraints at the given rates/capacities (plus instantiated
-    extra inequality templates).  A float simplex steers lazy elemental
-    generation; every verdict is certified exactly (basis solve or exact
-    phase-1 simplex, then exact re-checks of all constraints).
+    extra inequality templates).  HiGHS steers lazy elemental generation:
+    each round solves the program with the elemental rows active so far and
+    activates the rows its float point violates.  Exact arithmetic decides:
+    a verified Farkas certificate proves infeasibility, and a rationalized
+    HiGHS vertex that passes the exact re-check of every constraint proves
+    feasibility.  When neither applies, the exact point comes from the float
+    simplex's basis or, failing that, from the exact phase-1 simplex, which
+    also proves infeasibility; it stands once no elemental row is violated.
 
     `hint` short-circuits the search when it is an exactly verified feasible
     point — e.g. the induced entropy of a known admissible code, which
@@ -827,15 +805,24 @@ def lp_feasible(
     index = {kk: i for i, kk in enumerate(keys)}
     nvars = (1 << k) - 1  # variable j-1 holds g of subset mask j
 
+    def coeffs_of(terms) -> Dict[int, Fraction]:
+        """Σ c·g(B) as {variable: coefficient}; g(∅) = 0 and zero
+        coefficients are dropped."""
+        coeffs: Dict[int, Fraction] = {}
+        for c, subset in terms:
+            mask = 0
+            for lab in subset:
+                mask |= 1 << index[lab]
+            if mask:
+                coeffs[mask - 1] = coeffs.get(mask - 1, Fraction(0)) + c
+        return {j: c for j, c in coeffs.items() if c}
+
     base_rows: List[Tuple[Dict[int, Fraction], object, bool]] = []
-    for _, row, b, equality, is_geq in _connection_rows(net, conn, tup, index):
-        coeffs = {mask - 1: c for mask, c in row.items()}
-        if is_geq:  # a·x >= b  ->  -a·x <= -b
-            coeffs = {j: -c for j, c in coeffs.items()}
-            b = ZERO - b if isinstance(b, LogScalar) else -b
-            base_rows.append((coeffs, b, False))
-        else:
-            base_rows.append((coeffs, b, equality))
+    for _, terms, b, sense in connection_clauses(net, conn, tup):
+        coeffs = coeffs_of(terms)
+        if sense == ">=":  # a·x >= b  ->  -a·x <= -b
+            coeffs, b = {j: -c for j, c in coeffs.items()}, -b
+        base_rows.append((coeffs, b, sense == "="))
     # extra templates instantiated over all injective label assignments
     import itertools as _it
 
@@ -843,18 +830,12 @@ def lp_feasible(
         slots = expr.variables
         for combo in _it.permutations(keys, len(slots)):
             inst = expr.relabel(dict(zip(slots, combo)))
-            coeffs: Dict[int, Fraction] = {}
-            for c, subset in inst.terms:
-                mask = 0
-                for lab in subset:
-                    mask |= 1 << index[lab]
-                coeffs[mask - 1] = coeffs.get(mask - 1, Fraction(0)) + c
             # inst >= 0  ->  -inst <= 0
-            base_rows.append(({j: -c for j, c in coeffs.items() if c}, ZERO, False))
+            base_rows.append(({j: -c for j, c in coeffs_of(inst.terms).items()}, ZERO, False))
 
     import numpy as np
 
-    elementals = list(elemental_inequalities(k))
+    elementals = elemental_index(k)
 
     def exact_ok(values: List[LogScalar]) -> bool:
         for coeffs, b, equality in base_rows:
@@ -864,89 +845,53 @@ def lp_feasible(
             s = (total - b).sign()
             if (equality and s != 0) or (not equality and s > 0):
                 return False
-        for _, _, row in elementals:
-            total = ZERO
-            for mask, c in row.items():
-                total = total + values[mask] * c
-            if total.sign() < 0:
-                return False
-        return True
+        return not negative_rows(values, elementals, ELEMENTAL_WEIGHTS)
 
     if hint is not None and sorted(hint.ground.labels) == sorted(keys):
         values = [hint([kk for kk in keys if m >> index[kk] & 1]) for m in range(1 << k)]
         if exact_ok(values):
             return LPResult(True, SetFunction(GroundSet(keys), values), 0, len(base_rows))
-    # vectorized float evaluation of all elemental rows
-    idx = np.zeros((len(elementals), 4), dtype=np.int64)
-    cf = np.zeros((len(elementals), 4))
-    for ei, (_, _, row) in enumerate(elementals):
-        for p, (mask, c) in enumerate(row.items()):
-            idx[ei, p] = mask
-            cf[ei, p] = float(c)
-
-    def violated_float(vals: np.ndarray, exclude: set) -> List[int]:
-        slack = (cf * vals[idx]).sum(axis=1)
-        out = [int(i) for i in np.nonzero(slack < -1e-9)[0] if int(i) not in exclude]
-        return out[:batch]
-
-    def build_lp(active) -> LinearProgram:
-        lp = LinearProgram(num_vars=nvars)
-        for coeffs, b, equality in base_rows:
-            lp.add(coeffs, b, equality)
-        for ei in active:
-            _, _, row = elementals[ei]
-            # row >= 0  ->  -row <= 0
-            lp.add({mask - 1: -c for mask, c in row.items()}, ZERO, False)
-        return lp
-
-    def float_values(lp: LinearProgram, basis) -> Optional[np.ndarray]:
-        # cheap approximate point: exact basis solve is deferred to the end
-        x = exact_point_from_basis(lp, basis)
-        if x is None:
-            return None
-        vals = np.zeros(1 << k)
-        exact = [ZERO] * (1 << k)
-        for j, v in x.items():
-            if j < nvars:
-                exact[j + 1] = v
-                vals[j + 1] = v.to_float() if isinstance(v, LogScalar) else float(v)
-        return vals, exact
 
     primes: set = set()
     for _, b, _ in base_rows:
         if isinstance(b, LogScalar):
             primes.update(b.terms)
 
-    def exact_scan(exact: List[LogScalar]) -> List[int]:
-        out = []
-        for ei, (_, _, row) in enumerate(elementals):
-            if ei in active_set:
-                continue
-            total = ZERO
-            for mask, c in row.items():
-                total = total + exact[mask] * c
-            if total.sign() < 0:
-                out.append(ei)
-                if len(out) >= batch:
-                    break
-        return out
+    # one program grows round by round: the base rows, then each elemental
+    # row once it is activated
+    lp = LinearProgram(num_vars=nvars)
+    for coeffs, b, equality in base_rows:
+        lp.add(coeffs, b, equality)
+    active: set = set()
 
-    active: List[int] = []
-    active_set: set = set()
+    def activate(new: List[int]) -> None:
+        active.update(new)
+        for r in new:
+            # row >= 0  ->  -row <= 0
+            row = zip(elementals[r].tolist(), ELEMENTAL_WEIGHTS)
+            lp.add({mask - 1: -c for mask, c in row if mask}, ZERO, False)
+
+    def violated_float(vals: np.ndarray) -> List[int]:
+        slack = (vals[elementals] * ELEMENTAL_WEIGHTS).sum(axis=1)
+        out = [int(i) for i in np.nonzero(slack < -1e-9)[0] if int(i) not in active]
+        return out[:batch]
+
+    def exact_scan(exact: List[LogScalar]) -> List[int]:
+        rows = negative_rows(exact, elementals, ELEMENTAL_WEIGHTS)
+        return [r for r, _ in rows if r not in active][:batch]
+
     rounds = 0
     while True:
         rounds += 1
-        lp = build_lp(active)
         feasible_f, xf, dual = solve_highs(lp)
         if feasible_f:
             # steer with the cheap float point; exact work deferred until
             # the float scan comes back clean
             vals_f = np.zeros(1 << k)
             vals_f[1 : nvars + 1] = xf
-            new = violated_float(vals_f, active_set)
+            new = violated_float(vals_f)
             if new:
-                active.extend(new)
-                active_set.update(new)
+                activate(new)
                 continue
             # clean float scan: rationalize the vertex and verify exactly
             exact = rationalize_point(xf, primes)
@@ -960,23 +905,20 @@ def lp_feasible(
         # float machinery inconclusive: exact basis certification, then
         # exact simplex as the last resort
         okf, basis, _ = solve_float(lp)
-        got = float_values(lp, basis) if okf else None
-        if got is None:
+        x = exact_point_from_basis(lp, basis) if okf else None
+        if x is None:
             feasible, x = solve_phase1(lp)
             if not feasible:
                 return LPResult(False, None, rounds, len(lp.rows))
-            exact = [ZERO] * (1 << k)
-            for j, v in (x or {}).items():
-                if j < nvars:
-                    exact[j + 1] = v
-        else:
-            _, exact = got
+        exact = [ZERO] * (1 << k)
+        for j, v in (x or {}).items():
+            if j < nvars:
+                exact[j + 1] = v
         new = exact_scan(exact)
         if not new:
             g = SetFunction(GroundSet(keys), exact)
             return LPResult(True, g, rounds, len(lp.rows))
-        active.extend(new)
-        active_set.update(new)
+        activate(new)
 
 
 def shannon_implies(expr: InfoExpression, n: int, cap: int = 10):
@@ -996,13 +938,15 @@ def shannon_implies(expr: InfoExpression, n: int, cap: int = 10):
         for lab in subset:
             mask |= 1 << index[lab]
         target[mask] += c
-    elementals = list(elemental_inequalities(n))
-    # find y >= 0 with sum_i y_i * row_i == target (columns = subset masks)
+    elementals = elemental_index(n).tolist()
+    # find y >= 0 with sum_i y_i * row_i == target (columns = subset masks);
+    # no row repeats a nonempty mask
     lp = LinearProgram(num_vars=len(elementals))
-    cols: Dict[int, Dict[int, Fraction]] = {}
-    for i, (_, _, row) in enumerate(elementals):
-        for mask, c in row.items():
-            cols.setdefault(mask, {})[i] = c
+    cols: Dict[int, Dict[int, int]] = {}
+    for i, row in enumerate(elementals):
+        for mask, c in zip(row, ELEMENTAL_WEIGHTS):
+            if mask:
+                cols.setdefault(mask, {})[i] = c
     for mask in range(1, 1 << n):
         lp.add(cols.get(mask, {}), target[mask], True)
     feasible, y = solve_phase1(lp)
@@ -1011,8 +955,7 @@ def shannon_implies(expr: InfoExpression, n: int, cap: int = 10):
     cert = {}
     for i, w in (y or {}).items():
         if w:
-            kind, args, _ = elementals[i]
-            cert[(kind, args)] = w
+            cert[_elemental_key(i, elementals[i], n)] = w
     return True, cert
 
 
@@ -1087,11 +1030,19 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
     src_map = {layout.session_labels[full]: "S"}
     for j in range(1, N + 1):
         src_map[layout.v_edges[j]] = vlabels[j - 1]
-    for e in net.edges:
-        if e.id.startswith("fan[V["):
-            j = int(e.id.split("]", 1)[0][len("fan[V["):])
-            src_map[e.id] = vlabels[j - 1]
+    for eid, j in layout.fans.items():
+        src_map[eid] = vlabels[j - 1]
     locals_["sources"] = LocalWitness(f_src, src_map)
+
+    def fans_into(sub, *roles: str) -> Dict[str, str]:
+        """The fan edges into the tails of the subnet's given role edges,
+        each mapped to the label of the element it forwards."""
+        out = {}
+        for role in roles:
+            for e in net.in_edges(net.edge(sub.role_edges[role]).tail):
+                if e.id in layout.fans:
+                    out[e.id] = vlabels[layout.fans[e.id] - 1]
+        return out
 
     # session independence: the modular product of all session values
     sess_labels = ["S" if m == full else f"Sa{m}" for m in range(1, full + 1)]
@@ -1109,7 +1060,6 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
         if sub.kind == 0:
             tag = f"T0[{a}]"
             g = _single("Sa", h(alab))
-            (rx,) = sub.receivers
             locals_[tag] = LocalWitness(g, {sess_a: "Sa", sub.role_edges["W"]: "Sa"})
             continue
         if sub.kind == 1:
@@ -1118,11 +1068,7 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
             g = wrap(tag, lambda g=g: functional_extension(g, alab, name="J"))
             g = wrap(tag, lambda g=g: sw_extension(g, ["S"], ["J"], name="W"))
             vmap = {layout.session_labels[full]: "S", sub.role_edges["W"]: "W", sub.role_edges["W'"]: "J"}
-            # fan edges feeding this subnetwork's mid node
-            mid = net.edge(sub.role_edges["W'"]).tail
-            for e in net.in_edges(mid):
-                j = int(e.id.split("]", 1)[0][len("fan[V["):])
-                vmap[e.id] = vlabels[j - 1]
+            vmap.update(fans_into(sub, "W'"))  # the fans into the mid node
             locals_[tag] = LocalWitness(g, vmap)
             continue
         # type 2
@@ -1137,6 +1083,8 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
         vmap = {
             layout.session_labels[full]: "S",
             sess_a: "Sa",
+            sub.role_edges["Sa>n1"]: "Sa",
+            sub.role_edges["Sa>rxU"]: "Sa",
             sub.role_edges["W"]: "W",
             sub.role_edges["W>U"]: "W",
             sub.role_edges["W>L"]: "W",
@@ -1144,18 +1092,44 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
             sub.role_edges["W''"]: "W''",
             sub.role_edges["W*"]: "J",
         }
-        edge_tag = sub.role_edges["W"].rsplit(".", 1)[0]
-        vmap[f"{edge_tag}.Sa>n1"] = "Sa"
-        vmap[f"{edge_tag}.Sa>rxU"] = "Sa"
-        for e in net.edges:
-            if e.id.startswith("fan[V[") and e.id.endswith(f"{edge_tag}.n1]") or \
-               e.id.startswith("fan[V[") and e.id.endswith(f"{edge_tag}.n2]") or \
-               e.id.startswith("fan[V[") and e.id.endswith(f"{edge_tag}.n3]"):
-                j = int(e.id.split("]", 1)[0][len("fan[V["):])
-                vmap[e.id] = vlabels[j - 1]
+        vmap.update(fans_into(sub, "W", "W''", "W*"))  # the fans into n1, n2, n3
         locals_[tag] = LocalWitness(g, vmap)
 
     return WitnessCertificate(N, locals_)
+
+
+def _violates(lhs: LogScalar, rhs: LogScalar, sense: str) -> bool:
+    """Whether `lhs sense rhs` fails."""
+    if sense == "=":
+        return lhs != rhs
+    return (lhs - rhs).sign() == (1 if sense == "<=" else -1)
+
+
+def _check_consistency(
+    cert: WitnessCertificate, bits: Mapping[str, Mapping[str, int]], fail
+) -> None:
+    """Fail for each pair of locals that disagree on some set of the network
+    variables both of them map (`bits[tag]` maps each variable to its bit in
+    that local's ground set).  A set of shared variables maps to a pair of
+    label sets, one per local; each distinct pair is compared once, and the
+    first disagreement of a pair of locals is reported."""
+    tags = sorted(cert.locals_)
+    for x, ta in enumerate(tags):
+        for tb in tags[x + 1 :]:
+            ba, bb = bits[ta], bits[tb]
+            atoms: Dict[Tuple[int, int], str] = {}
+            for v in sorted(ba.keys() & bb.keys()):
+                atoms.setdefault((ba[v], bb[v]), v)
+            # every union of atoms, with the variables that first reach it
+            unions: Dict[Tuple[int, int], Tuple[str, ...]] = {(0, 0): ()}
+            for (ma, mb), v in atoms.items():
+                for (ua, ub), vs in list(unions.items()):
+                    unions.setdefault((ua | ma, ub | mb), vs + (v,))
+            fa, fb = cert.locals_[ta].func, cert.locals_[tb].func
+            for (ua, ub), vs in unions.items():
+                if fa.values[ua] != fb.values[ub]:
+                    fail(f"locals {ta} and {tb} disagree on {list(vs)}")
+                    break
 
 
 def verify_connection_constraints(
@@ -1167,8 +1141,8 @@ def verify_connection_constraints(
     """Exact check of every connection-constraint clause (edge and decoder
     functional dependence, source independence, rate lower bounds, capacity
     upper bounds) inside whichever local function covers its variables.
-    Fails as well when the certificate is for another N or a local function
-    is not a polymatroid."""
+    Fails as well when the certificate is for another N, a local function
+    is not a polymatroid, or two locals disagree on shared variables."""
     net, conn = layout.network, layout.conn
     ok = True
 
@@ -1187,45 +1161,29 @@ def verify_connection_constraints(
             v = rep.instances[0]
             fail(f"local {tag}: not a polymatroid ({v.family} at {v.subsets})")
 
-    def find_local(varnames: Sequence[str]) -> Tuple[LocalWitness, List[str]]:
-        for lw in cert.locals_.values():
-            if all(v in lw.var_map for v in varnames):
-                return lw, [lw.var_map[v] for v in varnames]
+    # each local's network variables as bits of its ground set
+    bits = {
+        tag: {v: lw.func.ground.mask([lab]) for v, lab in lw.var_map.items()}
+        for tag, lw in cert.locals_.items()
+    }
+    _check_consistency(cert, bits, fail)
+
+    def find_local(varnames: Sequence[str]) -> Tuple[List[LogScalar], Mapping[str, int]]:
+        for tag, b in bits.items():
+            if all(v in b for v in varnames):
+                return cert.locals_[tag].func.values, b
         raise CoverageError(f"no local function covers variables {list(varnames)}")
 
-    def value(lw: LocalWitness, labels: Sequence[str]) -> LogScalar:
-        return lw.func(sorted(set(labels)))
-
-    for e in net.edges:
-        feeds = edge_feeds(net, conn, e)
-        lw, labs = find_local([e.id] + feeds)
-        joint = value(lw, labs)
-        given = value(lw, labs[1:]) if feeds else ZERO
-        if joint != given:
-            fail(f"edge {e.id}: not a function of its feeds")
-    for r, s in conn.demands():
-        feeds = decoder_feeds(net, conn, r)
-        lw, labs = find_local([s] + feeds)
-        if value(lw, labs) != value(lw, labs[1:]):
-            fail(f"decode {s} at {r}: not a function of the received values")
-    sessions = list(conn.sessions)
-    if len(sessions) > 1:
-        lw, labs = find_local(sessions)
-        total = value(lw, labs)
-        acc = ZERO
-        for lab in labs:
-            acc = acc + lw.func([lab])
-        if total != acc:
-            fail("source independence fails")
-    for s in sessions:
-        lw, labs = find_local([s])
-        if (lw.func(labs) - tup.rates[s]).sign() < 0:
-            fail(f"rate of {s} below the required lower bound")
-    for e in net.edges:
-        cap = tup.cap(e.id)
-        if cap is UNCAPPED:
-            continue
-        lw, labs = find_local([e.id])
-        if (cap - lw.func(labs)).sign() < 0:
-            fail(f"capacity of {e.id} exceeded")
+    for message, terms, rhs, sense in connection_clauses(net, conn, tup):
+        values, b = find_local(list(dict.fromkeys(v for _, subset in terms for v in subset)))
+        # Σ c·g(B) `sense` rhs, with the negative terms moved to the right
+        sides: Tuple[List[LogScalar], List[LogScalar]] = ([], [rhs] if rhs else [])
+        for c, subset in terms:
+            mask = 0
+            for v in subset:
+                mask |= b[v]
+            sides[c < 0].append(values[mask] if abs(c) == 1 else values[mask] * abs(c))
+        lhs, rhs = (sum(side[1:], side[0]) if side else ZERO for side in sides)
+        if _violates(lhs, rhs, sense):
+            fail(message)
     return ok

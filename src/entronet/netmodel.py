@@ -168,9 +168,11 @@ class ConnectionRequirement:
             raise StructuralError("duplicate session labels")
         self.origin = {s: origin[s] for s in self.sessions}
         self.receivers = {s: tuple(sorted(receivers[s])) for s in self.sessions}
+        self._by_origin: Dict[str, List[str]] = {}
         for s in self.sessions:
             if not self.receivers[s]:
                 raise StructuralError(f"session {s} has no receivers")
+            self._by_origin.setdefault(self.origin[s], []).append(s)
 
     def validate_against(self, net: Network) -> None:
         nodeset = set(net.nodes)
@@ -182,7 +184,7 @@ class ConnectionRequirement:
                     raise StructuralError(f"receiver {r} of session {s} not in network")
 
     def sessions_at(self, node: str) -> List[str]:
-        return [s for s in self.sessions if self.origin[s] == node]
+        return list(self._by_origin.get(node, ()))
 
     def demands(self) -> List[Tuple[str, str]]:
         """(receiver node, session) pairs, sorted."""

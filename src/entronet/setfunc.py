@@ -217,16 +217,19 @@ class ViolationReport:
 
 
 # elemental rows (a|i, a|j, a|i|j, a): the slack f(a|i) + f(a|j) - f(a|i|j) - f(a)
-_ELEMENTAL_WEIGHTS = (1, 1, -1, -1)
+ELEMENTAL_WEIGHTS = (1, 1, -1, -1)
 
 
 @lru_cache(maxsize=None)
-def _elemental_index(k: int) -> np.ndarray:
-    """Index rows of the elemental inequalities on k elements: first the k
-    monotonicity rows (full, {}, full - i, {}), whose two empty-set terms
-    cancel, then every submodularity row (a|i, a|j, a|i|j, a), i < j."""
+def elemental_index(k: int) -> np.ndarray:
+    """Index rows of the elemental inequalities on k elements, each asserting
+    its weighted sum (ELEMENTAL_WEIGHTS) is >= 0: first the k monotonicity
+    rows (full, {}, full - i, {}), whose two empty-set terms cancel, then
+    the submodularity rows (a|i, a|j, a|i|j, a) for i < j in lexicographic
+    order and, within each (i, j), a over the subsets of the other elements
+    in descending mask order."""
     full = (1 << k) - 1
-    masks = np.arange(1 << k)
+    masks = np.arange(1 << k)[::-1]
     blocks = [np.array([[full, 0, full & ~(1 << i), 0] for i in range(k)])]
     for i in range(k):
         for j in range(i + 1, k):
@@ -243,9 +246,9 @@ def check_polymatroid(f: SetFunction) -> ViolationReport:
     pairwise conditional submodularity; these imply the full axioms."""
     g = f.ground
     k = len(g)
-    index = _elemental_index(k)
+    index = elemental_index(k)
     out: List[Violation] = []
-    for r, slack in negative_rows(f.values, index, _ELEMENTAL_WEIGHTS):
+    for r, slack in negative_rows(f.values, index, ELEMENTAL_WEIGHTS):
         s = [g.subset(m) for m in index[r].tolist()]
         if r < k:
             out.append(Violation("monotonicity", (s[2], s[0]), slack))

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from entronet.cli import run
+from entronet.construct import build_gdagger
 from entronet.exactlog import log2_units
 from entronet.groupchar import (
     SubgroupFamily,
@@ -19,6 +20,7 @@ from entronet.netmodel import (
     RateCapacityTuple,
     UNCAPPED,
 )
+from entronet.setfunc import SetFunction
 
 
 def write(tmp_path, name, obj):
@@ -93,6 +95,34 @@ def test_construct_and_witness_flow(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(capsys.readouterr().out)
     assert run(["witness", "verify", str(cert_path), tup_path]) == 0
+
+
+def test_witness_verify_takes_n_from_the_tuple(tmp_path, capsys, monkeypatch):
+    h_path = write(tmp_path, "h.json", SetFunction.from_log2("12", {"1": 1, "2": 2, "12": 2}).to_json())
+    assert run(["witness", "build", h_path, "--n", "2"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert run(["construct", "gdagger", "--n", "2", "--h", h_path, "--json"]) == 0
+    tup = json.loads(capsys.readouterr().out)["tuple"]
+    tup_path = write(tmp_path, "tup.json", tup)
+
+    built = []
+
+    def spy(n):
+        built.append(n)
+        if n != 2:
+            raise AssertionError(f"layout for N={n} built from the certificate")
+        return build_gdagger(n)
+
+    monkeypatch.setattr("entronet.cli.build_gdagger", spy)
+    forged = write(tmp_path, "forged.json", {**cert, "n": 40})
+    assert run(["witness", "verify", forged, tup_path, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["failures"] == [
+        "certificate is for N=40, the layout has N=2"]
+    assert built == [2]
+    # a tuple whose rate count is not 2^N - 1 fits no layout
+    del tup["rates"][next(iter(tup["rates"]))]
+    assert run(["witness", "verify", forged, write(tmp_path, "short.json", tup)]) == 2
+    assert built == [2]
 
 
 def test_code_build_and_verify_bundle(tmp_path, capsys):

@@ -82,3 +82,23 @@ def test_layout_grows_with_n():
     e2 = len(build_gdagger(2).network.edges)
     e3 = len(build_gdagger(3).network.edges)
     assert e3 > e2 > 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_layout_names_its_fans_and_relays(n):
+    """Every edge out of the distribution node is a fan of V[j] for the j
+    the layout records, and every type-2 subnet names both relays of its
+    session."""
+    lay = build_gdagger(n)
+    net = lay.network
+    out_of_dist = {e.id: e for e in net.edges if e.tail == "dist"}
+    assert set(lay.fans) == set(out_of_dist)
+    for eid, j in lay.fans.items():
+        assert 1 <= j <= n and eid.startswith(f"fan[{lay.v_edges[j]}->")
+    for sub in lay.subnets:
+        if sub.kind == 2:
+            origin = lay.conn.origin[lay.session_labels[sub.alpha]]
+            assert net.edge(sub.role_edges["Sa>n1"]).tail == origin
+            assert net.edge(sub.role_edges["Sa>rxU"]).tail == origin
+            assert net.edge(sub.role_edges["Sa>n1"]).head == net.edge(sub.role_edges["W"]).tail
+            assert net.edge(sub.role_edges["Sa>rxU"]).head == net.edge(sub.role_edges["W'"]).head

@@ -172,6 +172,19 @@ def test_shannon_implies_elemental_with_certificate():
         assert kind in ("mono", "submod") and w > 0
 
 
+@pytest.mark.parametrize("text, cert", [
+    ("I(1;2|3) >= 0", {("submod", (0, 1, 4)): 1}),
+    ("H(1,2,3) - H(1) >= 0", {("mono", (1,)): 1, ("mono", (2,)): 1, ("submod", (2, 3, 1)): 1,
+                              ("submod", (1, 3, 5)): 1, ("submod", (1, 2, 9)): 1}),
+])
+def test_shannon_implies_certificates_are_unchanged(text, cert):
+    """Golden certificates at n = 4: the row order of elemental_index fixes
+    which vertex the exact simplex returns, so a reordered table shows here."""
+    ok, got = shannon_implies(InfoExpression.parse(text), 4)
+    assert ok and got == cert
+    assert all(type(w) is Fraction for w in got.values())
+
+
 def test_shannon_implies_monotonicity():
     ok, _ = shannon_implies(InfoExpression.parse("H(1,2) - H(1) >= 0"), 3)
     assert ok
@@ -321,3 +334,15 @@ def test_verify_rejects_every_non_polymatroid_local(witness_n2, data):
     failures = []
     assert not verify_connection_constraints(forge(cert, tag, values), lay, tup, failures)
     assert any(f.startswith(f"local {tag}: not a polymatroid") for f in failures)
+
+
+def test_verify_rejects_a_doubled_independence_local(witness_n2):
+    """Doubling every value keeps the independence local a polymatroid that
+    meets every clause it covers, but it no longer agrees with the locals
+    that share its sessions."""
+    lay, cert, tup = witness_n2
+    values = [v * 2 for v in cert.locals_["independence"].func.values]
+    failures = []
+    assert not verify_connection_constraints(forge(cert, "independence", values), lay, tup, failures)
+    assert "locals independence and sources disagree on ['S[{1,2}]']" in failures
+    assert all("disagree" in f for f in failures)

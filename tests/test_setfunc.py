@@ -14,6 +14,7 @@ from conftest import (
 from entronet.exactlog import ZERO, LogScalar, log2_units
 from entronet.groupchar import builtin_function
 from entronet.setfunc import (
+    ELEMENTAL_WEIGHTS,
     GroundSet,
     SetFunction,
     Violation,
@@ -24,6 +25,7 @@ from entronet.setfunc import (
     check_zhang_yeung,
     conditional_entropy,
     delta,
+    elemental_index,
     flats,
     is_function_of,
     is_independent,
@@ -118,6 +120,22 @@ def test_projective_plane_builtin_violates_ingleton_exactly():
     first = rep.instances[0]
     assert first.subsets == (("1",), ("2",), ("3",), ("4",))
     assert first.slack == expected
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_elemental_index_is_in_the_documented_order(k):
+    """Monotonicity rows by i, then submodularity rows by i < j and, within
+    each pair, a over the subsets of the other elements, largest mask
+    first: the row order the LP bound and its certificates rely on."""
+    full = (1 << k) - 1
+    rows = [[full, 0, full & ~(1 << i), 0] for i in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        bi, bj = 1 << i, 1 << j
+        for a in range(full, -1, -1):
+            if not a & (bi | bj):
+                rows.append([a | bi, a | bj, a | bi | bj, a])
+    assert elemental_index(k).tolist() == rows
+    assert ELEMENTAL_WEIGHTS == (1, 1, -1, -1)
 
 
 def test_violation_report_shapes():
