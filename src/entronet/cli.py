@@ -38,7 +38,7 @@ from .netmodel import (
     NetworkCode,
     RateCapacityTuple,
     ResourceError,
-    check_admissible,
+    alphabets_meet_tuple,
     evaluate_code,
     to_dot,
 )
@@ -203,7 +203,7 @@ def cmd_code_verify(args) -> int:
         code = NetworkCode.from_json(_read(args.code))
         tup = RateCapacityTuple.from_json(_read(args.tuple))
     result = evaluate_code(net, conn, code)
-    admissible = result.zero_error and check_admissible(net, conn, code, tup)
+    admissible = result.zero_error and alphabets_meet_tuple(net, conn, code, tup)
     report = {
         "format": "report/1",
         "check": "code",

@@ -195,9 +195,7 @@ def build_gdagger(N: int) -> GDaggerLayout:
     return GDaggerLayout(N, net, conn, session_labels, v_edges, tuple(subnets), fans)
 
 
-def rate_capacity(
-    h: SetFunction, layout: GDaggerLayout, allow_negative: bool = False
-) -> RateCapacityTuple:
+def rate_capacity(h: SetFunction, layout: GDaggerLayout) -> RateCapacityTuple:
     """λ(S[α]) = h(α); capacities of the role edges as linear forms in h."""
     N = layout.n
     if len(h.ground) != N:
@@ -225,18 +223,12 @@ def rate_capacity(
             caps[sub.role_edges["W''"]] = hv(a | ib) - hv(ib)
             caps[sub.role_edges["W*"]] = hv(a)
 
-    if not allow_negative:
-        for key, val in list(rates.items()) + list(caps.items()):
-            if val.sign() < 0:
-                raise NegativeCapacityError(
-                    f"entry for {key!r} is negative; the input is not monotone"
-                )
-        return RateCapacityTuple(rates, caps)
-    # bypass the non-negativity validation
-    tup = RateCapacityTuple.__new__(RateCapacityTuple)
-    tup.rates = rates
-    tup.caps = caps
-    return tup
+    for key, val in list(rates.items()) + list(caps.items()):
+        if val.sign() < 0:
+            raise NegativeCapacityError(
+                f"entry for {key!r} is negative; the input is not monotone"
+            )
+    return RateCapacityTuple(rates, caps)
 
 
 def capacitated_network(layout: GDaggerLayout, tup: RateCapacityTuple) -> Network:

@@ -194,9 +194,10 @@ class LogScalar:
         return self._bounds(prec)
 
     def to_float(self) -> float:
-        import math
+        # a float even with no terms, where sum() would give the int 0
+        return sum((float(q) * math.log(p) for p, q in self._terms.items()), 0.0)
 
-        return sum(float(q) * math.log(p) for p, q in self._terms.items())
+    __float__ = to_float
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogScalar):

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .construct import GDaggerLayout
 from .exactlog import ZERO, LogScalar, negative_rows
 from .netmodel import (
@@ -348,7 +350,7 @@ def zhang_yeung_expression(labels: Sequence[str] = ("1", "2", "3", "4")) -> Info
 
 # ---------------------------------------------------------------------------
 # exact phase-1 simplex (Fraction tableau; RHS entries are any ordered
-# Q-module with +, -, *Fraction and sign: Fraction or LogScalar)
+# Q-module with +, -, *Fraction, float() and sign: Fraction or LogScalar)
 
 
 def _sgn(x) -> int:
@@ -359,62 +361,53 @@ def _sgn(x) -> int:
 
 @dataclass
 class LinearProgram:
-    """Rows a·x (= or <=) b over x ≥ 0, solved for feasibility only."""
+    """Rows a·x (= or <=) b over x ≥ 0, solved for feasibility only.  Each
+    row is stored as a·x = b with b ≥ 0, the form every solver reads: an
+    inequality gets its own slack column, numbered after the `num_vars`
+    structural columns in row order, and a row with b < 0 is negated."""
 
     num_vars: int
     rows: List[Dict[int, Fraction]] = field(default_factory=list)
     rhs: List[object] = field(default_factory=list)
-    eq: List[bool] = field(default_factory=list)
+    ncols: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.ncols = max([self.num_vars] + [j + 1 for row in self.rows for j in row])
 
     def add(self, coeffs: Mapping[int, Fraction], b, equality: bool) -> None:
-        self.rows.append({j: Fraction(c) for j, c in coeffs.items() if c})
+        row = {j: Fraction(c) for j, c in coeffs.items() if c}
+        if not equality:
+            row[self.ncols] = Fraction(1)
+            self.ncols += 1
+        if _sgn(b) < 0:
+            row, b = {j: -c for j, c in row.items()}, -b
+        self.rows.append(row)
         self.rhs.append(b)
-        self.eq.append(equality)
 
 
-def _zero_like(sample):
-    return ZERO if isinstance(sample, LogScalar) else Fraction(0)
-
-
-def _normalize(lp: LinearProgram):
-    """Slack insertion and row flipping to a·x = b with b ≥ 0, x ≥ 0.
-    Returns (rows, rhs, ncols) with slack columns appended after the
-    structural variables."""
-    zero = _zero_like(lp.rhs[0]) if lp.rows else Fraction(0)
-    rows: List[Dict[int, Fraction]] = []
-    rhs: List[object] = []
-    ncols = lp.num_vars
-    for i in range(len(lp.rows)):
-        row = dict(lp.rows[i])
-        b = lp.rhs[i]
-        if not lp.eq[i]:
-            row[ncols] = Fraction(1)
-            ncols += 1
-        if _sgn(b - zero) < 0:
-            row = {j: -c for j, c in row.items()}
-            b = zero - b if isinstance(b, LogScalar) else -b
-        rows.append(row)
-        rhs.append(b)
-    return rows, rhs, ncols
+def _dense(lp: LinearProgram):
+    """The stored rows as floats: [A | I] with one artificial column per
+    row after the ncols columns of A, and b."""
+    m = len(lp.rows)
+    A = np.zeros((m, lp.ncols + m))
+    for i, row in enumerate(lp.rows):
+        for j, c in row.items():
+            A[i, j] = float(c)
+        A[i, lp.ncols + i] = 1.0
+    return A, np.array([float(b) for b in lp.rhs])
 
 
 def solve_float(lp: LinearProgram, tol: float = 1e-9):
     """Dense float phase-1 simplex.  Returns (feasible, basis, x) where basis
-    lists the final basic column indices (in the normalized column space) and
-    x holds approximate structural-variable values; used only to steer the
-    exact certification."""
-    import numpy as np
-
-    rows, rhs, ncols = _normalize(lp)
-    m = len(rows)
+    lists the final basic column indices (in the stored column space, then
+    the artificial columns) and x holds approximate structural-variable
+    values; used only to steer the exact certification."""
+    m = len(lp.rows)
     if m == 0:
         return True, [], np.zeros(lp.num_vars)
-    T = np.zeros((m, ncols + m + 1))
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            T[i, j] = float(c)
-        T[i, ncols + i] = 1.0
-        T[i, -1] = rhs[i].to_float() if isinstance(rhs[i], LogScalar) else float(rhs[i])
+    ncols = lp.ncols
+    A, b = _dense(lp)
+    T = np.column_stack([A, b])
     basis = list(range(ncols, ncols + m))
     for _ in range(60 * (m + 10)):
         art_rows = [i for i, bb in enumerate(basis) if bb >= ncols]
@@ -452,11 +445,10 @@ def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
     """Solve the square basis system exactly (Fraction matrix, exact RHS)
     and return {structural var: value} when it yields a verified feasible
     point of the program; None when the float pass misidentified the basis."""
-    rows, rhs, ncols = _normalize(lp)
+    rows, ncols = lp.rows, lp.ncols
     m = len(rows)
     if m == 0:
         return {}
-    zero = _zero_like(rhs[0])
     cols = list(basis)
     M: List[Dict[int, Fraction]] = []
     for i in range(m):
@@ -470,7 +462,7 @@ def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
                 if v:
                     row[k] = v
         M.append(row)
-    b = list(rhs)
+    b = list(lp.rhs)
     where: List[Optional[int]] = [None] * m
     used = [False] * m
     for k in range(m):
@@ -483,7 +475,7 @@ def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
         p = M[r][k]
         if p != 1:
             M[r] = {j: c / p for j, c in M[r].items()}
-            b[r] = b[r] * (Fraction(1) / p) if isinstance(b[r], LogScalar) else b[r] / p
+            b[r] = b[r] * (1 / p)
         for i in range(m):
             if i != r and (f := M[i].get(k)):
                 for j, c in M[r].items():
@@ -492,51 +484,41 @@ def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
                         M[i][j] = nv
                     else:
                         M[i].pop(j, None)
-                b[i] = b[i] - b[r] * f if isinstance(b[i], LogScalar) else b[i] - f * b[r]
+                b[i] = b[i] - b[r] * f
     x: Dict[int, object] = {}
     for k in range(m):
         v = b[where[k]]
-        s = _sgn(v - zero)
+        s = _sgn(v)
         if s < 0:
             return None  # basic variable negative: wrong basis
         c = cols[k]
         if c >= ncols:
             if s != 0:  # artificial must vanish exactly
                 return None
-        elif c < lp.num_vars and s != 0:
+        elif s != 0:
             x[c] = v
-    # exact verification of every original row
-    for i, row in enumerate(lp.rows):
-        total = zero
+    # exact verification of every stored row, slack values included
+    for row, total in zip(rows, lp.rhs):
         for j, c in row.items():
             if j in x:
-                total = total + x[j] * c
-        s = _sgn(total - lp.rhs[i])
-        if (lp.eq[i] and s != 0) or (not lp.eq[i] and s > 0):
+                total = total - x[j] * c
+        if _sgn(total) != 0:
             return None
-    return x
+    return {j: v for j, v in x.items() if j < lp.num_vars}
 
 
 def solve_highs(lp: LinearProgram):
-    """Float feasibility check of the normalized system A·x = b, x ≥ 0 via
+    """Float feasibility check of the stored system A·x = b, x ≥ 0 via
     HiGHS (explicit phase-1: min Σs subject to A·x + I·s = b).  Returns
     (feasible, x, y): approximate structural values and, when infeasible,
     equality-row duals usable as a Farkas certificate candidate."""
-    import numpy as np
     from scipy.optimize import linprog
 
-    rows, rhs, ncols = _normalize(lp)
-    m = len(rows)
+    m = len(lp.rows)
     if m == 0:
         return True, np.zeros(lp.num_vars), None
-    A = np.zeros((m, ncols + m))
-    b = np.zeros(m)
-    for i, row in enumerate(rows):
-        for j, c in row.items():
-            A[i, j] = float(c)
-        A[i, ncols + i] = 1.0
-        b[i] = rhs[i].to_float() if isinstance(rhs[i], LogScalar) else float(rhs[i])
-    cost = np.concatenate([np.zeros(ncols), np.ones(m)])
+    A, b = _dense(lp)
+    cost = np.concatenate([np.zeros(lp.ncols), np.ones(m)])
     res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
         return None, None, None
@@ -553,24 +535,19 @@ def solve_highs(lp: LinearProgram):
 def farkas_verified(lp: LinearProgram, y) -> bool:
     """Exact check that a rationalization of the float multipliers y proves
     A·x = b, x ≥ 0 infeasible: yᵀA ≤ 0 columnwise and yᵀb > 0."""
-    rows, rhs, ncols = _normalize(lp)
-    zero = _zero_like(rhs[0]) if rows else Fraction(0)
     yr = [
         Fraction(float(v)).limit_denominator(10**6) if abs(float(v)) > 1e-9 else Fraction(0)
         for v in y
     ]
     cols: Dict[int, Fraction] = {}
-    for i, row in enumerate(rows):
+    for i, row in enumerate(lp.rows):
         if yr[i]:
             for j, c in row.items():
                 cols[j] = cols.get(j, Fraction(0)) + yr[i] * c
     if any(v > 0 for v in cols.values()):
         return False
-    total = zero
-    for i, b in enumerate(rhs):
-        if yr[i]:
-            total = total + (b * yr[i] if isinstance(b, LogScalar) else yr[i] * b)
-    return _sgn(total) > 0
+    terms = [b * w for b, w in zip(lp.rhs, yr) if w]
+    return bool(terms) and _sgn(sum(terms[1:], terms[0])) > 0
 
 
 def rationalize_point(xf, masks_primes, max_den: int = 10**4):
@@ -609,16 +586,17 @@ def solve_phase1(lp: LinearProgram):
     module).  Returns (feasible, x) where x maps structural variable index
     to its value at a feasible point."""
     m = len(lp.rows)
-    n = lp.num_vars
-    zero = _zero_like(lp.rhs[0]) if m else Fraction(0)
-    rows, rhs, ncols = _normalize(lp)
+    if m == 0:
+        return True, {}
+    # the tableau pivots in place: copy the stored rows
+    rows = [dict(row) for row in lp.rows]
+    rhs = list(lp.rhs)
     # artificial variables, one per row; objective = sum of artificials
-    art0 = ncols
+    art0 = lp.ncols
     basis = []
     for i in range(m):
         rows[i][art0 + i] = Fraction(1)
         basis.append(art0 + i)
-    total_cols = art0 + m
     # objective row: z_j - c_j for minimizing Σ artificials equals
     # (sum of all rows restricted to non-artificial columns), value Σ rhs
     obj: Dict[int, Fraction] = {}
@@ -627,11 +605,7 @@ def solve_phase1(lp: LinearProgram):
             if j < art0:
                 obj[j] = obj.get(j, Fraction(0)) + c
     obj = {j: c for j, c in obj.items() if c}
-    objval = rhs[0] if m else zero
-    if m:
-        objval = zero
-        for b in rhs:
-            objval = objval + b
+    objval = sum(rhs[1:], rhs[0])
 
     def pivot(r: int, jin: int):
         nonlocal objval
@@ -639,7 +613,7 @@ def solve_phase1(lp: LinearProgram):
         p = prow[jin]
         if p != 1:
             rows[r] = prow = {j: c / p for j, c in prow.items()}
-            rhs[r] = rhs[r] * (Fraction(1) / p) if isinstance(rhs[r], LogScalar) else rhs[r] / p
+            rhs[r] = rhs[r] * (1 / p)
         for i in range(m):
             if i == r:
                 continue
@@ -652,7 +626,7 @@ def solve_phase1(lp: LinearProgram):
                         row[j] = nv
                     else:
                         row.pop(j, None)
-                rhs[i] = rhs[i] - rhs[r] * f if isinstance(rhs[i], LogScalar) else rhs[i] - f * rhs[r]
+                rhs[i] = rhs[i] - rhs[r] * f
         f = obj.get(jin)
         if f:
             for j, c in prow.items():
@@ -661,7 +635,7 @@ def solve_phase1(lp: LinearProgram):
                     obj[j] = nv
                 else:
                     obj.pop(j, None)
-            objval = objval - rhs[r] * f if isinstance(objval, LogScalar) else objval - f * rhs[r]
+            objval = objval - rhs[r] * f
         basis[r] = jin
 
     # Dantzig's rule by default; permanent switch to Bland's rule after a
@@ -692,8 +666,7 @@ def solve_phase1(lp: LinearProgram):
                 else:
                     # compare rhs[i]/a vs rhs[best]/abest
                     ab = rows[best][jin]
-                    diff = rhs[i] * ab - rhs[best] * a if isinstance(rhs[i], LogScalar) else ab * rhs[i] - a * rhs[best]
-                    s = _sgn(diff)
+                    s = _sgn(rhs[i] * ab - rhs[best] * a)
                     if s < 0 or (s == 0 and basis[i] < basis[best]):
                         best = i
         if best is None:
@@ -712,7 +685,7 @@ def solve_phase1(lp: LinearProgram):
         return False, None
     x: Dict[int, object] = {}
     for i, bj in enumerate(basis):
-        if bj < n:
+        if bj < lp.num_vars:
             x[bj] = rhs[i]
     return True, x
 
@@ -832,8 +805,6 @@ def lp_feasible(
             inst = expr.relabel(dict(zip(slots, combo)))
             # inst >= 0  ->  -inst <= 0
             base_rows.append(({j: -c for j, c in coeffs_of(inst.terms).items()}, ZERO, False))
-
-    import numpy as np
 
     elementals = elemental_index(k)
 
@@ -1064,8 +1035,7 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
             continue
         if sub.kind == 1:
             tag = f"T1[{a}]"
-            g = wrap(tag, lambda: functional_extension(h, vlabels, name="S"))
-            g = wrap(tag, lambda g=g: functional_extension(g, alab, name="J"))
+            g = wrap(tag, lambda: functional_extension(f_src, alab, name="J"))
             g = wrap(tag, lambda g=g: sw_extension(g, ["S"], ["J"], name="W"))
             vmap = {layout.session_labels[full]: "S", sub.role_edges["W"]: "W", sub.role_edges["W'"]: "J"}
             vmap.update(fans_into(sub, "W'"))  # the fans into the mid node
@@ -1074,8 +1044,7 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
         # type 2
         i = sub.i
         tag = f"T2[{a},{i}]"
-        g = wrap(tag, lambda: functional_extension(h, vlabels, name="S"))
-        g = wrap(tag, lambda g=g: independent_adhesion(g, _single("Sa", h(alab))))
+        g = wrap(tag, lambda: independent_adhesion(f_src, _single("Sa", h(alab))))
         g = wrap(tag, lambda g=g: functional_extension(g, alab, name="J"))
         g = wrap(tag, lambda g=g: sum_extension(g, "Sa", "J", name="W"))
         g = wrap(tag, lambda g=g: sw_extension(g, ["S"], ["J"], name="W'"))

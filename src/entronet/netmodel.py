@@ -689,8 +689,14 @@ def check_admissible(
 ) -> bool:
     """Zero-error, log|A_e| <= ω_e on capacitated edges, log|A_s| >= λ_s."""
     result = evaluate_code(net, conn, code, max_product=max_product)
-    if not result.zero_error:
-        return False
+    return result.zero_error and alphabets_meet_tuple(net, conn, code, tup)
+
+
+def alphabets_meet_tuple(
+    net: Network, conn: ConnectionRequirement, code: NetworkCode, tup: RateCapacityTuple
+) -> bool:
+    """log|A_e| <= ω_e on capacitated edges and log|A_s| >= λ_s: the part of
+    admissibility that does not need the code evaluated."""
     for e in net.edges:
         cap = tup.cap(e.id)
         if cap is UNCAPPED:

@@ -138,6 +138,33 @@ def test_code_build_and_verify_bundle(tmp_path, capsys):
     assert run(["code", "verify", *paths]) == 0
 
 
+def test_code_verify_evaluates_the_code_once(tmp_path, capsys, monkeypatch):
+    import entronet.netmodel as netmodel
+
+    calls = []
+
+    def spy(*args, _evaluate=netmodel.evaluate_code, **kwargs):
+        calls.append(args)
+        return _evaluate(*args, **kwargs)
+
+    monkeypatch.setattr("entronet.netmodel.evaluate_code", spy)
+    monkeypatch.setattr("entronet.cli.evaluate_code", spy)
+    fam = SubspaceFamily(2, 2, (((1, 0),), ((0, 1),), ((1, 1),)))
+    assert run(["code", "build", "linear", write(tmp_path, "sfam.json", fam.to_json()),
+                "--n", "3"]) == 0
+    bundle = json.loads(capsys.readouterr().out)
+    assert run(["code", "verify", write(tmp_path, "bundle.json", bundle)]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    # a rate above the session's alphabet size fails admissibility, not zero error
+    rates = bundle["tuple"]["rates"]
+    rates[min(rates)] = log2_units(3).to_json()
+    assert run(["code", "verify", "--json", write(tmp_path, "high.json", bundle)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["zero_error"] and not report["admissible"]
+    assert len(calls) == 2
+
+
 def test_code_verify_short_decoder_table_exits_2(tmp_path, capsys):
     fam = SubspaceFamily(2, 2, (((1, 0),), ((0, 1),), ((1, 1),)))
     fam_path = write(tmp_path, "sfam.json", fam.to_json())

@@ -76,6 +76,13 @@ def test_irrational_independence():
     assert math.isclose(x.to_float(), 3 * math.log(2) - 2 * math.log(3))
 
 
+def test_float_is_a_float_even_at_zero():
+    # sum() over no terms is the int 0, which __float__ may not return
+    assert type(float(ZERO)) is float and float(ZERO) == 0.0
+    x = log2_units(3) - LogScalar({3: Fraction(2)})
+    assert float(x) == x.to_float()
+
+
 def test_hashable_and_comparable():
     a = log2_units(Fraction(1, 2))
     b = LogScalar({2: Fraction(1, 2)})

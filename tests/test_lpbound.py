@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -9,14 +11,17 @@ from conftest import perturb_non_polymatroid, random_integer_polymatroid
 from entronet.construct import build_gdagger, rate_capacity
 from entronet.exactlog import ZERO, LogScalar, log2_units
 from entronet.groupchar import builtin_function
+from entronet import lpbound
 from entronet.lpbound import (
     CoverageError,
     ExtensionError,
     InfoExpression,
+    LinearProgram,
     LocalWitness,
     WitnessCertificate,
     WitnessError,
     build_witness,
+    connection_clauses,
     functional_extension,
     independent_adhesion,
     ingleton_expression,
@@ -244,7 +249,99 @@ def test_lp_feasible_point_is_polymatroid():
     assert g(["U", "e2"]) == g(["e2"])
 
 
+def holds_exactly(g, net, conn, tup):
+    """Every connection clause holds for g in exact arithmetic."""
+    for _, terms, rhs, sense in connection_clauses(net, conn, tup):
+        s = (sum((g(subset) * c for c, subset in terms), ZERO) - rhs).sign()
+        if (sense == "=" and s != 0) or (sense == "<=" and s > 0) or (sense == ">=" and s < 0):
+            return False
+    return True
+
+
+def small_dags():
+    one, two = log2_units(1), log2_units(2)
+    net, conn = relay()
+    for lam in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
+        yield net, conn, relay_tuple(lam)  # criterion 7's relay thresholds
+    yield net, conn, relay_tuple(Fraction(3, 2), om=Fraction(2))
+    diamond = Network(("s", "a", "b", "r"), (
+        Edge("sa", "s", "a", UNCAPPED), Edge("sb", "s", "b", UNCAPPED),
+        Edge("ar", "a", "r", UNCAPPED), Edge("br", "b", "r", UNCAPPED)))
+    dconn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    for rate in (one, two, log2_units(3)):
+        yield diamond, dconn, RateCapacityTuple({"X": rate}, {e.id: one for e in diamond.edges})
+    # two receivers behind one bottleneck edge
+    fork = Network(("s", "m", "r1", "r2"), (
+        Edge("sm", "s", "m", UNCAPPED), Edge("m1", "m", "r1", UNCAPPED),
+        Edge("m2", "m", "r2", UNCAPPED)))
+    fconn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r1", "r2")})
+    for rate in (one, two):
+        yield fork, fconn, RateCapacityTuple({"X": rate}, {"sm": one, "m1": two, "m2": two})
+
+
+def test_fallback_path_matches_highs(monkeypatch):
+    """With HiGHS inconclusive, every round goes through the float simplex,
+    the exact basis point and, for infeasible programs, the exact phase-1
+    simplex; the verdicts must be those of the HiGHS path and every
+    feasible point must be exact."""
+    cases = list(small_dags())
+    steered = [lp_feasible(*case) for case in cases]
+    points = []
+
+    def basis_point(lp, basis, _exact=lpbound.exact_point_from_basis):
+        points.append(_exact(lp, basis))
+        return points[-1]
+
+    monkeypatch.setattr(lpbound, "exact_point_from_basis", basis_point)
+    monkeypatch.setattr(lpbound, "solve_highs", lambda lp: (None, None, None))
+    for case, want in zip(cases, steered):
+        got = lp_feasible(*case)
+        assert got.feasible == want.feasible
+        for res in (got, want):
+            if res.feasible:
+                assert check_polymatroid(res.assignment).ok
+                assert holds_exactly(res.assignment, *case)
+    # on these programs every basis of the float simplex gives an exact point
+    assert points and all(x is not None for x in points)
+    assert [r.feasible for r in steered] == [True, True, False, False, True,
+                                             True, True, False, True, False]
+
+
+@pytest.mark.parametrize("b, zero", [
+    (Fraction(-3, 2), Fraction(0)),
+    (LogScalar({2: -1, 3: Fraction(1, 2)}), ZERO),  # log(sqrt(3)/2) < 0
+])
+def test_linear_program_stores_rows_as_equalities_with_nonnegative_rhs(b, zero):
+    lp = LinearProgram(num_vars=3)
+    lp.add({0: 1, 1: -2}, zero, False)
+    lp.add({0: 1, 2: 0}, zero, True)
+    lp.add({1: 1, 2: Fraction(1, 2)}, b, False)
+    # each inequality's slack follows the structural columns in row order;
+    # the row with b < 0 is negated, slack included
+    assert lp.rows == [{0: 1, 1: -2, 3: 1}, {0: 1}, {1: -1, 2: Fraction(-1, 2), 4: -1}]
+    assert lp.rhs == [zero, zero, -b]
+    assert lp.rhs[2] > zero
+    assert lp.ncols == 5
+
+
 # --- witnesses ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("h, digest", [
+    (SetFunction(["1", "2"], [ZERO, LogScalar({2: 1, 3: 1}),
+                              LogScalar({2: Fraction(1, 2), 3: 1}), LogScalar({2: 2, 3: 1})]),
+     "11847206c7024d05e10e80a83ba406f270dfb469182e7353ea0a99109341853e"),
+    (SetFunction.from_log2("123", {"1": 1, "2": 1, "3": 1, "12": 2, "13": 2, "23": 2, "123": 2}),
+     "b82253e86174e2cdca6d64ea91cfc29263a61f4fd73bfbf6bf662b370957cc7f"),
+])
+def test_build_witness_output_is_unchanged(h, digest):
+    """Golden SHA-256 of the canonical certificate JSON for one N=2 and one
+    N=3 polymatroid: every local, label and value stays as it was."""
+    cert = build_witness(h, build_gdagger(len(h.ground)))
+    blob = json.dumps(cert.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 
 
 @pytest.mark.parametrize("n", [2, 3])
