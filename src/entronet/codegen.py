@@ -4,16 +4,15 @@ compression primitives and group-coset encoding."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .construct import GDaggerLayout
-from .exactlog import LogScalar
 from .ffield import GF, Matrix
 from .groupchar import (
     FiniteGroup,
-    SubgroupFamily,
     SubspaceFamily,
     SupportSet,
     quasi_uniform_check,
@@ -25,6 +24,7 @@ from .netmodel import (
     Network,
     NetworkCode,
     TableMap,
+    _flat_index,
     decoder_feeds,
     edge_feeds,
 )
@@ -73,40 +73,13 @@ def side_info_encoder(s: SupportSet) -> SideInfoCode:
 # Theorem-1-style code from a quasi-uniform support
 
 
-class _Proj:
-    """Sorted projections of a support and slice-index compression tables."""
-
-    def __init__(self, s: SupportSet):
-        self.s = s
-        self.pos = [{x: i for i, x in enumerate(a)} for a in s.alphabets]
-        self._cache: Dict[Tuple[int, ...], List[tuple]] = {}
-
-    def key(self, coords: Sequence[int], t: tuple) -> tuple:
-        return tuple(t[c] for c in coords)
-
-    def sorted_proj(self, coords: Tuple[int, ...]) -> List[tuple]:
-        if coords not in self._cache:
-            seen = {self.key(coords, t) for t in self.s.tuples}
-            self._cache[coords] = sorted(
-                seen, key=lambda p: tuple(self.pos[c][x] for c, x in zip(coords, p))
-            )
-        return self._cache[coords]
-
-    def index(self, coords: Tuple[int, ...]) -> Dict[tuple, int]:
-        return {p: i for i, p in enumerate(self.sorted_proj(coords))}
-
-    def slices(
-        self, coords_a: Tuple[int, ...], coords_b: Tuple[int, ...]
-    ) -> Dict[tuple, List[tuple]]:
-        """For each b-projection value, the sorted list of a-projections
-        compatible with it (within the joint a∪b projection)."""
-        out: Dict[tuple, set] = {}
-        for t in self.s.tuples:
-            out.setdefault(self.key(coords_b, t), set()).add(self.key(coords_a, t))
-        return {
-            b: sorted(v, key=lambda p: tuple(self.pos[c][x] for c, x in zip(coords_a, p)))
-            for b, v in out.items()
-        }
+def _group_rank(keys: np.ndarray) -> np.ndarray:
+    """Rank of each entry among the entries with an equal key, in entry order."""
+    order = np.argsort(keys, kind="stable")
+    first = np.searchsorted(keys[order], keys[order])
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = np.arange(len(keys)) - first
+    return rank
 
 
 def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
@@ -117,6 +90,11 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
     session is a fresh uniform index.  Type-1/2 compression uses slice
     indices; the type-2 bottleneck carries the index of V_α plus the session
     index modulo the projected support size.
+
+    Every table is gathered from the rank matrix R of the support: one row
+    per tuple in lexicographic order of alphabet positions, holding each
+    coordinate's rank among the symbols that occur there.  A table over fan
+    feeds is 0 off the support.
     """
     res = quasi_uniform_check(s)
     if not res.ok:
@@ -125,137 +103,112 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
     if s.arity != N:
         raise ValueError(f"support arity {s.arity} does not match layout N={N}")
     net, conn = layout.network, layout.conn
-    P = _Proj(s)
     full = (1 << N) - 1
 
-    def coords(mask: int) -> Tuple[int, ...]:
-        return tuple(i for i in range(N) if mask >> i & 1)
+    syms = []  # per coordinate: the symbols that occur, in alphabet order
+    for c, alpha in enumerate(s.alphabets):
+        pos = {x: k for k, x in enumerate(alpha)}
+        syms.append(sorted({t[c] for t in s.tuples}, key=pos.__getitem__))
+    rank = [{x: k for k, x in enumerate(col)} for col in syms]
+    R = np.array(sorted(tuple(rank[c][x] for c, x in enumerate(t)) for t in s.tuples))
+    sizes = [len(col) for col in syms]
+    mf = len(R)
 
-    m = {mask: len(P.sorted_proj(coords(mask))) for mask in range(1, full + 1)}
+    def coords(mask: int) -> List[int]:
+        return [c for c in range(N) if mask >> c & 1]
 
-    omega_full = P.sorted_proj(coords(full))
+    def symbols(cols: List[int], rows: np.ndarray) -> List[tuple]:
+        return [tuple(syms[c][k] for c, k in zip(cols, row)) for row in rows.tolist()]
+
+    proj = {}  # mask -> (sorted α-projections, each row's projection index)
+    for mask in range(1, full + 1):
+        uniq, inv = np.unique(R[:, coords(mask)], axis=0, return_inverse=True)
+        proj[mask] = (uniq, inv.reshape(-1))
+
     alphabets: Dict[str, Alphabet] = {}
     sess_full = layout.session_labels[full]
-    alphabets[sess_full] = Alphabet(symbols=omega_full)
+    alphabets[sess_full] = Alphabet(symbols=symbols(coords(full), R))
     for mask in range(1, full):
-        alphabets[layout.session_labels[mask]] = Alphabet(symbols=list(range(m[mask])))
-
+        alphabets[layout.session_labels[mask]] = Alphabet(symbols=range(len(proj[mask][0])))
     encoders: Dict[str, TableMap] = {}
     decoders: Dict[Tuple[str, str], TableMap] = {}
 
-    def set_encoder(eid: str, out_alpha: Alphabet, fn) -> None:
+    def set_encoder(eid: str, out_alpha: Alphabet, table: np.ndarray) -> None:
         alphabets[eid] = out_alpha
-        feeds = edge_feeds(net, conn, net.edge(eid))
-        encoders[eid] = TableMap.from_function(fn, [alphabets[f] for f in feeds], out_alpha)
+        encoders[eid] = TableMap(table.reshape(-1))
 
-    def set_decoder(node: str, sess: str, fn) -> None:
-        feeds = decoder_feeds(net, conn, node)
-        decoders[(node, sess)] = TableMap.from_function(
-            fn, [alphabets[f] for f in feeds], alphabets[sess]
-        )
+    def on_fans(eid: str, values: np.ndarray) -> np.ndarray:
+        """Table over the fan feeds of `eid`, giving each support row's value."""
+        feeds = edge_feeds(net, conn, net.edge(eid))
+        cols = [layout.fans[f] - 1 for f in feeds if f in layout.fans]
+        table = np.zeros(int(np.prod([sizes[c] for c in cols])), dtype=np.int64)
+        table[_flat_index(mf, [R[:, c] for c in cols], [sizes[c] for c in cols])] = values
+        return table
 
     # sources part: V[j] edges carry coordinate j; fans forward one V value
-    coord_alpha = {
-        j: Alphabet(symbols=[p[0] for p in P.sorted_proj((j - 1,))]) for j in range(1, N + 1)
-    }
+    v_cols = [j - 1 for _, j in sorted((e, j) for j, e in layout.v_edges.items())]
+    digits = np.indices([sizes[c] for c in v_cols]).reshape(len(v_cols), -1)
     for j in range(1, N + 1):
-        set_encoder(layout.v_edges[j], coord_alpha[j], lambda t, j=j: t[j - 1])
-    v_order = sorted(layout.v_edges.values())
+        set_encoder(layout.v_edges[j], Alphabet(symbols=syms[j - 1]), R[:, j - 1])
     for eid, j in layout.fans.items():
-        jpos = v_order.index(layout.v_edges[j])
-        set_encoder(eid, coord_alpha[j], lambda *vs, jpos=jpos: vs[jpos])
+        set_encoder(eid, alphabets[layout.v_edges[j]], digits[v_cols.index(j - 1)])
 
     for sub in layout.subnets:
         a = sub.alpha
-        ca = coords(a)
         sess_a = layout.session_labels[a]
-        idx_a = P.index(ca)
-        sorted_a = P.sorted_proj(ca)
-        ma = m[a]
+        sorted_a, inv_a = proj[a]
+        ma = len(sorted_a)
+        ident = np.arange(ma)
         if sub.kind == 0:
-            set_encoder(sub.role_edges["W"], alphabets[sess_a], lambda sv: sv)
+            set_encoder(sub.role_edges["W"], alphabets[sess_a], ident)
             (rx,) = sub.receivers
-            set_decoder(rx, sess_a, lambda w: w)
+            decoders[(rx, sess_a)] = TableMap(ident)
             continue
+        # W: rank of the support tuple within its α-slice; the inverse reads
+        # the tuple back from (W, index of V_α)
+        w = _group_rank(inv_a)
+        from_slice = np.zeros(mf, dtype=np.int64)
+        from_slice[w * ma + inv_a] = np.arange(mf)
+        slice_alpha = Alphabet(symbols=range(mf // ma))
+        va_alpha = Alphabet(symbols=symbols(coords(a), sorted_a))
         if sub.kind == 1:
-            # W: slice index of the full tuple given its α-projection
-            slc = P.slices(coords(full), ca)
-            set_encoder(
-                sub.role_edges["W"],
-                Alphabet(symbols=list(range(m[full] // ma))),
-                lambda t, slc=slc, ca=ca: slc[P.key(ca, t)].index(t),
-            )
-            # W': the α-projection sent uncoded (feeds = fans of V_α, j-sorted)
-            set_encoder(
-                sub.role_edges["W'"],
-                Alphabet(symbols=sorted_a),
-                lambda *vs, idx_a=idx_a, sorted_a=sorted_a: (
-                    tuple(vs) if tuple(vs) in idx_a else sorted_a[0]
-                ),
-            )
+            set_encoder(sub.role_edges["W"], slice_alpha, w)
+            set_encoder(sub.role_edges["W'"], va_alpha, on_fans(sub.role_edges["W'"], inv_a))
             (rx,) = sub.receivers
-            set_decoder(
-                rx, sess_full, lambda w, va, slc=slc: slc[va][w]
-            )
+            decoders[(rx, sess_full)] = TableMap(from_slice)  # feeds: W, W'
             continue
         # type 2
-        i = sub.i
-        cai = coords(a | (1 << (i - 1)))
-        slc1 = P.slices(coords(full), ca)  # for W'
-        slc2 = P.slices(ca, (i - 1,))  # for W'' / W*
-        mai = m[a | (1 << (i - 1))]
-        mi = m[1 << (i - 1)]
         for role in ("Sa>n1", "Sa>rxU"):
-            set_encoder(sub.role_edges[role], alphabets[sess_a], lambda sv: sv)
-        # n1 feeds: Sa>n1 first, then fans of V_α in j order
-        set_encoder(
-            sub.role_edges["W"],
-            Alphabet(symbols=list(range(ma))),
-            lambda sv, *vs, idx_a=idx_a, ma=ma: (idx_a.get(tuple(vs), 0) + sv) % ma,
-        )
+            set_encoder(sub.role_edges[role], alphabets[sess_a], ident)
+        # n1 feeds: Sa>n1 first, then fans of V_α
+        va = on_fans(sub.role_edges["W"], inv_a)
+        set_encoder(sub.role_edges["W"], alphabets[sess_a], (ident[:, None] + va) % ma)
         for role in ("W>U", "W>L"):
-            set_encoder(sub.role_edges[role], alphabets[sub.role_edges["W"]], lambda w: w)
-        set_encoder(
-            sub.role_edges["W'"],
-            Alphabet(symbols=list(range(m[full] // ma))),
-            lambda t, slc1=slc1, ca=ca: slc1[P.key(ca, t)].index(t),
-        )
-        # n2 feeds: fans of V_{α∪i} in element order
-        apos = [sorted(set(ca) | {i - 1}).index(c) for c in ca]
-        ipos = sorted(set(ca) | {i - 1}).index(i - 1)
-        def w2_fn(*vs, slc2=slc2, apos=apos, ipos=ipos):
-            lst = slc2.get((vs[ipos],), ())
-            va = tuple(vs[p] for p in apos)
-            return lst.index(va) if va in lst else 0
-
+            set_encoder(sub.role_edges[role], alphabets[sess_a], ident)
+        set_encoder(sub.role_edges["W'"], slice_alpha, w)
+        # W'': rank of V_α among the α-projections seen with V_i (n2 feeds:
+        # fans of V_{α∪i}); W* inverts it (n3 feeds: W'', then the fan of V_i)
+        mi = sizes[sub.i - 1]
+        pairs, pair_of_row = np.unique(R[:, sub.i - 1] * ma + inv_a, return_inverse=True)
+        w2 = _group_rank(pairs // ma)
         set_encoder(
             sub.role_edges["W''"],
-            Alphabet(symbols=list(range(mai // mi))),
-            w2_fn,
+            Alphabet(symbols=range(len(pairs) // mi)),
+            on_fans(sub.role_edges["W''"], w2[pair_of_row]),
         )
-        # n3 feeds: W'' first, then the fan of V_i
-        def wstar_fn(wpp, vi, slc2=slc2, sorted_a=sorted_a):
-            lst = slc2.get((vi,), ())
-            return lst[wpp] if wpp < len(lst) else sorted_a[0]
-
-        set_encoder(sub.role_edges["W*"], Alphabet(symbols=sorted_a), wstar_fn)
+        wstar = np.zeros(len(pairs) // mi * mi, dtype=np.int64)
+        wstar[w2 * mi + pairs // ma] = pairs % ma
+        set_encoder(sub.role_edges["W*"], va_alpha, wstar)
         for rx, dem in sub.receivers.items():
             if dem == sess_full:
-                # feeds: Sa>rxU, W', W>U
-                set_decoder(
-                    rx,
-                    sess_full,
-                    lambda sv, wp, w, sorted_a=sorted_a, ma=ma, slc1=slc1: slc1[
-                        sorted_a[(w - sv) % ma]
-                    ][wp],
+                # feeds: Sa>rxU, W', W>U; the slice of V_α = W - S_α
+                wp = np.arange(mf // ma)[:, None]
+                decoders[(rx, dem)] = TableMap(
+                    from_slice[wp * ma + (ident - ident[:, None, None]) % ma].reshape(-1)
                 )
             else:
-                # feeds: W*, W>L
-                set_decoder(
-                    rx,
-                    sess_a,
-                    lambda va, w, idx_a=idx_a, ma=ma: (w - idx_a[va]) % ma,
-                )
+                # feeds: W*, W>L; S_α = W - V_α
+                decoders[(rx, dem)] = TableMap(((ident - ident[:, None]) % ma).reshape(-1))
 
     return NetworkCode(alphabets, encoders, decoders)
 
@@ -409,16 +362,6 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
             M[v_offset[j] + r][r] = 1
         set_encoder(eid, cdim[j], M)
 
-    def stack_positions(mask: int, order_elems: List[int]) -> List[Tuple[int, int]]:
-        """(offset within the feed concat, element) for each element of the
-        given feed element order."""
-        out = []
-        off = 0
-        for j in order_elems:
-            out.append((off, j))
-            off += cdim[j]
-        return out
-
     for sub in layout.subnets:
         a = sub.alpha
         js = elems(a)
@@ -498,9 +441,11 @@ def group_code_encode(
     conn: ConnectionRequirement,
 ) -> NetworkCode:
     """Every session/edge carries the index of the left coset of its assigned
-    subgroup; each edge forwards the coset of G_e containing the intersection
-    of its feeds' cosets.  Raises GroupCodeError naming a witness combination
-    when some reachable intersection is empty or straddles cosets of G_e."""
+    subgroup, cosets numbered in order of their first element.  Each table
+    is read off the group elements: an element's feed cosets map to its coset
+    of G_e.  Raises GroupCodeError naming the edge when an edge has no feeds
+    or two elements with equal feed cosets lie in different cosets of G_e.
+    A decoder entry whose elements disagree is 0, as is an unreachable one."""
     for key in list(conn.sessions) + [e.id for e in net.edges]:
         if key not in assignment:
             raise GroupCodeError(f"no subgroup assigned to {key!r}")
@@ -508,87 +453,44 @@ def group_code_encode(
         if not G.is_subgroup(sub):
             raise GroupCodeError(f"assignment for {key!r} is not a subgroup")
 
-    cosets: Dict[str, List[FrozenSet[int]]] = {}
-    elem_coset: Dict[str, List[int]] = {}
+    mul = np.array(G.table, dtype=np.int64)
+    coset: Dict[str, np.ndarray] = {}  # key -> coset index of every element
+    count: Dict[str, int] = {}
     for key, sub in assignment.items():
-        sub = frozenset(sub)
-        lst: List[FrozenSet[int]] = []
-        emap = [None] * G.order
+        members = sorted(frozenset(sub))
+        emap = np.full(G.order, -1, dtype=np.int64)
+        count[key] = 0
         for x in range(G.order):
-            if emap[x] is None:
-                cs = frozenset(G.mul(x, s) for s in sub)
-                idx = len(lst)
-                lst.append(cs)
-                for y in cs:
-                    emap[y] = idx
-        cosets[key] = lst
-        elem_coset[key] = emap  # element -> coset index
+            if emap[x] < 0:
+                emap[mul[x, members]] = count[key]
+                count[key] += 1
+        coset[key] = emap
 
-    alphabets = {key: Alphabet(symbols=list(range(len(cosets[key])))) for key in cosets}
-    sess = list(conn.sessions)
-    sizes = [len(cosets[s]) for s in sess]
-    enc_entries: Dict[str, Dict[int, int]] = {e.id: {} for e in net.edges}
-    dec_entries: Dict[Tuple[str, str], Dict[int, int]] = {}
-    for r, sdem in conn.demands():
-        dec_entries[(r, sdem)] = {}
+    # every element is one source combination; without sessions there is none
+    elems = np.arange(G.order if conn.sessions else 0)
 
-    feed_cache = {e.id: edge_feeds(net, conn, e) for e in net.edges}
-    dec_feed_cache = {(r, sdem): decoder_feeds(net, conn, r) for r, sdem in conn.demands()}
-
-    for combo in itertools.product(*(range(k) for k in sizes)):
-        inter = None
-        for s, ci in zip(sess, combo):
-            inter = cosets[s][ci] if inter is None else inter & cosets[s][ci]
-        if not inter:
-            continue  # unreachable source tuple; table entries default to 0
-        values = dict(zip(sess, combo))
-        for e in net.edges_topo():
-            feeds = feed_cache[e.id]
-            fi = None
-            for fkey in feeds:
-                cs = cosets[fkey][values[fkey]]
-                fi = cs if fi is None else fi & cs
-            if not fi:
-                raise GroupCodeError(
-                    f"edge {e.id}: empty feed intersection at source combination {combo}"
-                )
-            out = {elem_coset[e.id][x] for x in fi}
-            if len(out) != 1:
-                raise GroupCodeError(
-                    f"edge {e.id}: feed intersection straddles cosets at {combo}"
-                )
-            values[e.id] = out.pop()
-            flat = 0
-            for fkey in feeds:
-                flat = flat * len(cosets[fkey]) + values[fkey]
-            enc_entries[e.id][flat] = values[e.id]
-        for (r, sdem) in dec_entries:
-            feeds = dec_feed_cache[(r, sdem)]
-            fi = None
-            for fkey in feeds:
-                cs = cosets[fkey][values[fkey]]
-                fi = cs if fi is None else fi & cs
-            flat = 0
-            for fkey in feeds:
-                flat = flat * len(cosets[fkey]) + values[fkey]
-            if fi:
-                out = {elem_coset[sdem][x] for x in fi}
-                if len(out) == 1:
-                    dec_entries[(r, sdem)][flat] = out.pop()
+    def scatter(feeds: List[str], out: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Table over the feed domain holding each element's coset of `out`,
+        and the entries where elements disagree."""
+        sizes = [count[f] for f in feeds]
+        flat = _flat_index(len(elems), [coset[f][elems] for f in feeds], sizes)
+        table = np.zeros(int(np.prod(sizes)), dtype=np.int64)
+        table[flat] = coset[out][elems]
+        return table, flat[table[flat] != coset[out][elems]]
 
     encoders = {}
     for e in net.edges:
-        feeds = feed_cache[e.id]
-        dom = 1
-        for fkey in feeds:
-            dom *= len(cosets[fkey])
-        table = [enc_entries[e.id].get(i, 0) for i in range(dom)]
+        feeds = edge_feeds(net, conn, e)
+        if elems.size and not feeds:
+            raise GroupCodeError(f"edge {e.id} has no feeds")
+        table, clash = scatter(feeds, e.id)
+        if clash.size:
+            raise GroupCodeError(f"edge {e.id}: elements with equal feed cosets differ in coset")
         encoders[e.id] = TableMap(table)
     decoders = {}
-    for (r, sdem), entries in dec_entries.items():
-        feeds = dec_feed_cache[(r, sdem)]
-        dom = 1
-        for fkey in feeds:
-            dom *= len(cosets[fkey])
-        decoders[(r, sdem)] = TableMap([entries.get(i, 0) for i in range(dom)])
+    for r, sdem in conn.demands():
+        table, clash = scatter(decoder_feeds(net, conn, r), sdem)
+        table[clash] = 0
+        decoders[(r, sdem)] = TableMap(table)
+    alphabets = {key: Alphabet(symbols=range(k)) for key, k in count.items()}
     return NetworkCode(alphabets, encoders, decoders)

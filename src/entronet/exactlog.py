@@ -187,12 +187,6 @@ class LogScalar:
             mpmath.iv.prec = old
         return lo, hi
 
-    def rational_bounds(self, prec: int = 128) -> Tuple[Fraction, Fraction]:
-        """Rational enclosure [lo, hi] of the value at the given precision."""
-        if not self._terms:
-            return Fraction(0), Fraction(0)
-        return self._bounds(prec)
-
     def to_float(self) -> float:
         # a float even with no terms, where sum() would give the int 0
         return sum((float(q) * math.log(p) for p, q in self._terms.items()), 0.0)

@@ -187,9 +187,6 @@ class InfoExpression:
             {tuple(mapping[x] for x in s): c for c, s in self.terms}
         )
 
-    def holds_for(self, f: SetFunction) -> bool:
-        return self.evaluate(f).sign() >= 0
-
     def __str__(self) -> str:
         if not self.terms:
             return "0 >= 0"

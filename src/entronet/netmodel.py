@@ -97,9 +97,6 @@ class Network:
                     todo.append(e.tail)
         return seen
 
-    def out_edges(self, node: str) -> List[Edge]:
-        return sorted((e for e in self.edges if e.tail == node), key=lambda e: e.id)
-
     def edges_topo(self) -> List[Edge]:
         return sorted(self.edges, key=lambda e: (self._topo_pos[e.tail], e.id))
 
@@ -731,16 +728,11 @@ def code_product(
 
     alphabets = {k: pair_alpha(k) for k in keys}
 
-    def tabulate(m: EncoderMap, feeds: List[str], cde: NetworkCode) -> np.ndarray:
-        if isinstance(m, TableMap):
-            return m.table
-        return m.to_table([cde.alphabets[f] for f in feeds])
-
     def product_table(
-        m1: EncoderMap, m2: EncoderMap, feeds: List[str], out_key: str
+        m1: EncoderMap, m2: EncoderMap, what: str, feeds: List[str], out_key: str
     ) -> TableMap:
-        t1 = tabulate(m1, feeds, code1)
-        t2 = tabulate(m2, feeds, code2)
+        t1 = _tabulate(m1, f"{what} of the first code", feeds, out_key, code1.alphabets)
+        t2 = _tabulate(m2, f"{what} of the second code", feeds, out_key, code2.alphabets)
         s1 = [code1.alphabets[f].size for f in feeds]
         s2 = [code2.alphabets[f].size for f in feeds]
         sp = [alphabets[f].size for f in feeds]
@@ -768,13 +760,18 @@ def code_product(
     encoders = {}
     for e in net.edges:
         feeds = edge_feeds(net, conn, e)
-        encoders[e.id] = product_table(code1.encoders[e.id], code2.encoders[e.id], feeds, e.id)
+        encoders[e.id] = product_table(
+            code1.encoders[e.id], code2.encoders[e.id], f"encoder for {e.id}", feeds, e.id
+        )
     decoders = {}
     for (r, s) in code1.decoders:
         if (r, s) not in code2.decoders:
             continue
         feeds = decoder_feeds(net, conn, r)
-        decoders[(r, s)] = product_table(code1.decoders[(r, s)], code2.decoders[(r, s)], feeds, s)
+        decoders[(r, s)] = product_table(
+            code1.decoders[(r, s)], code2.decoders[(r, s)],
+            f"decoder for session {s} at receiver {r}", feeds, s,
+        )
     return NetworkCode(alphabets, encoders, decoders)
 
 

@@ -48,7 +48,7 @@ from entronet.netmodel import (
     NetworkCode,
     RateCapacityTuple,
     UNCAPPED,
-    check_admissible,
+    alphabets_meet_tuple,
     evaluate_code,
     kernels_of_linear_code,
 )
@@ -95,7 +95,7 @@ def run_qu_pipeline(entropy, support, lay):
     tup = rate_capacity(entropy, lay)
     net = capacitated_network(lay, tup)
     ev = evaluate_code(net, lay.conn, code)
-    return ev.zero_error and check_admissible(net, lay.conn, code, tup)
+    return ev.zero_error and alphabets_meet_tuple(net, lay.conn, code, tup)
 
 
 def test_criterion_1_zy_counterexample():
@@ -186,7 +186,7 @@ def test_criterion_4_linear_codes_and_kernel_loop():
         tup = rate_capacity(h, lay)
         net = capacitated_network(lay, tup)
         ev = evaluate_code(net, lay.conn, code)
-        if not (ev.zero_error and check_admissible(net, lay.conn, code, tup)):
+        if not (ev.zero_error and alphabets_meet_tuple(net, lay.conn, code, tup)):
             ok = False
             print(f"criterion 4 failure (code): {fam.q}^{fam.ambient_dim} {fam.members}")
             break
@@ -340,7 +340,7 @@ def test_criterion_7_lp_engine_sanity():
     ok = ok and ev.zero_error
     one = log2_units(1)
     tup = RateCapacityTuple({"X": one, "Y": one}, {e: one for e in EDGE_IDS})
-    ok = ok and check_admissible(net, conn, code, tup)
+    ok = ok and alphabets_meet_tuple(net, conn, code, tup)
     # achievability implies LP feasibility; the code's induced entropy is the
     # exactly verified feasible point
     res = lp_feasible(net, conn, tup, ground_cap=11,

@@ -1,6 +1,11 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_subspaces
 from entronet.codegen import (
@@ -19,17 +24,23 @@ from entronet.groupchar import (
     SupportSet,
     coset_support,
     cyclic,
+    dihedral,
     direct_product,
     entropy_from_subspaces,
     quasi_uniform_check,
     symmetric,
 )
 from entronet.netmodel import (
+    Alphabet,
     ConnectionRequirement,
     Edge,
     Network,
+    NetworkCode,
+    TableMap,
     UNCAPPED,
-    check_admissible,
+    alphabets_meet_tuple,
+    decoder_feeds,
+    edge_feeds,
     evaluate_code,
     kernels_of_linear_code,
 )
@@ -44,7 +55,7 @@ def full_pipeline_qu(fam, n):
     tup = rate_capacity(res.entropy, lay)
     net = capacitated_network(lay, tup)
     ev = evaluate_code(net, lay.conn, code)
-    return ev.zero_error and check_admissible(net, lay.conn, code, tup)
+    return ev.zero_error and alphabets_meet_tuple(net, lay.conn, code, tup)
 
 
 def test_quasi_uniform_code_subgroups_z2z2():
@@ -61,6 +72,23 @@ def test_quasi_uniform_code_subgroups_s3_n3():
     assert full_pipeline_qu(fam, 3)
 
 
+@pytest.mark.parametrize("support, digest", [
+    (coset_support(SubgroupFamily(symmetric(3), ([0, 1], [0, 3, 4]))),
+     "25bcb62320e48cf3118c6ca26d6a0a09a817e9957fb58fa13864b3d14d0b54d4"),
+    (coset_support(SubspaceFamily(2, 3, (((1, 0, 0),), ((0, 1, 0), (0, 0, 1)), ((1, 1, 1),)))),
+     "df67b213ab24e32293e254d7aa563dede7ec20b023bbfbec721f8ee559023915"),
+    # shuffled alphabets, each with an unused symbol
+    (SupportSet(2, [("z", "b", "a"), (7, 2, 0, 5, 1)], [("b", 2), ("b", 0), ("a", 1), ("a", 7)]),
+     "0a7b3521187d9f1581c7c14152cd30ebc06c4a2535db49466353753bd72bfc56"),
+])
+def test_quasi_uniform_code_output_is_unchanged(support, digest):
+    """Golden SHA-256 of the canonical code JSON: every alphabet, its symbol
+    order and every table entry stay as they were."""
+    code = quasi_uniform_code(support, build_gdagger(support.arity))
+    blob = json.dumps(code.to_json(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_linear_code_three_lines_f2():
     fam = SubspaceFamily(2, 2, (((1, 0),), ((0, 1),), ((1, 1),)))
     lay = build_gdagger(3)
@@ -70,7 +98,7 @@ def test_linear_code_three_lines_f2():
     net = capacitated_network(lay, tup)
     ev = evaluate_code(net, lay.conn, code)
     assert ev.zero_error
-    assert check_admissible(net, lay.conn, code, tup)
+    assert alphabets_meet_tuple(net, lay.conn, code, tup)
     # the kernel loop returns the session/edge kernels as subspaces
     ker = kernels_of_linear_code(net, lay.conn, code)
     assert ker.q == 2
@@ -95,7 +123,7 @@ def test_linear_code_with_full_space_member():
         tup = rate_capacity(entropy_from_subspaces(fam), lay)
         net = capacitated_network(lay, tup)
         ev = evaluate_code(net, lay.conn, code)
-        assert ev.zero_error and check_admissible(net, lay.conn, code, tup)
+        assert ev.zero_error and alphabets_meet_tuple(net, lay.conn, code, tup)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -196,3 +224,120 @@ def test_group_code_straddle_raises():
     }
     with pytest.raises(GroupCodeError):
         group_code_encode(g, assignment, net, conn)
+
+
+def reference_group_code_encode(G, assignment, net, conn):
+    """The per-combination construction: every source combination with a
+    nonempty coset intersection is propagated through the network edge by
+    edge."""
+    for key in list(conn.sessions) + [e.id for e in net.edges]:
+        if key not in assignment:
+            raise GroupCodeError(f"no subgroup assigned to {key!r}")
+        if not G.is_subgroup(frozenset(assignment[key])):
+            raise GroupCodeError(f"assignment for {key!r} is not a subgroup")
+    cosets, elem_coset = {}, {}
+    for key, sub in assignment.items():
+        lst, emap = [], [None] * G.order
+        for x in range(G.order):
+            if emap[x] is None:
+                cs = frozenset(G.mul(x, s) for s in frozenset(sub))
+                for y in cs:
+                    emap[y] = len(lst)
+                lst.append(cs)
+        cosets[key], elem_coset[key] = lst, emap
+
+    def flat_of(feeds, values):
+        flat = 0
+        for f in feeds:
+            flat = flat * len(cosets[f]) + values[f]
+        return flat
+
+    def meet(feeds, values):
+        fi = None
+        for f in feeds:
+            cs = cosets[f][values[f]]
+            fi = cs if fi is None else fi & cs
+        return fi
+
+    sess = list(conn.sessions)
+    feeds = {e.id: edge_feeds(net, conn, e) for e in net.edges}
+    dec_feeds = {d: decoder_feeds(net, conn, d[0]) for d in conn.demands()}
+    enc = {e.id: {} for e in net.edges}
+    dec = {d: {} for d in conn.demands()}
+    for combo in itertools.product(*(range(len(cosets[s])) for s in sess)):
+        values = dict(zip(sess, combo))
+        if not meet(sess, values):
+            continue
+        for e in net.edges_topo():
+            fi = meet(feeds[e.id], values)
+            if not fi:
+                raise GroupCodeError(f"edge {e.id}: empty feed intersection at {combo}")
+            out = {elem_coset[e.id][x] for x in fi}
+            if len(out) != 1:
+                raise GroupCodeError(f"edge {e.id}: feed intersection straddles cosets at {combo}")
+            values[e.id] = out.pop()
+            enc[e.id][flat_of(feeds[e.id], values)] = values[e.id]
+        for (r, s), entries in dec.items():
+            fi = meet(dec_feeds[(r, s)], values)
+            out = {elem_coset[s][x] for x in fi} if fi else set()
+            if len(out) == 1:
+                entries[flat_of(dec_feeds[(r, s)], values)] = out.pop()
+
+    def table(entries, fds):
+        dom = 1
+        for f in fds:
+            dom *= len(cosets[f])
+        return TableMap([entries.get(i, 0) for i in range(dom)])
+
+    return NetworkCode(
+        {key: Alphabet(symbols=list(range(len(cs)))) for key, cs in cosets.items()},
+        {e: table(entries, feeds[e]) for e, entries in enc.items()},
+        {d: table(entries, dec_feeds[d]) for d, entries in dec.items()},
+    )
+
+
+GROUPS = [cyclic(4), cyclic(6), direct_product(cyclic(2), cyclic(2)), symmetric(3), dihedral(4)]
+SUBGROUPS = [sorted(frozenset(s) for s in g.all_subgroups()) for g in GROUPS]
+
+
+@st.composite
+def group_networks(draw):
+    """A random DAG (an edge may have no feeds) with up to three sessions,
+    and a subgroup for every session and edge.  Half of the edges get a
+    subgroup containing the meet of their feeds' subgroups, so that some
+    codes exist."""
+    k = draw(st.integers(0, len(GROUPS) - 1))
+    G, subs = GROUPS[k], SUBGROUPS[k]
+    nodes = [f"n{i}" for i in range(draw(st.integers(2, 5)))]
+    pairs = [(a, b) for a in range(len(nodes)) for b in range(a + 1, len(nodes))]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=6))
+    edges = [Edge(f"e{i}", nodes[a], nodes[b], UNCAPPED) for i, (a, b) in enumerate(chosen)]
+    net = Network(nodes, edges)
+    sessions = [f"S{i}" for i in range(draw(st.integers(0, 3)))]
+    conn = ConnectionRequirement(
+        sessions,
+        {s: draw(st.sampled_from(nodes)) for s in sessions},
+        {s: draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2, unique=True))
+         for s in sessions},
+    )
+    assignment = {s: draw(st.sampled_from(subs)) for s in sessions}
+    for e in net.edges_topo():
+        meet = frozenset(range(G.order))
+        for f in edge_feeds(net, conn, e):
+            meet &= assignment[f]
+        above = [h for h in subs if meet <= h]
+        assignment[e.id] = draw(st.sampled_from(above if draw(st.booleans()) else subs))
+    return G, assignment, net, conn
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_networks())
+def test_group_code_matches_the_per_combination_construction(case):
+    G, assignment, net, conn = case
+    try:
+        expected = reference_group_code_encode(G, assignment, net, conn).to_json()
+    except GroupCodeError:
+        with pytest.raises(GroupCodeError):
+            group_code_encode(G, assignment, net, conn)
+        return
+    assert group_code_encode(G, assignment, net, conn).to_json() == expected

@@ -137,6 +137,16 @@ def test_code_product_with_trivial_code_is_identity():
         assert prod.alphabets[k].size == code.alphabets[k].size
 
 
+@pytest.mark.parametrize("table", [[0, 1, 1], [0, 1, 1, 0, 1]])
+def test_code_product_rejects_a_table_off_its_feed_domain(table):
+    # e_cd reads e_ac and e_bc: four feed tuples
+    net, conn = butterfly()
+    with pytest.raises(StructuralError, match="encoder for e_cd"):
+        code_product(net, conn, xor_code(middle=TableMap(table)), xor_code())
+    with pytest.raises(StructuralError, match="encoder for e_cd"):
+        code_product(net, conn, xor_code(), xor_code(middle=TableMap(table)))
+
+
 def test_kernels_of_xor_code():
     net, conn = butterfly()
     ker = kernels_of_linear_code(net, conn, xor_code())
