@@ -96,13 +96,7 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
     coordinate's rank among the symbols that occur there.  A table over fan
     feeds is 0 off the support.
     """
-    res = quasi_uniform_check(s)
-    if not res.ok:
-        raise ValueError(f"support is not quasi-uniform (failing coordinates {res.failing})")
-    N = layout.n
-    if s.arity != N:
-        raise ValueError(f"support arity {s.arity} does not match layout N={N}")
-    net, conn = layout.network, layout.conn
+    N = s.arity
     full = (1 << N) - 1
 
     syms = []  # per coordinate: the symbols that occur, in alphabet order
@@ -124,6 +118,15 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
     for mask in range(1, full + 1):
         uniq, inv = np.unique(R[:, coords(mask)], axis=0, return_inverse=True)
         proj[mask] = (uniq, inv.reshape(-1))
+    failing = tuple(
+        tuple(coords(mask)) for mask, (_, inv) in proj.items()
+        if len(set(np.bincount(inv).tolist())) > 1
+    )
+    if failing:
+        raise ValueError(f"support is not quasi-uniform (failing coordinates {failing})")
+    if N != layout.n:
+        raise ValueError(f"support arity {N} does not match layout N={layout.n}")
+    net, conn = layout.network, layout.conn
 
     alphabets: Dict[str, Alphabet] = {}
     sess_full = layout.session_labels[full]
@@ -299,19 +302,9 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
     n = fam.ambient_dim
     full = (1 << N) - 1
 
-    # f_j with left kernel V_j (double annihilator)
-    f: Dict[int, Matrix] = {}
-    cdim: Dict[int, int] = {}
-    for j in range(1, N + 1):
-        B = [list(r) for r in fam.members[j - 1]]
-        if B:
-            BT = [[B[i][c] for i in range(len(B))] for c in range(n)]
-            K = gf.nullspace(BT)
-        else:
-            K = gf.identity(n)
-        # f_j = K^T (n x dim V_j^perp); its left kernel is V_j
-        f[j] = [[K[r][c] for r in range(len(K))] for c in range(n)]
-        cdim[j] = len(K)
+    # f_j with left kernel V_j
+    f = {j: fam.annihilator(j - 1) for j in range(1, N + 1)}
+    cdim = {j: n - len(fam.members[j - 1]) for j in range(1, N + 1)}
 
     def elems(mask: int) -> List[int]:
         return [j for j in range(1, N + 1) if mask >> (j - 1) & 1]
@@ -453,18 +446,9 @@ def group_code_encode(
         if not G.is_subgroup(sub):
             raise GroupCodeError(f"assignment for {key!r} is not a subgroup")
 
-    mul = np.array(G.table, dtype=np.int64)
-    coset: Dict[str, np.ndarray] = {}  # key -> coset index of every element
-    count: Dict[str, int] = {}
-    for key, sub in assignment.items():
-        members = sorted(frozenset(sub))
-        emap = np.full(G.order, -1, dtype=np.int64)
-        count[key] = 0
-        for x in range(G.order):
-            if emap[x] < 0:
-                emap[mul[x, members]] = count[key]
-                count[key] += 1
-        coset[key] = emap
+    # key -> coset index of every element
+    coset = {key: G.cosets(sub) for key, sub in assignment.items()}
+    count = {key: int(c.max()) + 1 for key, c in coset.items()}
 
     # every element is one source combination; without sessions there is none
     elems = np.arange(G.order if conn.sessions else 0)

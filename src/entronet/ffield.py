@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .exactlog import factorize
 
 Matrix = List[List[int]]
@@ -304,6 +306,26 @@ class GF:
                 v.append(idx % q)
                 idx //= q
             yield tuple(reversed(v))
+
+    def image_table(self, M: Sequence[Sequence[int]]) -> np.ndarray:
+        """Index of x @ M for every x in F_q^len(M), both in `vec_index`
+        order (first coordinate most significant)."""
+        q = self.q
+        in_dim = len(M)
+        total = q ** in_dim
+        flat = np.arange(total, dtype=np.int64)
+        digits = [(flat // q ** pos) % q for pos in range(in_dim - 1, -1, -1)]
+        add = np.array(self.add_table, dtype=np.int64)
+        mul = np.array(self.mul_table, dtype=np.int64)
+        out = np.zeros(total, dtype=np.int64)
+        for j in range(len(M[0]) if M else 0):
+            acc = np.zeros(total, dtype=np.int64)
+            for i in range(in_dim):
+                c = M[i][j]
+                if c:
+                    acc = add[acc, mul[digits[i], c]]
+            out = out * q + acc
+        return out
 
     def vec_index(self, v: Sequence[int]) -> int:
         idx = 0

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from .exactlog import ZERO, LogScalar
 from .ffield import GF, Matrix
 from .setfunc import GroundSet, SetFunction
@@ -86,6 +88,12 @@ class FiniteGroup:
                             new.append(c)
             frontier = new
         return frozenset(elems)
+
+    def cosets(self, sub: FrozenSet[int]) -> np.ndarray:
+        """Index of each element's left coset of `sub`, cosets numbered in
+        order of their smallest element."""
+        smallest = [min(row[s] for s in sub) for row in self.table]
+        return np.unique(smallest, return_inverse=True)[1]
 
     def all_subgroups(self) -> List[FrozenSet[int]]:
         """All subgroups: the trivial group closed under adjoining one
@@ -261,6 +269,13 @@ class SubspaceFamily:
             cur = gf.intersect(cur, [list(r) for r in self.members[i]])
         return cur
 
+    def annihilator(self, i: int) -> Matrix:
+        """An ambient_dim × (ambient_dim − dim V_i) matrix whose left kernel
+        is member V_i: the transpose of a basis of its orthogonal complement."""
+        n = self.ambient_dim
+        perp = self.gf.nullspace([[row[c] for row in self.members[i]] for c in range(n)])
+        return [[v[r] for v in perp] for r in range(n)]
+
     def entropy_at(self, indices: Sequence[int]) -> LogScalar:
         """(ambient_dim - dim of the indexed intersection) * log q."""
         if not indices:
@@ -306,11 +321,6 @@ class SupportSet:
         object.__setattr__(self, "alphabets", alph)
         object.__setattr__(self, "tuples", tups)
 
-    def sorted_tuples(self) -> List[tuple]:
-        """Tuples in lexicographic order of per-coordinate alphabet positions."""
-        pos = [{x: i for i, x in enumerate(a)} for a in self.alphabets]
-        return sorted(self.tuples, key=lambda t: tuple(pos[i][x] for i, x in enumerate(t)))
-
     def project(self, coords: Sequence[int]) -> Dict[tuple, int]:
         """Projection multiplicities onto the given coordinates."""
         out: Dict[tuple, int] = {}
@@ -324,7 +334,7 @@ class SupportSet:
             "format": "support/1",
             "arity": self.arity,
             "alphabets": [list(a) for a in self.alphabets],
-            "tuples": sorted(list(t) for t in self.sorted_tuples()),
+            "tuples": sorted(list(t) for t in self.tuples),
         }
 
     @classmethod
@@ -372,53 +382,21 @@ def entropy_from_subspaces(fam: SubspaceFamily) -> SetFunction:
 
 
 def coset_support(fam: Union[SubgroupFamily, SubspaceFamily]) -> SupportSet:
-    """Joint support of the coset-index variables U_i: scan group elements in
-    canonical order and record, per element, the tuple of left-coset indices
-    (first-encounter numbering)."""
+    """Joint support of the coset-index variables U_i: one tuple per group
+    element, holding the index of its left coset of each G_i, cosets numbered
+    in order of their smallest element.  A subspace family is the additive
+    group of F_q^n, elements in `vec_index` order; x and y share a coset of
+    V_i iff x·K_i = y·K_i for the annihilator K_i."""
     if isinstance(fam, SubspaceFamily):
-        fam = subgroup_family_from_subspaces(fam)
-    g = fam.parent
-    n = fam.arity
-    coset_ids: List[Dict[FrozenSet[int], int]] = [{} for _ in range(n)]
-    alphabets: List[List[int]] = [[] for _ in range(n)]
-    tuples = []
-    for x in range(g.order):
-        idx = []
-        for i, sub in enumerate(fam.members):
-            coset = frozenset(g.mul(x, s) for s in sub)  # left coset x·G_i
-            if coset not in coset_ids[i]:
-                coset_ids[i][coset] = len(coset_ids[i])
-                alphabets[i].append(coset_ids[i][coset])
-            idx.append(coset_ids[i][coset])
-        tuples.append(tuple(idx))
-    return SupportSet(n, alphabets, tuples)
-
-
-def subgroup_family_from_subspaces(fam: SubspaceFamily) -> SubgroupFamily:
-    """View an F_q subspace family as subgroups of the additive group of the
-    ambient space (element order = vector index order)."""
-    gf = fam.gf
-    n = fam.ambient_dim
-    vecs = list(gf.all_vectors(n))
-    index = {v: i for i, v in enumerate(vecs)}
-    table = [
-        [index[tuple(gf.add(a, b) for a, b in zip(u, v))] for v in vecs]
-        for u in vecs
-    ]
-    group = FiniteGroup(table, validate=False)
-    members = []
-    for basis in fam.members:
-        elems = set()
-        for coeffs in gf.all_vectors(len(basis)) if basis else [()]:
-            vec = [0] * n
-            for c, row in zip(coeffs, basis):
-                if c:
-                    vec = gf.vec_add(vec, gf.vec_scale(c, row))
-            elems.add(index[tuple(vec)])
-        if not basis:
-            elems = {index[tuple([0] * n)]}
-        members.append(elems)
-    return SubgroupFamily(group, members)
+        cols = []
+        for i in range(fam.arity):
+            ids: Dict[int, int] = {}  # image key -> coset index, by first occurrence
+            keys = fam.gf.image_table(fam.annihilator(i)).tolist()
+            cols.append([ids.setdefault(k, len(ids)) for k in keys])
+    else:
+        cols = [fam.parent.cosets(sub).tolist() for sub in fam.members]
+    alphabets = [range(max(c) + 1) for c in cols]
+    return SupportSet(fam.arity, alphabets, list(zip(*cols)) or [()])
 
 
 @dataclass(frozen=True)

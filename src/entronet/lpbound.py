@@ -32,6 +32,9 @@ from .setfunc import (
     elemental_index,
 )
 
+LP_BATCH = 400  # elemental rows lp_feasible activates per round, at most
+SHANNON_CAP = 10  # variables shannon_implies accepts, at most
+
 
 class ExtensionError(ValueError):
     """The requested extension is ill-posed or its totalization failed the
@@ -51,14 +54,13 @@ class CoverageError(WitnessError):
 # extension / adhesion operations
 
 
-def _check(g: SetFunction, op: str, validate: bool) -> SetFunction:
-    if validate:
-        rep = check_polymatroid(g)
-        if not rep.ok:
-            v = rep.instances[0]
-            raise ExtensionError(
-                f"{op}: totalization is not a polymatroid ({v.family} at {v.subsets})"
-            )
+def _check(g: SetFunction, op: str) -> SetFunction:
+    rep = check_polymatroid(g)
+    if not rep.ok:
+        v = rep.instances[0]
+        raise ExtensionError(
+            f"{op}: totalization is not a polymatroid ({v.family} at {v.subsets})"
+        )
     return g
 
 
@@ -69,7 +71,7 @@ def _extended_ground(f: SetFunction, name: str) -> GroundSet:
 
 
 def functional_extension(
-    f: SetFunction, A: SubsetLike, name: Optional[str] = None, validate: bool = True
+    f: SetFunction, A: SubsetLike, name: Optional[str] = None
 ) -> SetFunction:
     """Adjoin Y with g(B) = f(B) and g({Y} ∪ B) = f(B ∪ A): the join of A."""
     amask = f.ground.mask(A)
@@ -78,11 +80,11 @@ def functional_extension(
     ground = _extended_ground(f, name)
     k = len(f.ground)
     values = list(f.values) + [f.values[m | amask] for m in range(1 << k)]
-    return _check(SetFunction(ground, values), "functional_extension", validate)
+    return _check(SetFunction(ground, values), "functional_extension")
 
 
 def sum_extension(
-    f: SetFunction, X: str, Y: str, name: Optional[str] = None, validate: bool = True
+    f: SetFunction, X: str, Y: str, name: Optional[str] = None
 ) -> SetFunction:
     """Adjoin Z = X ⊕ Y with g(Z) = f(X), requiring f(X) = f(Y) and X ⊥ Y;
     g({Z} ∪ B) = min(f(B ∪ {X,Y}), f(B) + g(Z))."""
@@ -100,7 +102,7 @@ def sum_extension(
     values = list(f.values) + [
         min(f.values[m | xm | ym], f.values[m] + z) for m in range(1 << k)
     ]
-    return _check(SetFunction(ground, values), "sum_extension", validate)
+    return _check(SetFunction(ground, values), "sum_extension")
 
 
 def sw_extension(
@@ -108,7 +110,6 @@ def sw_extension(
     X: SubsetLike,
     Y: SubsetLike,
     name: Optional[str] = None,
-    validate: bool = True,
 ) -> SetFunction:
     """Adjoin Z describing X given Y: g(Z) = f(X∪Y) − f(Y), Z a function of
     X, and X a function of {Z} ∪ Y; g({Z} ∪ B) = min(f(B ∪ X), f(B) + g(Z))."""
@@ -124,12 +125,10 @@ def sw_extension(
     values = list(f.values) + [
         min(f.values[m | xm], f.values[m] + z) for m in range(1 << k)
     ]
-    return _check(SetFunction(ground, values), "sw_extension", validate)
+    return _check(SetFunction(ground, values), "sw_extension")
 
 
-def independent_adhesion(
-    f: SetFunction, fstar: SetFunction, validate: bool = True
-) -> SetFunction:
+def independent_adhesion(f: SetFunction, fstar: SetFunction) -> SetFunction:
     """Join two functions on disjoint grounds with g(A) = f(A∩L) + f*(A∩L*)."""
     if set(f.ground.labels) & set(fstar.ground.labels):
         raise ExtensionError("ground sets must be disjoint")
@@ -138,7 +137,7 @@ def independent_adhesion(
     values = []
     for m in range(1 << len(ground)):
         values.append(f.values[m & ((1 << k) - 1)] + fstar.values[m >> k])
-    return _check(SetFunction(ground, values), "independent_adhesion", validate)
+    return _check(SetFunction(ground, values), "independent_adhesion")
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +393,12 @@ def _dense(lp: LinearProgram):
     return A, np.array([float(b) for b in lp.rhs])
 
 
-def solve_float(lp: LinearProgram, tol: float = 1e-9):
+def solve_float(lp: LinearProgram):
     """Dense float phase-1 simplex.  Returns (feasible, basis, x) where basis
     lists the final basic column indices (in the stored column space, then
     the artificial columns) and x holds approximate structural-variable
     values; used only to steer the exact certification."""
+    tol = 1e-9
     m = len(lp.rows)
     if m == 0:
         return True, [], np.zeros(lp.num_vars)
@@ -547,7 +547,7 @@ def farkas_verified(lp: LinearProgram, y) -> bool:
     return bool(terms) and _sgn(sum(terms[1:], terms[0])) > 0
 
 
-def rationalize_point(xf, masks_primes, max_den: int = 10**4):
+def rationalize_point(xf, masks_primes):
     """Fit each float coordinate as a rational combination of logs of the
     given primes (exact-arithmetic candidate for a float vertex).  Returns a
     list of LogScalar or None when some coordinate resists fitting."""
@@ -564,7 +564,7 @@ def rationalize_point(xf, masks_primes, max_den: int = 10**4):
             out.append(ZERO)
             continue
         if len(primes) == 1:
-            q = Fraction(v / logs[0]).limit_denominator(max_den)
+            q = Fraction(v / logs[0]).limit_denominator(10**4)
             if abs(float(q) * logs[0] - v) > 1e-8 * max(1.0, abs(v)):
                 return None
             out.append(LogScalar({primes[0]: q}))
@@ -746,7 +746,6 @@ def lp_feasible(
     tup: RateCapacityTuple,
     extra: Sequence[InfoExpression] = (),
     ground_cap: int = 10,
-    batch: int = 400,
     hint: Optional[SetFunction] = None,
 ) -> LPResult:
     """Decide whether some polymatroid over sessions ∪ edges satisfies all
@@ -842,11 +841,11 @@ def lp_feasible(
     def violated_float(vals: np.ndarray) -> List[int]:
         slack = (vals[elementals] * ELEMENTAL_WEIGHTS).sum(axis=1)
         out = [int(i) for i in np.nonzero(slack < -1e-9)[0] if int(i) not in active]
-        return out[:batch]
+        return out[:LP_BATCH]
 
     def exact_scan(exact: List[LogScalar]) -> List[int]:
         rows = negative_rows(exact, elementals, ELEMENTAL_WEIGHTS)
-        return [r for r, _ in rows if r not in active][:batch]
+        return [r for r, _ in rows if r not in active][:LP_BATCH]
 
     rounds = 0
     while True:
@@ -889,12 +888,12 @@ def lp_feasible(
         activate(new)
 
 
-def shannon_implies(expr: InfoExpression, n: int, cap: int = 10):
+def shannon_implies(expr: InfoExpression, n: int):
     """True iff `expr >= 0` is a non-negative rational combination of the
     elemental inequalities on n variables; returns (bool, certificate) where
     the certificate maps elemental descriptions to their weights."""
-    if n > cap:
-        raise ResourceError(f"{n} variables exceed the cap {cap}")
+    if n > SHANNON_CAP:
+        raise ResourceError(f"{n} variables exceed the cap {SHANNON_CAP}")
     labels = expr.variables
     if len(labels) > n:
         raise ValueError("expression references more variables than n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
@@ -325,11 +326,9 @@ class LinearMap:
 
     def to_table(self, feed_alphabets: Sequence[Alphabet]) -> np.ndarray:
         """Dense output-index table over the flat feed domain (vectorized)."""
-        gf = GF(self.q)
-        q = self.q
         dims = []
         for a in feed_alphabets:
-            if a.kind != "vector" or a.q != q:
+            if a.kind != "vector" or a.q != self.q:
                 raise StructuralError("linear encoder requires F_q vector feeds over the same q")
             dims.append(a.dim)
         in_dim = sum(dims)
@@ -337,25 +336,9 @@ class LinearMap:
             raise StructuralError(
                 f"linear map expects input dim {self.in_dim}, feeds provide {in_dim}"
             )
-        total = q ** in_dim
-        flat = np.arange(total, dtype=np.int64)
-        # q-ary digits, most significant first (matches flat feed indexing
-        # because each vector alphabet indexes base-q, first coord first)
-        digits = []
-        rem = flat
-        for pos in range(in_dim - 1, -1, -1):
-            digits.append((rem // q ** pos) % q)
-        add = np.array(gf.add_table, dtype=np.int64)
-        mul = np.array(gf.mul_table, dtype=np.int64)
-        out = np.zeros(total, dtype=np.int64)
-        for j in range(self.out_dim):
-            acc = np.zeros(total, dtype=np.int64)
-            for i in range(in_dim):
-                c = self.matrix[i][j]
-                if c:
-                    acc = add[acc, mul[digits[i], c]]
-            out = out * q + acc
-        return out
+        # each vector alphabet indexes base q, first coordinate first, so the
+        # flat feed index is the index of the concatenated feed vector
+        return GF(self.q).image_table(self.matrix)
 
     def to_json(self) -> dict:
         return {"kind": "linear", "q": self.q, "matrix": self.matrix}
@@ -561,13 +544,15 @@ def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
     return m.table
 
 
+MAX_CONE_TUPLES = 1 << 24  # source tuples one enumeration of evaluate_code may visit
+REPORT_LIMIT = 50  # failing inputs evaluate_code reports
+
+
 def evaluate_code(
     net: Network,
     conn: ConnectionRequirement,
     code: NetworkCode,
-    max_product: int = 1 << 24,
     chunk: int = 1 << 20,
-    report_limit: int = 50,
 ) -> EvaluationResult:
     """Check every decoder on every source tuple it can see.
 
@@ -580,11 +565,11 @@ def evaluate_code(
     nothing from outside its cone, so this verdict equals that of checking
     every source tuple.
 
-    `max_product` caps the number of source tuples over all sessions.  Each
-    entry of `failing_inputs` is (source tuple over all sessions, receiver,
-    session), at most `report_limit` of them; a session whose origin lies
-    outside the failing receiver's cone, and which that receiver does not
-    decode, is reported at its first symbol.  The result's `oracle`
+    `MAX_CONE_TUPLES` caps the source tuples of each shared enumeration.
+    Each entry of `failing_inputs` is (source tuple over all sessions,
+    receiver, session), at most `REPORT_LIMIT` of them; a session whose
+    origin lies outside the failing receiver's cone, and which that receiver
+    does not decode, is reported at its first symbol.  The result's `oracle`
     comes from a joint pass over all source tuples, run only when first
     asked for and only if they fit in one chunk."""
     conn.validate_against(net)
@@ -599,13 +584,27 @@ def evaluate_code(
 
     sizes = {k: a.size for k, a in code.alphabets.items()}
     sess = list(conn.sessions)
-    total = 1
-    for s in sess:
-        total *= sizes[s]
-    if total > max_product:
-        raise ResourceError(
-            f"source-tuple space of size {total} exceeds the cap {max_product}"
-        )
+    total = math.prod(sizes[s] for s in sess)
+
+    # receivers whose cones hold the same sessions share one enumeration,
+    # capped before any table is built
+    demanded: Dict[str, List[str]] = {}
+    for r, s in conn.demands():
+        if (r, s) not in code.decoders:
+            raise StructuralError(f"no decoder for session {s} at receiver {r}")
+        demanded.setdefault(r, []).append(s)
+    groups: Dict[Tuple[str, ...], Tuple[Set[str], List[Tuple[str, str]]]] = {}
+    for r, wanted in demanded.items():
+        cone = net.ancestors(r)
+        key = tuple(s for s in sess if conn.origin[s] in cone or s in wanted)
+        space = math.prod(sizes[s] for s in key)
+        if space > MAX_CONE_TUPLES:
+            raise ResourceError(
+                f"source-tuple space of size {space} exceeds the cap {MAX_CONE_TUPLES}"
+            )
+        nodes, checks = groups.setdefault(key, (set(), []))
+        nodes |= cone
+        checks.extend((r, s) for s in wanted)
 
     # canonicalize every encoder and every demanded decoder to a dense table
     order = net.edges_topo()
@@ -616,13 +615,9 @@ def evaluate_code(
         tables[e.id] = _tabulate(
             code.encoders[e.id], f"encoder for {e.id}", feeds_of[e.id], e.id, code.alphabets
         )
-    demanded: Dict[str, List[str]] = {}
     dec_feeds: Dict[str, List[str]] = {}
     dec_tables: Dict[Tuple[str, str], np.ndarray] = {}
     for r, s in conn.demands():
-        if (r, s) not in code.decoders:
-            raise StructuralError(f"no decoder for session {s} at receiver {r}")
-        demanded.setdefault(r, []).append(s)
         dec_feeds[r] = decoder_feeds(net, conn, r)
         dec_tables[(r, s)] = _tabulate(
             code.decoders[(r, s)], f"decoder for session {s} at receiver {r}",
@@ -635,22 +630,11 @@ def evaluate_code(
             flat = _flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
             values[eid] = tables[eid][flat]
 
-    # receivers whose cones hold the same sessions share one enumeration
-    groups: Dict[Tuple[str, ...], Tuple[Set[str], List[Tuple[str, str]]]] = {}
-    for r, wanted in demanded.items():
-        cone = net.ancestors(r)
-        key = tuple(s for s in sess if conn.origin[s] in cone or s in wanted)
-        nodes, checks = groups.setdefault(key, (set(), []))
-        nodes |= cone
-        checks.extend((r, s) for s in wanted)
-
     failing: List[tuple] = []
     zero_error = True
     for cone_sess, (nodes, checks) in groups.items():
         cone_edges = [e.id for e in order if e.head in nodes]
-        cone_total = 1
-        for s in cone_sess:
-            cone_total *= sizes[s]
+        cone_total = math.prod(sizes[s] for s in cone_sess)
         for start in range(0, cone_total, chunk):
             stop = min(start + chunk, cone_total)
             n = stop - start
@@ -662,7 +646,7 @@ def evaluate_code(
                 bad = np.nonzero(dec_tables[(r, s)][flat] != values[s])[0]
                 if bad.size:
                     zero_error = False
-                    for b in bad[: max(0, report_limit - len(failing))]:
+                    for b in bad[: max(0, REPORT_LIMIT - len(failing))]:
                         src = tuple(
                             code.alphabets[t].symbol(int(values[t][b]) if t in values else 0)
                             for t in sess
@@ -682,10 +666,9 @@ def check_admissible(
     conn: ConnectionRequirement,
     code: NetworkCode,
     tup: RateCapacityTuple,
-    max_product: int = 1 << 24,
 ) -> bool:
     """Zero-error, log|A_e| <= ω_e on capacitated edges, log|A_s| >= λ_s."""
-    result = evaluate_code(net, conn, code, max_product=max_product)
+    result = evaluate_code(net, conn, code)
     return result.zero_error and alphabets_meet_tuple(net, conn, code, tup)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from entronet.netmodel import (
     Network,
     NetworkCode,
     TableMap,
+    MAX_CONE_TUPLES,
     UNCAPPED,
     alphabets_meet_tuple,
     decoder_feeds,
@@ -124,6 +126,34 @@ def test_linear_code_with_full_space_member():
         net = capacitated_network(lay, tup)
         ev = evaluate_code(net, lay.conn, code)
         assert ev.zero_error and alphabets_meet_tuple(net, lay.conn, code, tup)
+
+
+def test_linear_code_past_the_joint_space_cap():
+    """3^19 joint source tuples: only the receiver cones are enumerated, and
+    each fits under the cap."""
+    fam = SubspaceFamily(3, 3, ((), ((0, 0, 1),), ((0, 1, 0),)))
+    lay = build_gdagger(3)
+    code = linear_code(fam, lay)
+    tup = rate_capacity(entropy_from_subspaces(fam), lay)
+    net = capacitated_network(lay, tup)
+    total = 1
+    for s in lay.conn.sessions:
+        total *= code.alphabets[s].size
+    assert total == 3 ** 19 and total > MAX_CONE_TUPLES
+    ev = evaluate_code(net, lay.conn, code)
+    assert ev.zero_error and ev.oracle is None
+    assert alphabets_meet_tuple(net, lay.conn, code, tup)
+
+
+@pytest.mark.parametrize("support", [
+    SupportSet(2, [[0, 1], [0, 1]], [(0, 0), (0, 1), (1, 0)]),
+    SupportSet(3, [[0, 1]] * 3, [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)]),
+])
+def test_quasi_uniform_code_rejects_what_quasi_uniform_check_rejects(support):
+    failing = quasi_uniform_check(support).failing
+    assert failing
+    with pytest.raises(ValueError, match=re.escape(f"(failing coordinates {failing})")):
+        quasi_uniform_code(support, build_gdagger(support.arity))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

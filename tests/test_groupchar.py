@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import all_subspaces, group_catalog
 from entronet.exactlog import LogScalar, log2_units
+from entronet.ffield import GF
 from entronet.groupchar import (
     FiniteGroup,
     SubgroupFamily,
@@ -102,6 +105,76 @@ def test_subspace_and_subgroup_views_agree():
             res = quasi_uniform_check(s)
             assert res.ok
             assert res.entropy.values == entropy_from_subspaces(fam).values
+
+
+def reference_coset_support(fam):
+    """Scan the group elements in order and number each left coset x·G_i at
+    its first encounter; a subspace family goes through the group table of
+    F_q^n, elements in vector index order."""
+    if isinstance(fam, SubspaceFamily):
+        gf, n = fam.gf, fam.ambient_dim
+        vecs = list(gf.all_vectors(n))
+        index = {v: i for i, v in enumerate(vecs)}
+        table = [[index[tuple(gf.vec_add(u, v))] for v in vecs] for u in vecs]
+        members = []
+        for basis in fam.members:
+            span = set()
+            for coeffs in gf.all_vectors(len(basis)):
+                vec = [0] * n
+                for c, row in zip(coeffs, basis):
+                    vec = gf.vec_add(vec, gf.vec_scale(c, row))
+                span.add(index[tuple(vec)])
+            members.append(span)
+        fam = SubgroupFamily(FiniteGroup(table, validate=False), members)
+    g = fam.parent
+    ids = [{} for _ in fam.members]
+    tuples = []
+    for x in range(g.order):
+        row = []
+        for i, sub in enumerate(fam.members):
+            coset = frozenset(g.mul(x, s) for s in sub)
+            row.append(ids[i].setdefault(coset, len(ids[i])))
+        tuples.append(tuple(row))
+    return SupportSet(fam.arity, [list(range(len(d))) for d in ids], tuples)
+
+
+CATALOG = group_catalog()
+_subgroups = {}
+_subspaces = {}
+
+
+@st.composite
+def families(draw):
+    arity = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        name, g = draw(st.sampled_from(CATALOG))
+        subs = _subgroups.setdefault(name, [sorted(s) for s in g.all_subgroups()])
+        return SubgroupFamily(g, [draw(st.sampled_from(subs)) for _ in range(arity)])
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 3 if q < 4 else 2))
+    subs = _subspaces.setdefault((q, n), all_subspaces(q, n))
+    return SubspaceFamily(q, n, [draw(st.sampled_from(subs)) for _ in range(arity)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(families())
+def test_coset_support_matches_first_encounter_numbering(fam):
+    assert coset_support(fam).to_json() == reference_coset_support(fam).to_json()
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_annihilator_has_the_member_as_left_kernel(q, n):
+    gf = GF(q)
+    subs = all_subspaces(q, n)
+    assert () in subs and any(len(s) == n for s in subs)
+    fam = SubspaceFamily(q, n, subs)
+    for i, basis in enumerate(subs):
+        K = fam.annihilator(i)
+        assert len(K) == n and all(len(row) == n - len(basis) for row in K)
+        kernel = gf.nullspace(K)
+        rows = [list(r) for r in basis]
+        assert len(kernel) == len(basis)
+        assert gf.rank(rows + kernel) == len(basis)
 
 
 def test_support_projection():

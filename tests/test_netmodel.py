@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entronet.exactlog import log2_units
+from entronet.ffield import GF
 from entronet.netmodel import (
     Alphabet,
     ConnectionRequirement,
@@ -15,6 +16,7 @@ from entronet.netmodel import (
     NetworkCode,
     RateCapacityTuple,
     ResourceError,
+    MAX_CONE_TUPLES,
     StructuralError,
     TableMap,
     UNCAPPED,
@@ -113,6 +115,38 @@ def test_oracle_is_built_once_and_only_within_one_chunk():
     assert chunked.zero_error and chunked.oracle is None
     with pytest.raises(ResourceError):
         chunked.induced
+
+
+def test_the_cap_bounds_each_cone_enumeration():
+    """Y reaches r only through a constant edge, so r's tables are small but
+    its cone holds both sessions: 2^26 source tuples, past the cap."""
+    net = Network(("s", "t", "r"), (Edge("ex", "s", "r", UNCAPPED), Edge("ey", "t", "r", UNCAPPED)))
+    conn = ConnectionRequirement(("X", "Y"), {"X": "s", "Y": "t"}, {"X": ("r",), "Y": ("r",)})
+    big = Alphabet(symbols=range(1 << 13))
+    code = NetworkCode(
+        {"X": big, "Y": big, "ex": big, "ey": Alphabet(symbols=[0])},
+        {"ex": TableMap(list(range(1 << 13))), "ey": TableMap([0] * (1 << 13))},
+        {("r", "X"): TableMap(list(range(1 << 13))), ("r", "Y"): TableMap([0] * (1 << 13))},
+    )
+    assert (1 << 26) > MAX_CONE_TUPLES
+    with pytest.raises(ResourceError):
+        evaluate_code(net, conn, code)
+
+
+def test_the_cap_is_checked_before_any_table_is_built(monkeypatch):
+    """A 2^25-symbol vector session is refused before its linear encoder
+    would be tabulated over 2^25 inputs."""
+    def refuse(self, M):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(GF, "image_table", refuse)
+    net = Network(("s", "r"), (Edge("e", "s", "r", UNCAPPED),))
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    vec = Alphabet(q=2, dim=25)
+    ident = LinearMap(2, [[int(i == j) for j in range(25)] for i in range(25)])
+    code = NetworkCode({"X": vec, "e": vec}, {"e": ident}, {("r", "X"): ident})
+    with pytest.raises(ResourceError):
+        evaluate_code(net, conn, code)
 
 
 def test_code_product_with_trivial_code_is_identity():
