@@ -229,7 +229,12 @@ class LogScalar:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LogScalar":
-        return cls({int(p): Fraction(q) for p, q in obj.items()})
+        if not isinstance(obj, Mapping):
+            raise ValueError(f"a log scalar is an object of prime: rational, got {obj!r:.40}")
+        try:
+            return cls({int(p): Fraction(q) for p, q in obj.items()})
+        except (TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a log scalar: {obj!r:.40}") from exc
 
 
 ZERO = LogScalar.zero()

@@ -1,11 +1,13 @@
 """Polymatroid extension calculus (functional join, coded sum, conditional
 description, independent adhesion), per-subnetwork witness certificates for
-the fixed network, the LP outer bound on rate-capacity tuples via exact
-phase-1 simplex, and Shannon-derivability of linear information expressions."""
+the fixed network, the LP outer bound on rate-capacity tuples (steered by
+HiGHS, decided by exact certificates), and Shannon-derivability of linear
+information expressions."""
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -83,6 +85,19 @@ def functional_extension(
     return _check(SetFunction(ground, values), "functional_extension")
 
 
+def _adjoin(f: SetFunction, name: str, amask: int, z: LogScalar, op: str) -> SetFunction:
+    """Adjoin `name` as Z with g({Z} ∪ B) = min(f(B ∪ A), f(B) + z), for A
+    the elements of `amask`.  Every minimum is decided in one
+    `negative_rows` pass: row B is f(B ∪ A) − f(B) − z."""
+    ground = _extended_ground(f, name)
+    n = 1 << len(f.ground)
+    b = np.arange(n)
+    rows = np.stack([b | amask, b, np.full(n, n)], axis=1)
+    lower = {r for r, _ in negative_rows(f.values + [z], rows, (1, -1, -1))}
+    values = f.values + [f.values[m | amask] if m in lower else f.values[m] + z for m in range(n)]
+    return _check(SetFunction(ground, values), op)
+
+
 def sum_extension(
     f: SetFunction, X: str, Y: str, name: Optional[str] = None
 ) -> SetFunction:
@@ -96,13 +111,7 @@ def sum_extension(
         raise ExtensionError("sum extension requires the two elements independent")
     if name is None:
         name = f"({X}+{Y})"
-    ground = _extended_ground(f, name)
-    k = len(f.ground)
-    z = f.values[xm]
-    values = list(f.values) + [
-        min(f.values[m | xm | ym], f.values[m] + z) for m in range(1 << k)
-    ]
-    return _check(SetFunction(ground, values), "sum_extension")
+    return _adjoin(f, name, xm | ym, f.values[xm], "sum_extension")
 
 
 def sw_extension(
@@ -119,13 +128,7 @@ def sw_extension(
         name = (
             "J(" + ",".join(f.ground.subset(xm)) + "|" + ",".join(f.ground.subset(ym)) + ")"
         )
-    ground = _extended_ground(f, name)
-    k = len(f.ground)
-    z = f.values[xm | ym] - f.values[ym]
-    values = list(f.values) + [
-        min(f.values[m | xm], f.values[m] + z) for m in range(1 << k)
-    ]
-    return _check(SetFunction(ground, values), "sw_extension")
+    return _adjoin(f, name, xm, f.values[xm | ym] - f.values[ym], "sw_extension")
 
 
 def independent_adhesion(f: SetFunction, fstar: SetFunction) -> SetFunction:
@@ -144,9 +147,12 @@ def independent_adhesion(f: SetFunction, fstar: SetFunction) -> SetFunction:
 # information expressions
 
 
+# one role per token: a fraction is only a coefficient; a label is an
+# identifier or a digit run, and a digit run may also be an integer
+# coefficient or the constant 0
 _TOKEN = re.compile(
-    r"\s*(?:(?P<rel>>=|<=|=)|(?P<op>[+-])|(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<meas>[HI])\s*\(|(?P<close>\))|(?P<sep>[;|,])|(?P<name>[A-Za-z_][\w]*|\d+))"
+    r"\s*(?:(?P<rel>>=|<=|=)|(?P<op>[+-])|(?P<frac>\d+/\d+)|(?P<meas>[HI])\s*\("
+    r"|(?P<label>[A-Za-z_]\w*|\d+)|(?P<sep>[;|,)])|(?P<bad>\S))"
 )
 
 
@@ -202,132 +208,81 @@ class InfoExpression:
 
     @classmethod
     def parse(cls, text: str) -> "InfoExpression":
-        """Grammar: signed terms `[coeff] H(list)` / `[coeff] I(list;list[|list])`
-        with an optional trailing `<= c`, `>= c`, or `= c` (c a rational, and
-        only 0 is accepted); everything is normalized to `expr >= 0`."""
-        pos = 0
-        text = text.strip()
-        tokens: List[Tuple[str, str]] = []
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                raise ValueError(f"cannot tokenize expression at position {pos}: {text[pos:pos+12]!r}")
-            pos = m.end()
-            for kind in ("rel", "op", "num", "meas", "close", "sep", "name"):
-                v = m.group(kind)
-                if v is not None:
-                    tokens.append((kind, v if kind != "meas" else m.group(kind)))
-                    break
+        """Grammar (docs/expr.md): signed terms `[coeff] H(list[|list])` or
+        `[coeff] I(list;list[|list])`, or the constant 0, on each side of an
+        optional `>=` or `<=`; everything is normalized to `expr >= 0`."""
+        # no parse step takes a `bad` token, so any other character is an error
+        tokens = [(m.lastgroup, m.group(m.lastgroup)) for m in _TOKEN.finditer(text)]
+        tokens.append((None, "the end"))
         i = 0
+        terms: Counter = Counter()
 
-        def peek():
-            return tokens[i] if i < len(tokens) else (None, None)
-
-        terms: Dict[Tuple[str, ...], Fraction] = {}
-
-        def add(subset, c):
-            key = tuple(sorted(set(subset)))
-            if key:
-                terms[key] = terms.get(key, Fraction(0)) + c
-
-        def parse_list():
+        def take(kind: str, value: Optional[str] = None) -> Optional[str]:
+            """The next token, consumed, if it is of this kind (and value)."""
             nonlocal i
-            out = []
-            while True:
-                kind, v = peek()
-                if kind in ("name", "num"):
-                    out.append(v)
-                    i += 1
-                else:
-                    raise ValueError(f"expected a variable name, got {v!r}")
-                kind, v = peek()
-                if kind == "sep" and v == ",":
-                    i += 1
-                    continue
-                return out
+            k, v = tokens[i]
+            if k != kind or value not in (None, v):
+                return None
+            i += 1
+            return v
 
-        def parse_side(sign: Fraction):
+        def labels() -> List[str]:
+            out = [take("label")]
+            while take("sep", ","):
+                out.append(take("label"))
+            if None in out:
+                raise ValueError(f"expected a variable label, got {tokens[i][1]!r}")
+            return out
+
+        def side(sign: int) -> None:
             nonlocal i
             first = True
-            while i < len(tokens):
-                kind, v = peek()
-                if kind == "rel":
-                    return
-                coeff = Fraction(1)
-                if kind == "op":
-                    coeff = Fraction(-1) if v == "-" else Fraction(1)
-                    i += 1
-                    kind, v = peek()
-                elif not first:
-                    raise ValueError(f"expected '+' or '-' before {v!r}")
+            while tokens[i][0] not in ("rel", None):
+                op = take("op")
+                if not (op or first):
+                    raise ValueError(f"expected '+' or '-' before {tokens[i][1]!r}")
                 first = False
-                if kind == "num":
-                    nxt = tokens[i + 1] if i + 1 < len(tokens) else (None, None)
-                    if nxt[0] == "meas":
-                        coeff *= Fraction(v)
-                        i += 1
-                        kind, v = peek()
-                    else:
-                        # bare constant: only 0 is meaningful here
-                        if Fraction(v) != 0:
-                            raise ValueError("nonzero constants are not supported")
-                        i += 1
-                        continue
-                if kind != "meas":
-                    raise ValueError(f"expected H(...) or I(...), got {v!r}")
-                meas = v
-                i += 1
-                a = parse_list()
-                if meas == "H":
-                    kind, v = peek()
-                    if kind == "sep" and v == "|":
-                        i += 1
-                        b = parse_list()
-                        add(a + b, sign * coeff)
-                        add(b, -sign * coeff)
-                    else:
-                        add(a, sign * coeff)
-                else:
-                    kind, v = peek()
-                    if not (kind == "sep" and v == ";"):
-                        raise ValueError("I(...) needs ';' between its arguments")
+                c = Fraction(-sign if op == "-" else sign)
+                kind, v = tokens[i]
+                number = kind == "frac" or (kind == "label" and v[0].isdigit())
+                if number:
                     i += 1
-                    b = parse_list()
-                    c: List[str] = []
-                    kind, v = peek()
-                    if kind == "sep" and v == "|":
-                        i += 1
-                        c = parse_list()
-                    # I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
-                    add(a + c, sign * coeff)
-                    add(b + c, sign * coeff)
-                    add(a + b + c, -sign * coeff)
+                    try:
+                        c *= Fraction(v)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {v!r}") from None
+                meas = take("meas")
+                if meas is None:
+                    if not number:
+                        raise ValueError(f"expected H(...) or I(...), got {v!r}")
                     if c:
-                        add(c, -sign * coeff)
-                kind, v = peek()
-                if kind == "close":
-                    i += 1
+                        raise ValueError("nonzero constants are not supported")
+                    continue
+                a = labels()
+                if meas == "H":
+                    signed = [(1, a)]
+                elif take("sep", ";"):
+                    b = labels()
+                    signed = [(1, a), (1, b), (-1, a + b)]
                 else:
+                    raise ValueError("I(...) needs ';' between its arguments")
+                cond = labels() if take("sep", "|") else []
+                if not take("sep", ")"):
                     raise ValueError("missing ')'")
+                # H(A|C) = H(AC) - H(C), I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+                for s, subset in signed + [(-1, [])]:
+                    terms[frozenset(subset + cond)] += s * c
 
-        parse_side(Fraction(1))
-        kind, rel = peek()
-        if kind == "rel":
-            i += 1
-            # normalize `lhs REL rhs` to `expr >= 0`
-            lhs = dict(terms)
-            terms.clear()
-            for k, c in lhs.items():
-                terms[k] = c if rel != "<=" else -c
-            if rel == "=":
-                raise ValueError("equalities are not supported; state both inequalities")
-            if rel == "<=":
-                parse_side(Fraction(1))
-            else:
-                parse_side(Fraction(-1))
-        if i != len(tokens):
-            raise ValueError("trailing tokens in expression")
-        return cls.from_terms(terms)
+        side(1)
+        rel = take("rel")
+        if rel == "=":
+            raise ValueError("equalities are not supported; state both inequalities")
+        if rel:
+            side(-1)
+        if tokens[i][0] is not None:
+            raise ValueError(f"trailing tokens in expression from {tokens[i][1]!r}")
+        flip = -1 if rel == "<=" else 1
+        return cls.from_terms({subset: flip * c for subset, c in terms.items()})
 
 
 def ingleton_expression(labels: Sequence[str] = ("1", "2", "3", "4")) -> InfoExpression:
@@ -379,6 +334,33 @@ class LinearProgram:
             row, b = {j: -c for j, c in row.items()}, -b
         self.rows.append(row)
         self.rhs.append(b)
+
+
+def _tableau(lp: LinearProgram):
+    """Copies of the stored rows, row i with its artificial column ncols + i,
+    and of their right-hand sides: the tableau that `_pivot` works in."""
+    rows = [{**row, lp.ncols + i: Fraction(1)} for i, row in enumerate(lp.rows)]
+    return rows, list(lp.rhs)
+
+
+def _pivot(rows: List[Dict[int, Fraction]], rhs: list, r: int, jin: int) -> None:
+    """Gauss–Jordan pivot of a sparse tableau on entry (r, jin): scale row r
+    to a unit pivot and clear column jin from every other row."""
+    prow = rows[r]
+    p = prow[jin]
+    if p != 1:
+        rows[r] = prow = {j: c / p for j, c in prow.items()}
+        rhs[r] = rhs[r] * (1 / p)
+    for i, row in enumerate(rows):
+        f = row.get(jin) if i != r else None
+        if f:
+            for j, c in prow.items():
+                nv = row.get(j, Fraction(0)) - f * c
+                if nv:
+                    row[j] = nv
+                else:
+                    row.pop(j, None)
+            rhs[i] = rhs[i] - rhs[r] * f
 
 
 def _dense(lp: LinearProgram):
@@ -439,63 +421,34 @@ def solve_float(lp: LinearProgram):
 
 
 def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
-    """Solve the square basis system exactly (Fraction matrix, exact RHS)
-    and return {structural var: value} when it yields a verified feasible
-    point of the program; None when the float pass misidentified the basis."""
-    rows, ncols = lp.rows, lp.ncols
-    m = len(rows)
+    """Pivot each basis column (stored or artificial, one per row) into the
+    exact tableau, on the sparsest row not yet pivoted, and return
+    {structural var: value} when the basic solution is a verified feasible
+    point of the program; None when the float pass misidentified the basis:
+    it is singular, a basic value is negative or an artificial is nonzero."""
+    m = len(lp.rows)
     if m == 0:
         return {}
-    cols = list(basis)
-    M: List[Dict[int, Fraction]] = []
-    for i in range(m):
-        row: Dict[int, Fraction] = {}
-        for k, c in enumerate(cols):
-            if c >= ncols:  # artificial column e_{c-ncols}
-                if c - ncols == i:
-                    row[k] = Fraction(1)
-            else:
-                v = rows[i].get(c)
-                if v:
-                    row[k] = v
-        M.append(row)
-    b = list(lp.rhs)
-    where: List[Optional[int]] = [None] * m
+    rows, rhs = _tableau(lp)
+    where: List[int] = []
     used = [False] * m
-    for k in range(m):
-        cand = [i for i in range(m) if not used[i] and M[i].get(k)]
+    for c in basis:
+        cand = [i for i in range(m) if not used[i] and rows[i].get(c)]
         if not cand:
             return None  # singular basis
-        r = min(cand, key=lambda i: len(M[i]))
+        r = min(cand, key=lambda i: len(rows[i]))
         used[r] = True
-        where[k] = r
-        p = M[r][k]
-        if p != 1:
-            M[r] = {j: c / p for j, c in M[r].items()}
-            b[r] = b[r] * (1 / p)
-        for i in range(m):
-            if i != r and (f := M[i].get(k)):
-                for j, c in M[r].items():
-                    nv = M[i].get(j, Fraction(0)) - f * c
-                    if nv:
-                        M[i][j] = nv
-                    else:
-                        M[i].pop(j, None)
-                b[i] = b[i] - b[r] * f
+        where.append(r)
+        _pivot(rows, rhs, r, c)
     x: Dict[int, object] = {}
-    for k in range(m):
-        v = b[where[k]]
-        s = _sgn(v)
-        if s < 0:
-            return None  # basic variable negative: wrong basis
-        c = cols[k]
-        if c >= ncols:
-            if s != 0:  # artificial must vanish exactly
-                return None
-        elif s != 0:
-            x[c] = v
+    for r, c in zip(where, basis):
+        s = _sgn(rhs[r])
+        if s < 0 or (s and c >= lp.ncols):
+            return None  # a negative basic value, or a nonzero artificial
+        if s:
+            x[c] = rhs[r]
     # exact verification of every stored row, slack values included
-    for row, total in zip(rows, lp.rhs):
+    for row, total in zip(lp.rows, lp.rhs):
         for j, c in row.items():
             if j in x:
                 total = total - x[j] * c
@@ -585,55 +538,19 @@ def solve_phase1(lp: LinearProgram):
     m = len(lp.rows)
     if m == 0:
         return True, {}
-    # the tableau pivots in place: copy the stored rows
-    rows = [dict(row) for row in lp.rows]
-    rhs = list(lp.rhs)
-    # artificial variables, one per row; objective = sum of artificials
-    art0 = lp.ncols
-    basis = []
-    for i in range(m):
-        rows[i][art0 + i] = Fraction(1)
-        basis.append(art0 + i)
-    # objective row: z_j - c_j for minimizing Σ artificials equals
-    # (sum of all rows restricted to non-artificial columns), value Σ rhs
+    # artificial variables, one per row, start basic; the objective Σ
+    # artificials is row m of the tableau: its reduced costs z_j - c_j are
+    # the sum of all rows over the stored columns, its value Σ rhs
     obj: Dict[int, Fraction] = {}
-    for row in rows:
+    for row in lp.rows:
         for j, c in row.items():
-            if j < art0:
-                obj[j] = obj.get(j, Fraction(0)) + c
+            obj[j] = obj.get(j, Fraction(0)) + c
     obj = {j: c for j, c in obj.items() if c}
-    objval = sum(rhs[1:], rhs[0])
-
-    def pivot(r: int, jin: int):
-        nonlocal objval
-        prow = rows[r]
-        p = prow[jin]
-        if p != 1:
-            rows[r] = prow = {j: c / p for j, c in prow.items()}
-            rhs[r] = rhs[r] * (1 / p)
-        for i in range(m):
-            if i == r:
-                continue
-            f = rows[i].get(jin)
-            if f:
-                row = rows[i]
-                for j, c in prow.items():
-                    nv = row.get(j, Fraction(0)) - f * c
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
-                rhs[i] = rhs[i] - rhs[r] * f
-        f = obj.get(jin)
-        if f:
-            for j, c in prow.items():
-                nv = obj.get(j, Fraction(0)) - f * c
-                if nv:
-                    obj[j] = nv
-                else:
-                    obj.pop(j, None)
-            objval = objval - rhs[r] * f
-        basis[r] = jin
+    rows, rhs = _tableau(lp)
+    rows.append(obj)
+    rhs.append(sum(rhs[1:], rhs[0]))
+    art0 = lp.ncols
+    basis = list(range(art0, art0 + m))
 
     # Dantzig's rule by default; permanent switch to Bland's rule after a
     # long degenerate stall guarantees termination
@@ -670,7 +587,8 @@ def solve_phase1(lp: LinearProgram):
             # unbounded phase-1 objective cannot happen (bounded below by 0)
             raise RuntimeError("unbounded phase-1 objective")
         degenerate = _sgn(rhs[best]) == 0
-        pivot(best, jin)
+        _pivot(rows, rhs, best, jin)
+        basis[best] = jin
         if degenerate:
             stall += 1
             if stall > 3 * (m + 1) and not bland:
@@ -678,7 +596,7 @@ def solve_phase1(lp: LinearProgram):
         else:
             stall = 0
 
-    if _sgn(objval) != 0:
+    if _sgn(rhs[m]) != 0:
         return False, None
     x: Dict[int, object] = {}
     for i, bj in enumerate(basis):
@@ -943,7 +861,9 @@ class LocalWitness:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "LocalWitness":
-        return cls(SetFunction.from_json(obj["function"]), dict(obj["vars"]))
+        if not isinstance(obj, Mapping) or not isinstance(obj.get("vars"), Mapping):
+            raise ValueError("a local witness is an object with a function and vars")
+        return cls(SetFunction.from_json(obj.get("function")), dict(obj["vars"]))
 
 
 @dataclass(frozen=True)
@@ -960,9 +880,11 @@ class WitnessCertificate:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "WitnessCertificate":
-        if obj.get("format") != "witness/1":
+        if not isinstance(obj, Mapping) or obj.get("format") != "witness/1":
             raise ValueError("expected format witness/1")
-        return cls(int(obj["n"]), {k: LocalWitness.from_json(v) for k, v in obj["locals"].items()})
+        if not isinstance(obj.get("n"), int) or not isinstance(obj.get("locals"), Mapping):
+            raise ValueError("a witness certificate needs an integer n and a locals object")
+        return cls(obj["n"], {k: LocalWitness.from_json(v) for k, v in obj["locals"].items()})
 
 
 def _single(label: str, value: LogScalar) -> SetFunction:

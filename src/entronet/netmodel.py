@@ -336,6 +336,11 @@ class LinearMap:
             raise StructuralError(
                 f"linear map expects input dim {self.in_dim}, feeds provide {in_dim}"
             )
+        if self.q ** in_dim > MAX_CONE_TUPLES:
+            raise ResourceError(
+                f"linear map over F_{self.q}^{in_dim} needs a table of "
+                f"{self.q ** in_dim} entries, over the cap {MAX_CONE_TUPLES}"
+            )
         # each vector alphabet indexes base q, first coordinate first, so the
         # flat feed index is the index of the concatenated feed vector
         return GF(self.q).image_table(self.matrix)
@@ -544,7 +549,9 @@ def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
     return m.table
 
 
-MAX_CONE_TUPLES = 1 << 24  # source tuples one enumeration of evaluate_code may visit
+# source tuples one enumeration of evaluate_code may visit, and entries of
+# one linear encoder table
+MAX_CONE_TUPLES = 1 << 24
 REPORT_LIMIT = 50  # failing inputs evaluate_code reports
 
 
@@ -565,7 +572,8 @@ def evaluate_code(
     nothing from outside its cone, so this verdict equals that of checking
     every source tuple.
 
-    `MAX_CONE_TUPLES` caps the source tuples of each shared enumeration.
+    `MAX_CONE_TUPLES` caps the source tuples of each shared enumeration,
+    and the entries of each linear encoder table.
     Each entry of `failing_inputs` is (source tuple over all sessions,
     receiver, session), at most `REPORT_LIMIT` of them; a session whose
     origin lies outside the failing receiver's cone, and which that receiver

@@ -166,9 +166,18 @@ class SetFunction:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SetFunction":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a set function is an object")
         if obj.get("format", "setfunction/1") != "setfunction/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
+        if not isinstance(obj.get("ground"), list) or not isinstance(obj.get("values"), Mapping):
+            raise ValueError("a set function needs a ground list and a values object")
         ground = GroundSet(obj["ground"])
+        # one value per nonempty subset: the document bounds the allocation
+        if len(obj["values"]) < ground.full_mask:
+            raise ValueError(
+                f"{len(obj['values'])} values for {ground.full_mask} nonempty subsets"
+            )
         values = [ZERO] * (1 << len(ground))
         seen = {0}
         for key, val in obj["values"].items():

@@ -15,6 +15,16 @@ from entronet.groupchar import (
     quaternion,
     symmetric,
 )
+from entronet.netmodel import (
+    Alphabet,
+    ConnectionRequirement,
+    Edge,
+    LinearMap,
+    Network,
+    NetworkCode,
+    TableMap,
+    UNCAPPED,
+)
 from entronet.setfunc import GroundSet, SetFunction
 
 ZERO = LogScalar()
@@ -100,3 +110,17 @@ def perturb_non_polymatroid(rng: random.Random, f: SetFunction) -> SetFunction:
         g = SetFunction(f.ground, values)
         if not brute_force_polymatroid(g.values, n):
             return g
+
+
+def wide_inner_code():
+    """One binary session into an inner edge over F_2^40, read by a 40×1
+    linear map: the cone holds 2 source tuples, the map's table 2^40."""
+    net = Network(("s", "m", "r"), (Edge("e1", "s", "m", UNCAPPED), Edge("e2", "m", "r", UNCAPPED)))
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    F2 = Alphabet(q=2, dim=1)
+    code = NetworkCode(
+        {"X": F2, "e1": Alphabet(q=2, dim=40), "e2": F2},
+        {"e1": TableMap([0, 1]), "e2": LinearMap(2, [[1]] + [[0]] * 39)},
+        {("r", "X"): TableMap([0, 1])},
+    )
+    return net, conn, code

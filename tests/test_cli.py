@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from conftest import wide_inner_code
 from entronet.cli import run
 from entronet.construct import build_gdagger
 from entronet.exactlog import log2_units
@@ -196,6 +197,14 @@ def test_lp_subcommands(tmp_path, capsys, monkeypatch):
     assert run(["lp", "implies", "-", "--n", "4"]) == 1
 
 
+@pytest.mark.parametrize("text", ["5/0 H(1) >= 0", "H(1/2) >= 0"])
+def test_lp_implies_on_a_bad_number_exits_2(tmp_path, capsys, text):
+    expr_path = tmp_path / "e.txt"
+    expr_path.write_text(text)
+    assert run(["lp", "implies", str(expr_path), "--n", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_lp_implies_over_the_variable_cap_exits_2(tmp_path, capsys):
     expr_path = tmp_path / "e.txt"
     expr_path.write_text("I(1;2) >= 0\n")
@@ -209,3 +218,49 @@ def test_structural_errors_exit_2(tmp_path):
     assert run(["check", "poly", str(bad)]) == 2
     wrong = write(tmp_path, "wrong.json", {"format": "network/1", "nodes": [], "edges": []})
     assert run(["check", "poly", wrong]) == 2
+
+
+def _a_value_is_a_string(cert):
+    values = cert["locals"]["sources"]["function"]["values"]
+    values[next(iter(values))] = "1"
+
+
+def _a_local_is_a_list(cert):
+    cert["locals"]["sources"] = [1, 2]
+
+
+def _locals_is_a_string(cert):
+    cert["locals"] = "sources"
+
+
+def _a_zero_denominator(cert):
+    values = cert["locals"]["sources"]["function"]["values"]
+    values[next(iter(values))] = {"2": "1/0"}
+
+
+def _forty_ground_labels(cert):
+    cert["locals"]["sources"]["function"]["ground"] = [str(i) for i in range(40)]
+
+
+@pytest.mark.parametrize("forge", [_a_value_is_a_string, _a_local_is_a_list, _locals_is_a_string,
+                                   _a_zero_denominator, _forty_ground_labels])
+def test_witness_verify_on_a_malformed_certificate_exits_2(tmp_path, capsys, forge):
+    h_path = write(tmp_path, "h.json", SetFunction.from_log2("12", {"1": 1, "2": 2, "12": 2}).to_json())
+    assert run(["witness", "build", h_path, "--n", "2"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert run(["construct", "gdagger", "--n", "2", "--h", h_path, "--json"]) == 0
+    tup_path = write(tmp_path, "tup.json", json.loads(capsys.readouterr().out)["tuple"])
+    forge(cert)
+    assert run(["witness", "verify", write(tmp_path, "cert.json", cert), tup_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_code_verify_refuses_a_linear_table_over_the_cap(tmp_path, capsys):
+    net, conn, code = wide_inner_code()
+    one = log2_units(1)
+    bundle = {"format": "codebundle/1", "network": net.to_json(), "conn": conn.to_json(),
+              "code": code.to_json(),
+              "tuple": RateCapacityTuple({"X": one}, {"e1": one, "e2": one}).to_json()}
+    assert run(["code", "verify", write(tmp_path, "bundle.json", bundle)]) == 2
+    assert "linear map" in capsys.readouterr().err

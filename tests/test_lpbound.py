@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -443,3 +444,399 @@ def test_verify_rejects_a_doubled_independence_local(witness_n2):
     assert not verify_connection_constraints(forge(cert, "independence", values), lay, tup, failures)
     assert "locals independence and sources disagree on ['S[{1,2}]']" in failures
     assert all("disagree" in f for f in failures)
+
+
+# --- the exact procedures against the implementations they replaced ----------
+
+
+def reference_solve_phase1(lp):
+    """Exact phase-1 simplex with its own pivot and a separate objective
+    dict: Dantzig's rule, Bland's rule after a long degenerate stall, ratio
+    ties broken on the basis index."""
+    m = len(lp.rows)
+    if m == 0:
+        return True, {}
+    rows = [dict(row) for row in lp.rows]
+    rhs = list(lp.rhs)
+    art0 = lp.ncols
+    basis = []
+    for i in range(m):
+        rows[i][art0 + i] = Fraction(1)
+        basis.append(art0 + i)
+    obj = {}
+    for row in rows:
+        for j, c in row.items():
+            if j < art0:
+                obj[j] = obj.get(j, Fraction(0)) + c
+    obj = {j: c for j, c in obj.items() if c}
+    objval = sum(rhs[1:], rhs[0])
+
+    def pivot(r, jin):
+        nonlocal objval
+        prow = rows[r]
+        p = prow[jin]
+        if p != 1:
+            rows[r] = prow = {j: c / p for j, c in prow.items()}
+            rhs[r] = rhs[r] * (1 / p)
+        for i in range(m):
+            f = rows[i].get(jin)
+            if i != r and f:
+                for j, c in prow.items():
+                    nv = rows[i].get(j, Fraction(0)) - f * c
+                    if nv:
+                        rows[i][j] = nv
+                    else:
+                        rows[i].pop(j, None)
+                rhs[i] = rhs[i] - rhs[r] * f
+        f = obj.get(jin)
+        if f:
+            for j, c in prow.items():
+                nv = obj.get(j, Fraction(0)) - f * c
+                if nv:
+                    obj[j] = nv
+                else:
+                    obj.pop(j, None)
+            objval = objval - rhs[r] * f
+        basis[r] = jin
+
+    stall, bland = 0, False
+    while True:
+        jin = None
+        if bland:
+            jin = next((j for j in sorted(obj) if j < art0 and obj[j] > 0), None)
+        else:
+            bestc = None
+            for j, c in obj.items():
+                if j < art0 and c > 0 and (bestc is None or c > bestc):
+                    jin, bestc = j, c
+        if jin is None:
+            break
+        best = None
+        for i in range(m):
+            a = rows[i].get(jin, Fraction(0))
+            if a > 0:
+                if best is None:
+                    best = i
+                else:
+                    s = lpbound._sgn(rhs[i] * rows[best][jin] - rhs[best] * a)
+                    if s < 0 or (s == 0 and basis[i] < basis[best]):
+                        best = i
+        degenerate = lpbound._sgn(rhs[best]) == 0
+        pivot(best, jin)
+        if degenerate:
+            stall += 1
+            bland = bland or stall > 3 * (m + 1)
+        else:
+            stall = 0
+    if lpbound._sgn(objval) != 0:
+        return False, None
+    return True, {bj: rhs[i] for i, bj in enumerate(basis) if bj < lp.num_vars}
+
+
+def reference_point_from_basis(lp, basis):
+    """Eliminate over the square basis matrix, re-indexed by basis position,
+    then check signs, artificials and every stored row exactly."""
+    rows, ncols, m = lp.rows, lp.ncols, len(lp.rows)
+    if m == 0:
+        return {}
+    cols = list(basis)
+    M = []
+    for i in range(m):
+        row = {}
+        for k, c in enumerate(cols):
+            v = Fraction(int(c - ncols == i)) if c >= ncols else rows[i].get(c)
+            if v:
+                row[k] = v
+        M.append(row)
+    b = list(lp.rhs)
+    where, used = [None] * m, [False] * m
+    for k in range(m):
+        cand = [i for i in range(m) if not used[i] and M[i].get(k)]
+        if not cand:
+            return None
+        r = min(cand, key=lambda i: len(M[i]))
+        used[r], where[k] = True, r
+        p = M[r][k]
+        if p != 1:
+            M[r] = {j: c / p for j, c in M[r].items()}
+            b[r] = b[r] * (1 / p)
+        for i in range(m):
+            f = M[i].get(k)
+            if i != r and f:
+                for j, c in M[r].items():
+                    nv = M[i].get(j, Fraction(0)) - f * c
+                    if nv:
+                        M[i][j] = nv
+                    else:
+                        M[i].pop(j, None)
+                b[i] = b[i] - b[r] * f
+    x = {}
+    for k in range(m):
+        v, c = b[where[k]], cols[k]
+        s = lpbound._sgn(v)
+        if s < 0 or (c >= ncols and s != 0):
+            return None
+        if s != 0 and c < ncols:
+            x[c] = v
+    for row, total in zip(rows, lp.rhs):
+        for j, c in row.items():
+            if j in x:
+                total = total - x[j] * c
+        if lpbound._sgn(total) != 0:
+            return None
+    return {j: v for j, v in x.items() if j < lp.num_vars}
+
+
+@st.composite
+def linear_programs(draw):
+    """Up to 4 rows over up to 4 variables with coefficients in -2..2 and
+    right-hand sides that are all Fractions or all a·log 2 + b·log 3."""
+    nvars = draw(st.integers(1, 4))
+    logs = draw(st.booleans())
+    small = st.integers(-2, 2)
+    lp = LinearProgram(num_vars=nvars)
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = {j: Fraction(draw(small)) for j in range(nvars)}
+        if logs:
+            b = LogScalar({2: draw(small), 3: Fraction(draw(small), 2)})
+        else:
+            b = Fraction(draw(small), draw(st.integers(1, 3)))
+        lp.add(coeffs, b, draw(st.booleans()))
+    return lp
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_programs())
+def test_solve_phase1_matches_the_reference(lp):
+    assert lpbound.solve_phase1(lp) == reference_solve_phase1(lp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_programs(), st.data())
+def test_exact_point_from_basis_matches_the_reference(lp, data):
+    """Bases drawn over the stored columns, the artificials and one column
+    past them, repeats allowed, so that singular and infeasible bases and
+    nonzero artificials all occur; plus the float simplex's own basis."""
+    m = len(lp.rows)
+    cols = st.integers(0, lp.ncols + m)
+    bases = [data.draw(st.lists(cols, min_size=m, max_size=m)), lpbound.solve_float(lp)[1]]
+    for basis in bases:
+        assert lpbound.exact_point_from_basis(lp, basis) == reference_point_from_basis(lp, basis)
+
+
+def mixed_polymatroid(seed, n):
+    """A polymatroid in units of log 2 plus one in units of log 3/2: a sum
+    of polymatroids whose values, and the rows of the minima, mix the signs
+    of both primes, so that some rows reach `LogScalar.sign`."""
+    rng = random.Random(seed)
+    f2 = random_integer_polymatroid(rng, n, LogScalar({2: 1}))
+    f3 = random_integer_polymatroid(rng, n, LogScalar({2: -1, 3: 1}))
+    return f2 + f3
+
+
+def adjoined_by_min(f, amask, z):
+    """g({Z} ∪ B) = min(f(B ∪ A), f(B) + z), one comparison per value."""
+    return f.values + [min(f.values[m | amask], f.values[m] + z) for m in range(len(f.values))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3), st.data())
+def test_sw_extension_matches_the_per_value_minimum(seed, n, data):
+    f = mixed_polymatroid(seed, n)
+    xm = data.draw(st.integers(1, (1 << n) - 1))
+    ym = data.draw(st.integers(0, (1 << n) - 1))
+    g = sw_extension(f, xm, ym, name="Z")
+    assert g.values == adjoined_by_min(f, xm, f.values[xm | ym] - f.values[ym])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3), st.data())
+def test_sum_extension_matches_the_per_value_minimum(seed, n, data):
+    """X and an independent copy Y of it meet the preconditions."""
+    f = mixed_polymatroid(seed, n)
+    x = data.draw(st.sampled_from(f.ground.labels))
+    fp = independent_adhesion(f, SetFunction(["Y"], f.restrict([x]).values))
+    g = sum_extension(fp, x, "Y", name="Z")
+    amask = fp.ground.mask([x, "Y"])
+    assert g.values == adjoined_by_min(fp, amask, fp([x]))
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"\s*(?:(?P<rel>>=|<=|=)|(?P<op>[+-])|(?P<num>\d+(?:/\d+)?)"
+    r"|(?P<meas>[HI])\s*\(|(?P<close>\))|(?P<sep>[;|,])|(?P<name>[A-Za-z_][\w]*|\d+))"
+)
+
+
+def reference_parse(text):
+    """The peek/index parser, in which any number token may be a label."""
+    text = text.strip()
+    tokens, pos = [], 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            raise ValueError("cannot tokenize")
+        pos = m.end()
+        kind = next(k for k in ("rel", "op", "num", "meas", "close", "sep", "name")
+                    if m.group(k) is not None)
+        tokens.append((kind, m.group(kind)))
+    i = 0
+    terms = {}
+
+    def peek():
+        return tokens[i] if i < len(tokens) else (None, None)
+
+    def add(subset, c):
+        key = tuple(sorted(set(subset)))
+        if key:
+            terms[key] = terms.get(key, Fraction(0)) + c
+
+    def parse_list():
+        nonlocal i
+        out = []
+        while True:
+            kind, v = peek()
+            if kind not in ("name", "num"):
+                raise ValueError("expected a variable name")
+            out.append(v)
+            i += 1
+            kind, v = peek()
+            if not (kind == "sep" and v == ","):
+                return out
+            i += 1
+
+    def parse_side(sign):
+        nonlocal i
+        first = True
+        while i < len(tokens):
+            kind, v = peek()
+            if kind == "rel":
+                return
+            coeff = Fraction(1)
+            if kind == "op":
+                coeff = Fraction(-1) if v == "-" else Fraction(1)
+                i += 1
+                kind, v = peek()
+            elif not first:
+                raise ValueError("expected '+' or '-'")
+            first = False
+            if kind == "num":
+                nxt = tokens[i + 1] if i + 1 < len(tokens) else (None, None)
+                if nxt[0] != "meas":
+                    if Fraction(v) != 0:
+                        raise ValueError("nonzero constants are not supported")
+                    i += 1
+                    continue
+                coeff *= Fraction(v)
+                i += 1
+                kind, v = peek()
+            if kind != "meas":
+                raise ValueError("expected H(...) or I(...)")
+            meas = v
+            i += 1
+            a = parse_list()
+            if meas == "H":
+                if peek() == ("sep", "|"):
+                    i += 1
+                    b = parse_list()
+                    add(a + b, sign * coeff)
+                    add(b, -sign * coeff)
+                else:
+                    add(a, sign * coeff)
+            else:
+                if peek() != ("sep", ";"):
+                    raise ValueError("I(...) needs ';'")
+                i += 1
+                b = parse_list()
+                c = []
+                if peek() == ("sep", "|"):
+                    i += 1
+                    c = parse_list()
+                add(a + c, sign * coeff)
+                add(b + c, sign * coeff)
+                add(a + b + c, -sign * coeff)
+                if c:
+                    add(c, -sign * coeff)
+            if peek()[0] != "close":
+                raise ValueError("missing ')'")
+            i += 1
+
+    parse_side(Fraction(1))
+    kind, rel = peek()
+    if kind == "rel":
+        i += 1
+        if rel == "=":
+            raise ValueError("equalities are not supported")
+        if rel == "<=":
+            for k in terms:
+                terms[k] = -terms[k]
+        parse_side(Fraction(1) if rel == "<=" else Fraction(-1))
+    if i != len(tokens):
+        raise ValueError("trailing tokens")
+    return InfoExpression.from_terms(terms)
+
+
+_PIECES = ["H(", "I(", "H (", ")", ",", ";", "|", "+", "-", ">=", "<=", "=", " ", ".",
+           "0", "1", "12", "00", "3/2", "0/3", "5/0", "x", "Y_1", "H", "I", "2x"]
+_LABELS = ["1", "2", "3", "12", "0", "x", "Y_1", "H", "I"]
+_ODD = ["1/2", "3/0", "4/0 H(1)", "2/3", ".", "=", ""]  # drawn rarely, where a label goes
+_COEFFS = ["", "", "", "2 ", "3/2 ", "0 ", "00 ", "1/3", "2/4 "]
+
+
+@st.composite
+def expression_texts(draw):
+    """Well-formed expressions, sometimes with fractions as labels, zero
+    denominators or bare constants, then sometimes mutated piece by piece;
+    or a plain run of pieces."""
+    if not draw(st.integers(0, 3)):
+        return "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=14)))
+
+    def label():
+        return draw(st.sampled_from(_LABELS * 8 + _ODD))
+
+    def labels():
+        return ",".join(label() for _ in range(draw(st.integers(1, 3))))
+
+    def side():
+        out = ""
+        for k in range(draw(st.integers(0, 3))):
+            sign = draw(st.sampled_from(["+ ", "- "] + ([""] if k == 0 else [])))
+            atom = draw(st.sampled_from(["H", "I"] * 6 + ["0", "0/3", "2", "5/0"]))
+            if atom in "HI":
+                atom += "(" + labels() + (";" + labels() if atom == "I" else "")
+                atom += ("|" + labels() if draw(st.booleans()) else "") + ")"
+            out += " " + sign + draw(st.sampled_from(_COEFFS)) + atom
+        return out
+
+    text = side()
+    if draw(st.integers(0, 4)):
+        text += " " + draw(st.sampled_from([">=", "<=", ">=", "<=", "="])) + side()
+    pieces = list(text)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        pos = draw(st.integers(0, len(pieces)))
+        if draw(st.booleans()) and pieces:
+            del pieces[min(pos, len(pieces) - 1)]
+        else:
+            pieces.insert(pos, draw(st.sampled_from(_PIECES)))
+    return "".join(pieces)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(expression_texts())
+def test_parse_matches_the_reference_parser(text):
+    """Equal terms, or an error on both sides; a fraction used as a label
+    is an error on the new side only."""
+    try:
+        got = InfoExpression.parse(text)
+    except ValueError:
+        got = None
+    if re.search(r"[(,;|]\s*\d+/\d+", text):
+        assert got is None
+    else:
+        assert got == _parsed(reference_parse, text)

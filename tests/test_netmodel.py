@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import wide_inner_code
 from entronet.exactlog import log2_units
 from entronet.ffield import GF
 from entronet.netmodel import (
@@ -147,6 +148,15 @@ def test_the_cap_is_checked_before_any_table_is_built(monkeypatch):
     code = NetworkCode({"X": vec, "e": vec}, {"e": ident}, {("r", "X"): ident})
     with pytest.raises(ResourceError):
         evaluate_code(net, conn, code)
+
+
+def test_a_linear_table_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    def refuse(self, M):
+        raise AssertionError(f"a table of {2 ** len(M)} entries was asked for")
+
+    monkeypatch.setattr(GF, "image_table", refuse)
+    with pytest.raises(ResourceError, match="linear map"):
+        evaluate_code(*wide_inner_code())
 
 
 def test_code_product_with_trivial_code_is_identity():
