@@ -21,8 +21,16 @@ RationalLike = Union[int, Fraction]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 
+# Miller–Rabin to the first 13 prime bases is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_MR_BASES = _SMALL_PRIMES[:13]
+
 
 def is_prime(n: int) -> bool:
+    """Whether n is prime: trial division by the small primes, then
+    deterministic Miller–Rabin.  Raises ValueError for n at or above
+    PRIME_TEST_LIMIT, where no fixed set of bases is known to be exact."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -30,11 +38,23 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d = 67
-    while d * d <= n:
-        if n % d == 0:
+    if n < 67 * 67:
+        return True
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality")
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

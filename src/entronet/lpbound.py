@@ -6,6 +6,8 @@ information expressions."""
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,6 +38,9 @@ from .setfunc import (
 
 LP_BATCH = 400  # elemental rows lp_feasible activates per round, at most
 SHANNON_CAP = 10  # variables shannon_implies accepts, at most
+# entries of [A | I] below which linprog's fixed cost for sparse input
+# outweighs what HiGHS saves on it, so solve_highs passes a dense array
+HIGHS_DENSE_BELOW = 1 << 14
 
 
 class ExtensionError(ValueError):
@@ -315,25 +320,35 @@ class LinearProgram:
     """Rows a·x (= or <=) b over x ≥ 0, solved for feasibility only.  Each
     row is stored as a·x = b with b ≥ 0, the form every solver reads: an
     inequality gets its own slack column, numbered after the `num_vars`
-    structural columns in row order, and a row with b < 0 is negated."""
+    structural columns in row order, and a row with b < 0 is negated.
+    The float solvers read the same rows converted once, as they are
+    stored: the (row, column, value) of every nonzero entry, and b."""
 
     num_vars: int
-    rows: List[Dict[int, Fraction]] = field(default_factory=list)
-    rhs: List[object] = field(default_factory=list)
+    rows: List[Dict[int, Fraction]] = field(default_factory=list, init=False)
+    rhs: List[object] = field(default_factory=list, init=False)
     ncols: int = field(init=False)
+    entries: Tuple[List[int], List[int], List[float]] = field(
+        default_factory=lambda: ([], [], []), init=False, repr=False)
+    rhs_float: List[float] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.ncols = max([self.num_vars] + [j + 1 for row in self.rows for j in row])
+        self.ncols = self.num_vars
 
     def add(self, coeffs: Mapping[int, Fraction], b, equality: bool) -> None:
-        row = {j: Fraction(c) for j, c in coeffs.items() if c}
+        row = {j: c if type(c) is Fraction else Fraction(c) for j, c in coeffs.items() if c}
         if not equality:
             row[self.ncols] = Fraction(1)
             self.ncols += 1
         if _sgn(b) < 0:
             row, b = {j: -c for j, c in row.items()}, -b
+        ri, ci, vi = self.entries
+        ri.extend([len(self.rows)] * len(row))
+        ci.extend(row)
+        vi.extend(map(float, row.values()))
         self.rows.append(row)
         self.rhs.append(b)
+        self.rhs_float.append(float(b))
 
 
 def _tableau(lp: LinearProgram):
@@ -363,16 +378,21 @@ def _pivot(rows: List[Dict[int, Fraction]], rhs: list, r: int, jin: int) -> None
             rhs[i] = rhs[i] - rhs[r] * f
 
 
-def _dense(lp: LinearProgram):
-    """The stored rows as floats: [A | I] with one artificial column per
-    row after the ncols columns of A, and b."""
+def _float_rows(lp: LinearProgram):
+    """The stored float rows as a sparse [A | I], with one artificial column
+    per row after the ncols columns of A, and b."""
+    from scipy import sparse
+
     m = len(lp.rows)
-    A = np.zeros((m, lp.ncols + m))
-    for i, row in enumerate(lp.rows):
-        for j, c in row.items():
-            A[i, j] = float(c)
-        A[i, lp.ncols + i] = 1.0
-    return A, np.array([float(b) for b in lp.rhs])
+    ri, ci, vi = lp.entries
+    art = np.arange(m)
+    A = sparse.csr_matrix(
+        (np.concatenate([vi, np.ones(m)]),
+         (np.concatenate([np.asarray(ri, dtype=int), art]),
+          np.concatenate([np.asarray(ci, dtype=int), lp.ncols + art]))),
+        shape=(m, lp.ncols + m),
+    )
+    return A, np.array(lp.rhs_float)
 
 
 def solve_float(lp: LinearProgram):
@@ -385,8 +405,8 @@ def solve_float(lp: LinearProgram):
     if m == 0:
         return True, [], np.zeros(lp.num_vars)
     ncols = lp.ncols
-    A, b = _dense(lp)
-    T = np.column_stack([A, b])
+    A, b = _float_rows(lp)
+    T = np.column_stack([A.toarray(), b])
     basis = list(range(ncols, ncols + m))
     for _ in range(60 * (m + 10)):
         art_rows = [i for i, bb in enumerate(basis) if bb >= ncols]
@@ -467,7 +487,9 @@ def solve_highs(lp: LinearProgram):
     m = len(lp.rows)
     if m == 0:
         return True, np.zeros(lp.num_vars), None
-    A, b = _dense(lp)
+    A, b = _float_rows(lp)
+    if A.shape[0] * A.shape[1] < HIGHS_DENSE_BELOW:
+        A = A.toarray()
     cost = np.concatenate([np.zeros(lp.ncols), np.ones(m)])
     res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if not res.success:
@@ -504,8 +526,6 @@ def rationalize_point(xf, masks_primes):
     """Fit each float coordinate as a rational combination of logs of the
     given primes (exact-arithmetic candidate for a float vertex).  Returns a
     list of LogScalar or None when some coordinate resists fitting."""
-    import math
-
     import mpmath
 
     primes = sorted(masks_primes) or [2]
@@ -650,6 +670,38 @@ def connection_clauses(net: Network, conn: ConnectionRequirement, tup: RateCapac
 # LP outer bound
 
 
+def _instantiate(expr: InfoExpression, keys: Sequence[str]):
+    """`expr` over every injective assignment of the keys to its variables,
+    in `itertools.permutations` order.  Returns the masks of its terms (one
+    row per assignment, one column per term of `expr`; bit i stands for
+    keys[i]), the terms' coefficients scaled to integers, and each
+    instance's row {mask − 1: −c} of `-instance <= 0`, its terms in the
+    order that `InfoExpression.relabel` gives them."""
+    slots = expr.variables
+    k = len(keys)
+    combos = np.array(list(itertools.permutations(range(k), len(slots))), dtype=np.int64)
+    combos = combos.reshape(math.perm(k, len(slots)), len(slots))
+    # relabel orders an instance's terms by size, then by their sorted
+    # labels; among sets of one size that is the descending order of the
+    # mask whose bit k-1-r stands for the label of rank r
+    pos = {x: r for r, x in enumerate(sorted(keys))}
+    rev = 1 << (k - 1 - np.array([pos[x] for x in keys], dtype=np.int64))
+    masks = np.zeros((len(combos), len(expr.terms)), dtype=np.int64)
+    order_key = np.zeros_like(masks)
+    for t, (_, s) in enumerate(expr.terms):
+        cols = combos[:, [slots.index(x) for x in s]]
+        masks[:, t] = np.bitwise_or.reduce(1 << cols, axis=1)
+        order_key[:, t] = len(s) << k | ((1 << k) - 1 - np.bitwise_or.reduce(rev[cols], axis=1))
+    order = np.argsort(order_key, axis=1)
+    neg = [-c for c, _ in expr.terms]
+    rows = [
+        {m - 1: neg[t] for m, t in zip(mrow, trow)}
+        for mrow, trow in zip(np.take_along_axis(masks, order, axis=1).tolist(), order.tolist())
+    ]
+    scale = math.lcm(*(c.denominator for c, _ in expr.terms))
+    return masks, [int(c * scale) for c, _ in expr.terms], rows
+
+
 @dataclass(frozen=True)
 class LPResult:
     feasible: bool
@@ -704,32 +756,33 @@ def lp_feasible(
                 coeffs[mask - 1] = coeffs.get(mask - 1, Fraction(0)) + c
         return {j: c for j, c in coeffs.items() if c}
 
-    base_rows: List[Tuple[Dict[int, Fraction], object, bool]] = []
+    clauses: List[Tuple[Dict[int, Fraction], object, bool]] = []
     for _, terms, b, sense in connection_clauses(net, conn, tup):
         coeffs = coeffs_of(terms)
         if sense == ">=":  # a·x >= b  ->  -a·x <= -b
             coeffs, b = {j: -c for j, c in coeffs.items()}, -b
-        base_rows.append((coeffs, b, sense == "="))
+        clauses.append((coeffs, b, sense == "="))
+    base_rows = list(clauses)
     # extra templates instantiated over all injective label assignments
-    import itertools as _it
-
+    templates = []
     for expr in extra:
-        slots = expr.variables
-        for combo in _it.permutations(keys, len(slots)):
-            inst = expr.relabel(dict(zip(slots, combo)))
-            # inst >= 0  ->  -inst <= 0
-            base_rows.append(({j: -c for j, c in coeffs_of(inst.terms).items()}, ZERO, False))
+        masks, weights, rows = _instantiate(expr, keys)
+        templates.append((masks, weights))
+        base_rows += [(row, ZERO, False) for row in rows]
 
     elementals = elemental_index(k)
 
     def exact_ok(values: List[LogScalar]) -> bool:
-        for coeffs, b, equality in base_rows:
+        for coeffs, b, equality in clauses:
             total = ZERO
             for j, c in coeffs.items():
                 total = total + values[j + 1] * c
             s = (total - b).sign()
             if (equality and s != 0) or (not equality and s > 0):
                 return False
+        # every instance of a template in one pass (a term-free one holds)
+        if any(weights and negative_rows(values, masks, weights) for masks, weights in templates):
+            return False
         return not negative_rows(values, elementals, ELEMENTAL_WEIGHTS)
 
     if hint is not None and sorted(hint.ground.labels) == sorted(keys):
@@ -809,7 +862,14 @@ def lp_feasible(
 def shannon_implies(expr: InfoExpression, n: int):
     """True iff `expr >= 0` is a non-negative rational combination of the
     elemental inequalities on n variables; returns (bool, certificate) where
-    the certificate maps elemental descriptions to their weights."""
+    the certificate maps elemental descriptions to their weights.
+
+    HiGHS proposes and exact arithmetic decides, whatever HiGHS concluded.
+    The exact phase-1 simplex first solves for the weights over only the
+    elemental rows that HiGHS's point uses: a certificate there is one for
+    every row.  Failing that, HiGHS's dual proves "not implied" once
+    `farkas_verified` accepts it, and otherwise the exact phase-1 simplex
+    decides over every row."""
     if n > SHANNON_CAP:
         raise ResourceError(f"{n} variables exceed the cap {SHANNON_CAP}")
     labels = expr.variables
@@ -824,24 +884,39 @@ def shannon_implies(expr: InfoExpression, n: int):
             mask |= 1 << index[lab]
         target[mask] += c
     elementals = elemental_index(n).tolist()
-    # find y >= 0 with sum_i y_i * row_i == target (columns = subset masks);
-    # no row repeats a nonempty mask
-    lp = LinearProgram(num_vars=len(elementals))
     cols: Dict[int, Dict[int, int]] = {}
     for i, row in enumerate(elementals):
         for mask, c in zip(row, ELEMENTAL_WEIGHTS):
             if mask:
                 cols.setdefault(mask, {})[i] = c
-    for mask in range(1, 1 << n):
-        lp.add(cols.get(mask, {}), target[mask], True)
-    feasible, y = solve_phase1(lp)
-    if not feasible:
+
+    def program(use: Sequence[int]) -> LinearProgram:
+        """y >= 0 with sum_i y_i * row_i == target over the elemental rows in
+        `use`, y_k weighting row use[k] (columns = subset masks; no row
+        repeats a nonempty mask)."""
+        pos = {i: k for k, i in enumerate(use)}
+        lp = LinearProgram(num_vars=len(use))
+        for mask in range(1, 1 << n):
+            lp.add({pos[i]: c for i, c in cols.get(mask, {}).items() if i in pos}, target[mask], True)
+        return lp
+
+    def certificate(use: Sequence[int]):
+        """The exact phase-1 simplex's certificate for program(use), or None
+        when there is none."""
+        feasible, y = solve_phase1(program(use))
+        if not feasible:
+            return None
+        return {_elemental_key(use[k], elementals[use[k]], n): w for k, w in (y or {}).items() if w}
+
+    every = range(len(elementals))
+    lp = program(every)
+    _, x, dual = solve_highs(lp)
+    cert = certificate(np.flatnonzero(x > 1e-9).tolist()) if x is not None else None
+    if cert is None and dual is not None and farkas_verified(lp, dual):
         return False, None
-    cert = {}
-    for i, w in (y or {}).items():
-        if w:
-            cert[_elemental_key(i, elementals[i], n)] = w
-    return True, cert
+    if cert is None:
+        cert = certificate(every)
+    return cert is not None, cert
 
 
 # ---------------------------------------------------------------------------

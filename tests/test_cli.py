@@ -242,8 +242,15 @@ def _forty_ground_labels(cert):
     cert["locals"]["sources"]["function"]["ground"] = [str(i) for i in range(40)]
 
 
+def _a_key_too_large_to_test(cert):
+    # no small factor, and past the bound of the deterministic prime test
+    values = cert["locals"]["sources"]["function"]["values"]
+    values[next(iter(values))] = {"1000000000000000000000000000057": "1"}
+
+
 @pytest.mark.parametrize("forge", [_a_value_is_a_string, _a_local_is_a_list, _locals_is_a_string,
-                                   _a_zero_denominator, _forty_ground_labels])
+                                   _a_zero_denominator, _forty_ground_labels,
+                                   _a_key_too_large_to_test])
 def test_witness_verify_on_a_malformed_certificate_exits_2(tmp_path, capsys, forge):
     h_path = write(tmp_path, "h.json", SetFunction.from_log2("12", {"1": 1, "2": 2, "12": 2}).to_json())
     assert run(["witness", "build", h_path, "--n", "2"]) == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entronet.exactlog import ZERO, LogScalar, log2_units
+from entronet.exactlog import PRIME_TEST_LIMIT, ZERO, LogScalar, is_prime, log2_units
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -93,3 +93,35 @@ def test_hashable_and_comparable():
 def test_rejects_nonprime_base():
     with pytest.raises(ValueError):
         LogScalar({4: Fraction(1)})
+
+
+def trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-2, 20000) if is_prime(n)] == [
+        n for n in range(-2, 20000) if trial_division(n)]
+
+
+@pytest.mark.parametrize("n, prime", [
+    (2**61 - 1, True),
+    (10**24 + 7, True),
+    (3317044064679887385961813, True),  # the largest prime below the limit
+    (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+    (3825123056546413051, False),  # strong pseudoprime to the bases 2 to 23
+    (318665857834031151167461, False),  # strong pseudoprime to the first 12 prime bases
+    (1000003 * 1000000007, False),
+])
+def test_is_prime_on_large_numbers(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_numbers_past_the_limit():
+    """Past the limit only a small factor still decides."""
+    for n in (PRIME_TEST_LIMIT, PRIME_TEST_LIMIT + 6, 10**30 + 57):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
+    assert is_prime(PRIME_TEST_LIMIT + 2) is False  # divisible by 3
+    with pytest.raises(ValueError):
+        LogScalar.from_json({"1000000000000000000000000000057": "1"})

@@ -1,16 +1,19 @@
 import hashlib
+import itertools
 import json
 import random
 import re
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import perturb_non_polymatroid, random_integer_polymatroid
 from entronet.construct import build_gdagger, rate_capacity
-from entronet.exactlog import ZERO, LogScalar, log2_units
+from entronet.exactlog import ZERO, LogScalar, log2_units, negative_rows
 from entronet.groupchar import builtin_function
 from entronet import lpbound
 from entronet.lpbound import (
@@ -41,7 +44,7 @@ from entronet.netmodel import (
     ResourceError,
     UNCAPPED,
 )
-from entronet.setfunc import SetFunction, check_polymatroid
+from entronet.setfunc import ELEMENTAL_WEIGHTS, SetFunction, check_polymatroid, elemental_index
 
 
 # --- extension calculus ------------------------------------------------------
@@ -183,12 +186,37 @@ def test_shannon_implies_elemental_with_certificate():
     ("H(1,2,3) - H(1) >= 0", {("mono", (1,)): 1, ("mono", (2,)): 1, ("submod", (2, 3, 1)): 1,
                               ("submod", (1, 3, 5)): 1, ("submod", (1, 2, 9)): 1}),
 ])
-def test_shannon_implies_certificates_are_unchanged(text, cert):
-    """Golden certificates at n = 4: the row order of elemental_index fixes
-    which vertex the exact simplex returns, so a reordered table shows here."""
-    ok, got = shannon_implies(InfoExpression.parse(text), 4)
+def test_shannon_implies_certificates_are_unchanged(text, cert, monkeypatch):
+    """Golden certificates of the exact simplex at n = 4: the row order of
+    elemental_index fixes which vertex it returns, so a reordered table
+    shows here.  HiGHS may steer to another vertex, whose certificate is
+    checked by its exact sum instead."""
+    expr = InfoExpression.parse(text)
+    ok, steered = shannon_implies(expr, 4)
+    assert ok and certificate_sums_to(expr, 4, steered)
+    monkeypatch.setattr(lpbound, "solve_highs", lambda lp: (None, None, None))
+    ok, got = shannon_implies(expr, 4)
     assert ok and got == cert
     assert all(type(w) is Fraction for w in got.values())
+
+
+def certificate_sums_to(expr, n, cert):
+    """Exact check of a Shannon certificate: Fraction weights, none
+    negative, whose sum of the named elemental rows is expr, with the
+    variables numbered as shannon_implies numbers them."""
+    labels = list(expr.variables) + [f"_v{i}" for i in range(n - len(expr.variables))]
+    target = [Fraction(0)] * (1 << n)
+    for c, subset in expr.terms:
+        target[sum(1 << labels.index(x) for x in subset)] += c
+    rows = {lpbound._elemental_key(i, row, n): row
+            for i, row in enumerate(elemental_index(n).tolist())}
+    total = [Fraction(0)] * (1 << n)
+    for key, w in cert.items():
+        if type(w) is not Fraction or w < 0:
+            return False
+        for mask, c in zip(rows[key], ELEMENTAL_WEIGHTS):
+            total[mask] += w * c
+    return total[1:] == target[1:]
 
 
 def test_shannon_implies_monotonicity():
@@ -201,6 +229,98 @@ def test_shannon_does_not_imply_zy_or_ingleton():
     assert not ok and cert is None
     ok, _ = shannon_implies(ingleton_expression(), 4)
     assert not ok
+
+
+def phase1_spy(monkeypatch):
+    """The number of weights (columns) of each program solve_phase1 gets."""
+    calls = []
+
+    def spy(lp, _phase1=lpbound.solve_phase1):
+        calls.append(lp.num_vars)
+        return _phase1(lp)
+
+    monkeypatch.setattr(lpbound, "solve_phase1", spy)
+    return calls
+
+
+def test_shannon_implies_at_n7_solves_exactly_on_highs_support(monkeypatch):
+    """At n = 7 the program has 679 weights; the exact simplex only ever
+    sees the few that HiGHS's point uses."""
+    calls = phase1_spy(monkeypatch)
+    cmi = InfoExpression.parse("I(1;2|3) >= 0")
+    ok, cert = shannon_implies(cmi, 7)
+    assert ok and certificate_sums_to(cmi, 7, cert)
+    assert shannon_implies(zhang_yeung_expression(), 7) == (False, None)
+    assert len(calls) == 2 and max(calls) < 30
+
+
+def perturbed(lp, how, _highs=lpbound.solve_highs):
+    """HiGHS's answer with its point changed by `how`."""
+    feasible, x, dual = _highs(lp)
+    return feasible, how(x.copy()), dual
+
+
+@pytest.mark.parametrize("how", [
+    lambda x: np.where(x == x.max(), 0.0, x),  # one weight of the certificate dropped
+    lambda x: x * 0.0,  # no weight at all
+])
+def test_shannon_implies_refuses_a_wrong_highs_point(monkeypatch, how):
+    """When the columns of HiGHS's point carry no certificate, and HiGHS
+    offers no dual, the exact simplex decides over every column."""
+    calls = phase1_spy(monkeypatch)
+    monkeypatch.setattr(lpbound, "solve_highs", lambda lp: perturbed(lp, how))
+    expr = InfoExpression.parse("H(1,2,3) - H(1) >= 0")
+    ok, cert = shannon_implies(expr, 4)
+    every = len(elemental_index(4))
+    assert ok and certificate_sums_to(expr, 4, cert)
+    assert len(calls) == 2 and calls[0] < every == calls[1]
+    # phase 1 over every column decided, so its vertex is the golden one
+    assert cert[("submod", (1, 2, 9))] == 1
+
+
+def test_shannon_implies_refuses_a_wrong_farkas_ray(monkeypatch):
+    """A claimed infeasibility whose dual is no Farkas certificate leaves
+    the verdict to phase 1."""
+    calls = phase1_spy(monkeypatch)
+    monkeypatch.setattr(lpbound, "solve_highs",
+                        lambda lp: (False, None, np.ones(len(lp.rows))))
+    expr = InfoExpression.parse("I(1;2|3) >= 0")
+    ok, cert = shannon_implies(expr, 4)
+    assert ok and certificate_sums_to(expr, 4, cert)
+    assert calls == [len(elemental_index(4))]
+
+
+@st.composite
+def expressions(draw):
+    """An expression on n = 2..5 variables: a non-negative combination of
+    elemental rows (implied), or random terms with small coefficients."""
+    n = draw(st.integers(2, 5))
+    labels = [str(i + 1) for i in range(n)]
+    terms = {}
+    if draw(st.booleans()):
+        table = elemental_index(n).tolist()
+        for r in draw(st.lists(st.integers(0, len(table) - 1), min_size=1, max_size=4)):
+            w = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+            for mask, c in zip(table[r], ELEMENTAL_WEIGHTS):
+                subset = tuple(labels[i] for i in range(n) if mask >> i & 1)
+                terms[subset] = terms.get(subset, Fraction(0)) + w * c
+    else:
+        subsets = st.lists(st.sampled_from(labels), min_size=1, unique=True).map(tuple)
+        for subset in draw(st.lists(subsets, min_size=1, max_size=5)):
+            terms[subset] = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+    return InfoExpression.from_terms(terms), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions())
+def test_steered_shannon_implies_matches_phase1(case):
+    expr, n = case
+    ok, cert = shannon_implies(expr, n)
+    with mock.patch.object(lpbound, "solve_highs", lambda lp: (None, None, None)):
+        ok1, cert1 = shannon_implies(expr, n)
+    assert ok == ok1
+    for c in (cert, cert1):
+        assert (c is None) if not ok else certificate_sums_to(expr, n, c)
 
 
 # --- LP feasibility ----------------------------------------------------------
@@ -248,6 +368,26 @@ def test_lp_feasible_point_is_polymatroid():
     # the exact point satisfies the decode equality: H(U | e2) = 0
     g = res.assignment
     assert g(["U", "e2"]) == g(["e2"])
+
+
+def test_lp_feasible_checks_a_hint_against_every_template_instance():
+    """A hint that meets every connection clause but violates Ingleton on
+    four of its edges is taken without the template and refused with it."""
+    zy = builtin_function("zy")
+    h = SetFunction(["e2", "e3", "e4", "e5"], zy.values)
+    h = functional_extension(h, ["e2", "e3", "e4", "e5"], name="X")  # the session
+    h = functional_extension(h, ["X"], name="e1")  # the receiver's copy of it
+    net = Network(("s", "r", "t"), (Edge("e1", "s", "r", UNCAPPED),) + tuple(
+        Edge(f"e{i}", "s", "t", UNCAPPED) for i in range(2, 6)))
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    tup = RateCapacityTuple({"X": h(["X"])}, {})
+    assert ingleton_expression(["e2", "e3", "e4", "e5"]).evaluate(h) < ZERO
+    assert lp_feasible(net, conn, tup, hint=h).rounds == 0
+    ing = ingleton_expression()
+    res = lp_feasible(net, conn, tup, extra=[ing], hint=h)
+    assert res.feasible and res.rounds > 0
+    for combo in itertools.permutations(res.assignment.ground.labels, 4):
+        assert ing.relabel(dict(zip(ing.variables, combo))).evaluate(res.assignment) >= ZERO
 
 
 def holds_exactly(g, net, conn, tup):
@@ -659,6 +799,53 @@ def test_sum_extension_matches_the_per_value_minimum(seed, n, data):
     g = sum_extension(fp, x, "Y", name="Z")
     amask = fp.ground.mask([x, "Y"])
     assert g.values == adjoined_by_min(fp, amask, fp([x]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_programs())
+def test_float_rows_are_the_stored_rows(lp):
+    A, b = lpbound._float_rows(lp)
+    m = len(lp.rows)
+    dense = np.zeros((m, lp.ncols + m))
+    for i, row in enumerate(lp.rows):
+        for j, c in row.items():
+            dense[i, j] = float(c)
+        dense[i, lp.ncols + i] = 1.0
+    assert np.array_equal(A.toarray(), dense)
+    assert np.array_equal(b, [float(v) for v in lp.rhs])
+
+
+@st.composite
+def templates(draw):
+    """An expression over up to 4 variables, with 0 to 6 terms, and the
+    keys it is instantiated over, in no particular order."""
+    slots = [str(i + 1) for i in range(draw(st.integers(1, 4)))]
+    subsets = st.lists(st.sampled_from(slots), min_size=1, unique=True).map(tuple)
+    coeffs = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    expr = InfoExpression.from_terms(draw(st.dictionaries(subsets, coeffs, max_size=6)))
+    pool = ["X", "U", "e1", "e10", "e2", "a", "Z", "_v"]
+    return expr, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(templates(), st.data())
+def test_instantiate_matches_relabel(case, data):
+    """The rows are those of relabelling the template, term order included,
+    and the integer rows flag exactly the instances that random values,
+    mixing log 2 and log 3, make negative."""
+    expr, keys = case
+    index = {x: i for i, x in enumerate(keys)}
+    masks, weights, rows = lpbound._instantiate(expr, keys)
+    insts = [expr.relabel(dict(zip(expr.variables, combo)))
+             for combo in itertools.permutations(keys, len(expr.variables))]
+    want = [[(sum(1 << index[x] for x in s) - 1, -c) for c, s in inst.terms] for inst in insts]
+    assert [list(row.items()) for row in rows] == want
+    small = st.integers(-3, 3)
+    values = [ZERO] + [LogScalar({2: data.draw(small), 3: data.draw(small)})
+                       for _ in range(1, 1 << len(keys))]
+    flagged = [r for r, _ in negative_rows(values, masks, weights)] if weights else []
+    g = SetFunction(keys, values)
+    assert flagged == [p for p, inst in enumerate(insts) if inst.evaluate(g).sign() < 0]
 
 
 _REFERENCE_TOKEN = re.compile(
