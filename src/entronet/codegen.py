@@ -295,7 +295,7 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
     N = layout.n
     if fam.arity != N:
         raise ValueError(f"family arity {fam.arity} does not match layout N={N}")
-    if fam.intersection_basis(range(N)):
+    if fam.intersection_codim(range(N)) != fam.ambient_dim:
         raise ValueError("subspaces must intersect only at the zero vector")
     gf = fam.gf
     q = fam.q

@@ -11,6 +11,7 @@ nonzero value is decided by interval evaluation at increasing precision.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -309,14 +310,19 @@ def log2_units(coeff: RationalLike) -> LogScalar:
 def entropy_of_counts(counts: Iterable[int]) -> LogScalar:
     """Exact entropy of a distribution given by positive integer counts.
 
-    With total T and counts c_i, H = log T - (1/T) * sum(c_i * log c_i).
+    With total T, H = log T - (1/T) * sum_c m_c * c * log c over the
+    distinct counts c, each occurring m_c times.  Each distinct count is
+    factorized once and the coefficient of each prime p is
+    (T * e_p(T) - sum_c m_c * c * e_p(c)) / T, one Fraction per prime; the
+    counts of a uniform distribution are all equal and give a single term.
     """
-    counts = list(counts)
-    total = sum(counts)
-    if total <= 0 or any(c <= 0 for c in counts):
+    hist = Counter(counts)
+    total = sum(c * m for c, m in hist.items())
+    if total <= 0 or any(c <= 0 for c in hist):
         raise ValueError("counts must be positive integers")
-    h = LogScalar.log_int(total)
-    for c in counts:
+    nums = {p: e * total for p, e in factorize(total).items()}
+    for c, m in hist.items():
         if c > 1:
-            h = h - LogScalar.log_int(c) * Fraction(c, total)
-    return h
+            for p, e in factorize(c).items():
+                nums[p] = nums.get(p, 0) - m * c * e
+    return LogScalar._trusted({p: Fraction(x, total) for p, x in nums.items() if x})

@@ -248,6 +248,21 @@ class SubspaceFamily:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "members", tuple(mem))
+        object.__setattr__(self, "_annihilators", {})
+
+    @classmethod
+    def _trusted(
+        cls, q: int, ambient_dim: int, members: Sequence[Matrix], annihilators: Dict[int, Matrix]
+    ) -> "SubspaceFamily":
+        """A family from full-rank bases over a field already built, without
+        re-validating them; `annihilators` maps member indices to known
+        annihilators (matrices whose left kernel is that member)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "q", q)
+        object.__setattr__(out, "ambient_dim", ambient_dim)
+        object.__setattr__(out, "members", tuple(tuple(map(tuple, m)) for m in members))
+        object.__setattr__(out, "_annihilators", dict(annihilators))
+        return out
 
     @property
     def arity(self) -> int:
@@ -257,31 +272,35 @@ class SubspaceFamily:
     def gf(self) -> GF:
         return GF(self.q)
 
-    def intersection_basis(self, indices: Sequence[int]) -> Matrix:
-        gf = self.gf
-        it = iter(indices)
-        try:
-            first = next(it)
-        except StopIteration:
-            return gf.identity(self.ambient_dim)
-        cur = [list(r) for r in self.members[first]]
-        for i in it:
-            cur = gf.intersect(cur, [list(r) for r in self.members[i]])
-        return cur
+    def _annihilator(self, i: int) -> Matrix:
+        # computed once per member and kept with the family; shared, so the
+        # public accessor hands out copies
+        K = self._annihilators.get(i)
+        if K is None:
+            n = self.ambient_dim
+            perp = self.gf.nullspace([[row[c] for row in self.members[i]] for c in range(n)])
+            K = self._annihilators[i] = [[v[r] for v in perp] for r in range(n)]
+        return K
 
     def annihilator(self, i: int) -> Matrix:
         """An ambient_dim × (ambient_dim − dim V_i) matrix whose left kernel
-        is member V_i: the transpose of a basis of its orthogonal complement."""
-        n = self.ambient_dim
-        perp = self.gf.nullspace([[row[c] for row in self.members[i]] for c in range(n)])
-        return [[v[r] for v in perp] for r in range(n)]
+        is member V_i: the transpose of a basis of its orthogonal complement,
+        unless the family was built with one.  A fresh copy on each call."""
+        return [list(r) for r in self._annihilator(i)]
+
+    def intersection_codim(self, indices: Sequence[int]) -> int:
+        """ambient_dim − dim of the intersection of the indexed members: the
+        rank of their annihilators side by side, whose left kernel is that
+        intersection."""
+        blocks = [self._annihilator(i) for i in indices]
+        return self.gf.rank([[x for K in blocks for x in K[r]] for r in range(self.ambient_dim)])
 
     def entropy_at(self, indices: Sequence[int]) -> LogScalar:
-        """(ambient_dim - dim of the indexed intersection) * log q."""
+        """(ambient_dim - dim of the indexed intersection) * log q, from one
+        rank (`intersection_codim`)."""
         if not indices:
             return ZERO
-        d = len(self.intersection_basis(indices))
-        return LogScalar.log_int(self.q) * (self.ambient_dim - d)
+        return LogScalar.log_int(self.q) * self.intersection_codim(indices)
 
     def to_json(self) -> dict:
         return {

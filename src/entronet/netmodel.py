@@ -452,6 +452,15 @@ def decoder_feeds(net: Network, conn: ConnectionRequirement, node: str) -> List[
     return conn.sessions_at(node) + [e.id for e in net.in_edges(node)]
 
 
+_CODE_LIMIT = 1 << 62  # largest radix product a mixed-radix int64 code may reach
+
+
+def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of `a`, and their number."""
+    values, ranks = np.unique(a, return_inverse=True)
+    return ranks, len(values)
+
+
 class EntropyOracle:
     """On-demand exact entropies of the empirical joint distribution of the
     session/edge variables (uniform over all source tuples)."""
@@ -463,17 +472,25 @@ class EntropyOracle:
         self.ground = GroundSet(sorted(self.arrays))
 
     def entropy(self, keys: Sequence[str]) -> LogScalar:
+        """H(keys): the tuples of `keys` are numbered by one mixed-radix int64
+        code, and the entropy is that of the code's count histogram
+        (`entropy_of_counts`, one term per distinct count).  Before a step
+        whose radix product could pass 2^62, the running code, and if need
+        be the operand, is replaced by the rank of its value among its
+        distinct values, which keeps the partition and so the counts."""
         keys = list(keys)
         if not keys:
             return ZERO
         code = np.zeros(self.total, dtype=np.int64)
         card = 1
         for k in keys:
-            code = code * self.sizes[k] + self.arrays[k]
-            card *= self.sizes[k]
-            if card > 1 << 40:
-                _, code = np.unique(code, return_inverse=True)
-                card = self.total
+            arr, size = self.arrays[k], self.sizes[k]
+            if card * size > _CODE_LIMIT:
+                code, card = _ranks(code)
+            if card * size > _CODE_LIMIT:
+                arr, size = _ranks(arr)
+            code = code * size + arr
+            card *= size
         _, counts = np.unique(code, return_counts=True)
         return entropy_of_counts(counts.tolist())
 
@@ -771,7 +788,13 @@ def kernels_of_linear_code(
 ) -> SubspaceFamily:
     """Compose local encoder matrices along topological order to get global
     maps from the stacked source space, and return their kernels, indexed by
-    sessions (sorted) then edges (sorted)."""
+    sessions (sorted) then edges (sorted).
+
+    Each kernel is `gf.nullspace` of its global map M, a full-rank basis, so
+    the family is built without re-validating it.  M has that kernel as its
+    left kernel, so when its columns are independent it is kept as the
+    member's annihilator, and `entropy_at` on the family is one rank of
+    stacked global maps."""
     q = code.is_linear()
     if q is None:
         raise ValueError("code is not linear over a common field")
@@ -801,10 +824,14 @@ def kernels_of_linear_code(
         enc = code.encoders[e.id]
         global_maps[e.id] = gf.matmul(hcols, enc.matrix)
 
-    members = []
-    for key in sess + [e.id for e in sorted(net.edges, key=lambda e: e.id)]:
-        members.append(gf.nullspace(global_maps[key]))
-    return SubspaceFamily(q, D, members)
+    maps = [global_maps[s] for s in sess]
+    maps += [global_maps[e.id] for e in sorted(net.edges, key=lambda e: e.id)]
+    members = [gf.nullspace(M) for M in maps]
+    # a map with independent columns is an annihilator of its kernel
+    independent = {
+        i: M for i, M in enumerate(maps) if len(members[i]) + (len(M[0]) if M else 0) == D
+    }
+    return SubspaceFamily._trusted(q, D, members, independent)
 
 
 def to_dot(net: Network, conn: ConnectionRequirement | None = None) -> str:

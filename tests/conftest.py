@@ -46,6 +46,22 @@ def group_catalog():
     return groups
 
 
+def chained_intersection(fam, indices):
+    """Basis of the intersection of the indexed members of a subspace
+    family, one `GF.intersect` per further index: the reference for
+    `SubspaceFamily.intersection_codim`."""
+    gf = GF(fam.q)
+    it = iter(indices)
+    try:
+        first = next(it)
+    except StopIteration:
+        return gf.identity(fam.ambient_dim)
+    cur = [list(r) for r in fam.members[first]]
+    for i in it:
+        cur = gf.intersect(cur, [list(r) for r in fam.members[i]])
+    return cur
+
+
 def all_subspaces(q, n):
     """Every subspace of F_q^n as a canonical (rref) row-basis tuple."""
     g = GF(q)

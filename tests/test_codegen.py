@@ -5,10 +5,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subspaces
+from conftest import all_subspaces, chained_intersection
 from entronet.codegen import (
     GroupCodeError,
     group_code_encode,
@@ -18,6 +18,7 @@ from entronet.codegen import (
     side_info_encoder,
 )
 from entronet.construct import build_gdagger, capacitated_network, rate_capacity
+from entronet.exactlog import LogScalar
 from entronet.ffield import GF
 from entronet.groupchar import (
     SubgroupFamily,
@@ -106,6 +107,46 @@ def test_linear_code_three_lines_f2():
     assert ker.q == 2
 
 
+_subspace_pool = {}
+_layouts = {}
+
+
+@st.composite
+def kernel_families(draw):
+    """The kernel family of the linear code of a random family with a zero
+    intersection, and index lists over it."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    N = draw(st.sampled_from([2, 3]))
+    subs = _subspace_pool.setdefault((q, n), all_subspaces(q, n))
+    fam = SubspaceFamily(q, n, [draw(st.sampled_from(subs)) for _ in range(N)])
+    assume(not chained_intersection(fam, range(N)))
+    lay = _layouts.setdefault(N, build_gdagger(N))
+    code = linear_code(fam, lay)
+    net = capacitated_network(lay, rate_capacity(entropy_from_subspaces(fam), lay))
+    ker = kernels_of_linear_code(net, lay.conn, code)
+    indices = st.lists(st.integers(0, ker.arity - 1), min_size=1, max_size=8)
+    return ker, draw(st.lists(indices, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_families())
+def test_kernel_family_annihilators_and_entropies(case):
+    ker, index_lists = case
+    gf = GF(ker.q)
+    D = ker.ambient_dim
+    # annihilators as the family was built, before entropy_at fills any in
+    for i, basis in enumerate(ker.members):
+        K = ker.annihilator(i)
+        assert len(K) == D and all(len(row) == D - len(basis) for row in K)
+        kernel = gf.nullspace(K)
+        assert len(kernel) == len(basis)
+        assert gf.rank([list(r) for r in basis] + kernel) == len(basis)
+    for idx in index_lists:
+        codim = D - len(chained_intersection(ker, idx))
+        assert ker.entropy_at(idx) == LogScalar.log_int(ker.q) * codim
+
+
 def test_linear_code_rejects_nontrivial_intersection():
     fam = SubspaceFamily(2, 2, (((1, 0),), ((1, 0),)))
     with pytest.raises(ValueError):
@@ -119,7 +160,7 @@ def test_linear_code_with_full_space_member():
     line = next(s for s in subs if len(s) == 1)
     plane = next(s for s in subs if len(s) == 2)
     fam = SubspaceFamily(2, 3, (line, plane, full))
-    if not fam.intersection_basis(range(3)):
+    if fam.intersection_codim(range(3)) == 3:
         lay = build_gdagger(3)
         code = linear_code(fam, lay)
         tup = rate_capacity(entropy_from_subspaces(fam), lay)

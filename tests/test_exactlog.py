@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entronet.exactlog import PRIME_TEST_LIMIT, ZERO, LogScalar, is_prime, log2_units
+from entronet.exactlog import (
+    PRIME_TEST_LIMIT,
+    ZERO,
+    LogScalar,
+    entropy_of_counts,
+    is_prime,
+    log2_units,
+)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -125,3 +132,49 @@ def test_is_prime_refuses_numbers_past_the_limit():
     assert is_prime(PRIME_TEST_LIMIT + 2) is False  # divisible by 3
     with pytest.raises(ValueError):
         LogScalar.from_json({"1000000000000000000000000000057": "1"})
+
+
+def entropy_of_counts_per_count(counts):
+    """The reference: one LogScalar subtraction per count."""
+    counts = list(counts)
+    total = sum(counts)
+    if total <= 0 or any(c <= 0 for c in counts):
+        raise ValueError("counts must be positive integers")
+    h = LogScalar.log_int(total)
+    for c in counts:
+        if c > 1:
+            h = h - LogScalar.log_int(c) * Fraction(c, total)
+    return h
+
+
+# 1, primes, prime powers, and counts above 2^40 (one with a prime factor
+# above 2^40, the others smooth so that factorizing them stays cheap)
+counts = st.one_of(
+    st.integers(1, 40),
+    st.sampled_from([1, 2, 3, 7, 8, 9, 61, 67, 4099, 2**31 - 1]),
+    st.sampled_from([2**40, 3 * 2**40, 2**40 + 15, 5**18, 6**16]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(counts, min_size=1, max_size=8).flatmap(
+    lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=12)))
+def test_entropy_of_counts_matches_the_per_count_loop(cs):
+    """Drawn with repeats, so equal counts are grouped."""
+    fast = entropy_of_counts(cs)
+    assert fast == entropy_of_counts_per_count(cs)
+    assert fast.to_json() == entropy_of_counts_per_count(cs).to_json()
+    assert all(type(q) is Fraction and q for q in fast._terms.values())
+
+
+def test_entropy_of_uniform_counts_is_the_log_of_their_number():
+    assert entropy_of_counts([6] * 12) == LogScalar.log_int(12)
+    assert entropy_of_counts([5]) == ZERO
+    assert entropy_of_counts([2, 1, 1]) == log2_units(Fraction(3, 2))
+
+
+@pytest.mark.parametrize("bad", [[], [0], [3, 0], [2, -1], [-2, -2], [5, -5]])
+def test_entropy_of_counts_refuses_a_non_positive_count(bad):
+    for fn in (entropy_of_counts, entropy_of_counts_per_count):
+        with pytest.raises(ValueError, match="positive"):
+            fn(bad)

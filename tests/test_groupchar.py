@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subspaces, group_catalog
+from conftest import all_subspaces, chained_intersection, group_catalog
 from entronet.exactlog import LogScalar, log2_units
 from entronet.ffield import GF
 from entronet.groupchar import (
@@ -175,6 +175,44 @@ def test_annihilator_has_the_member_as_left_kernel(q, n):
         rows = [list(r) for r in basis]
         assert len(kernel) == len(basis)
         assert gf.rank(rows + kernel) == len(basis)
+
+
+def test_annihilator_hands_out_copies():
+    fam = SubspaceFamily(2, 2, (((1, 0),),))
+    K = fam.annihilator(0)
+    K[0][0] ^= 1
+    assert fam.annihilator(0) != K
+    assert fam.entropy_at([0]) == log2_units(1)
+
+
+@st.composite
+def subspace_families(draw):
+    """Members from random spanning sets, the zero and the full space among
+    them; index lists with repeats."""
+    q = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(0, 4))
+    gf = GF(q)
+    vectors = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    members = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "full", "random"]))
+        if kind == "zero":
+            members.append([])
+        elif kind == "full":
+            members.append(gf.identity(n))
+        else:
+            members.append(gf.row_basis(draw(st.lists(vectors, max_size=n + 1))))
+    indices = st.lists(st.integers(0, len(members) - 1), max_size=6)
+    return SubspaceFamily(q, n, members), draw(indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(subspace_families())
+def test_entropy_at_matches_the_chained_intersection(case):
+    fam, idx = case
+    codim = fam.ambient_dim - len(chained_intersection(fam, idx))
+    assert fam.intersection_codim(idx) == codim
+    assert fam.entropy_at(idx) == LogScalar.log_int(fam.q) * codim
 
 
 def test_support_projection():

@@ -1,17 +1,20 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import wide_inner_code
-from entronet.exactlog import log2_units
+from entronet.exactlog import entropy_of_counts, log2_units
 from entronet.ffield import GF
 from entronet.netmodel import (
     Alphabet,
     ConnectionRequirement,
     Edge,
+    EntropyOracle,
     LinearMap,
     Network,
     NetworkCode,
@@ -118,6 +121,52 @@ def test_oracle_is_built_once_and_only_within_one_chunk():
         chunked.induced
 
 
+# three variables over four outcomes whose joint has counts {2, 1, 1}: a
+# mixed-radix code over alphabets of 2^31 * 2^34 * 2^34 would wrap in int64
+WIDE = {"x": [2**30, 0, 2**30, 0], "y": [0] * 4, "z": [0, 2**33, 0, 0]}
+WIDE_SIZES = {"x": 2**31, "y": 2**34, "z": 2**34}
+
+
+def test_oracle_codes_of_wide_alphabets_do_not_wrap():
+    arrays = {k: np.array(v, dtype=np.int64) for k, v in WIDE.items()}
+    oracle = EntropyOracle(arrays, WIDE_SIZES, 4)
+    assert oracle.entropy(["x", "y", "z"]) == log2_units(Fraction(3, 2))
+    assert oracle.entropy(["z", "x"]) == log2_units(Fraction(3, 2))
+
+
+def test_evaluate_code_oracle_on_wide_edge_alphabets():
+    """X reaches r on e0; e1..e3 carry WIDE to a node nobody decodes at."""
+    net = Network(("s", "r", "u"), [Edge("e0", "s", "r", UNCAPPED)] + [
+        Edge(f"e{i}", "s", "u", UNCAPPED) for i in (1, 2, 3)])
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    four = Alphabet(symbols=range(4))
+    alph = {"X": four, "e0": four}
+    enc = {"e0": TableMap(range(4))}
+    for i, key in zip((1, 2, 3), "xyz"):
+        alph[f"e{i}"] = Alphabet(q=2, dim=WIDE_SIZES[key].bit_length() - 1)
+        enc[f"e{i}"] = TableMap(WIDE[key])
+    ev = evaluate_code(net, conn, NetworkCode(alph, enc, {("r", "X"): TableMap(range(4))}))
+    assert ev.zero_error
+    assert ev.oracle.entropy(["e1", "e2", "e3"]) == log2_units(Fraction(3, 2))
+    assert ev.induced(["e1", "e2", "e3", "e0"]) == log2_units(2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_oracle_entropy_matches_counting_tuples(data):
+    total = data.draw(st.integers(1, 12))
+    sizes = {k: data.draw(st.sampled_from([1, 3, 2**31, 2**34, 2**62 + 1, 2**70]))
+             for k in "abcd"}
+    arrays = {k: data.draw(st.lists(st.integers(0, min(n, 2**63) - 1),
+                                    min_size=total, max_size=total))
+              for k, n in sizes.items()}
+    keys = data.draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6))
+    oracle = EntropyOracle({k: np.array(v, dtype=np.int64) for k, v in arrays.items()},
+                           sizes, total)
+    tuples = Counter(tuple(arrays[k][t] for k in keys) for t in range(total))
+    assert oracle.entropy(keys) == entropy_of_counts(tuples.values())
+
+
 def test_the_cap_bounds_each_cone_enumeration():
     """Y reaches r only through a constant edge, so r's tables are small but
     its cone holds both sessions: 2^26 source tuples, past the cap."""
@@ -202,6 +251,17 @@ def test_kernels_of_xor_code():
     ix, iy = labels.index("X"), labels.index("Y")
     assert ker.members[ix] == ((0, 1),)  # X = first source coordinate
     assert ker.members[iy] == ((1, 0),)
+
+
+def test_kernel_annihilators_of_a_map_with_dependent_columns():
+    """The middle map [1 1; 1 1] has rank 1: its kernel is <(1,1)>, and the
+    annihilator still has one column per dimension it removes."""
+    net, conn = butterfly()
+    ker = kernels_of_linear_code(net, conn, xor_code(LinearMap(2, [[1, 1], [1, 1]])))
+    i = (sorted(["X", "Y"]) + sorted(EDGE_IDS)).index("e_cd")
+    assert ker.members[i] == ((1, 1),)
+    assert ker.annihilator(i) == [[1], [1]]
+    assert ker.entropy_at([i]) == log2_units(1)
 
 
 def test_cycle_detection_and_validation():
