@@ -6,6 +6,7 @@ information expressions."""
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import re
@@ -38,9 +39,6 @@ from .setfunc import (
 
 LP_BATCH = 400  # elemental rows lp_feasible activates per round, at most
 SHANNON_CAP = 10  # variables shannon_implies accepts, at most
-# entries of [A | I] below which linprog's fixed cost for sparse input
-# outweighs what HiGHS saves on it, so solve_highs passes a dense array
-HIGHS_DENSE_BELOW = 1 << 14
 
 
 class ExtensionError(ValueError):
@@ -322,7 +320,10 @@ class LinearProgram:
     inequality gets its own slack column, numbered after the `num_vars`
     structural columns in row order, and a row with b < 0 is negated.
     The float solvers read the same rows converted once, as they are
-    stored: the (row, column, value) of every nonzero entry, and b."""
+    stored: the (row, column, value) of every nonzero entry, and b.
+    `highs` is the program's HiGHS model, made by the first `solve_highs`
+    call and grown by each later one; rows are only ever appended, so the
+    model always holds a prefix of them."""
 
     num_vars: int
     rows: List[Dict[int, Fraction]] = field(default_factory=list, init=False)
@@ -331,6 +332,7 @@ class LinearProgram:
     entries: Tuple[List[int], List[int], List[float]] = field(
         default_factory=lambda: ([], [], []), init=False, repr=False)
     rhs_float: List[float] = field(default_factory=list, init=False, repr=False)
+    highs: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.ncols = self.num_vars
@@ -479,27 +481,50 @@ def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
 
 def solve_highs(lp: LinearProgram):
     """Float feasibility check of the stored system A·x = b, x ≥ 0 via
-    HiGHS (explicit phase-1: min Σs subject to A·x + I·s = b).  Returns
-    (feasible, x, y): approximate structural values and, when infeasible,
-    equality-row duals usable as a Farkas certificate candidate."""
-    from scipy.optimize import linprog
+    HiGHS, in the explicit phase-1 form min Σs subject to A·x + I·s = b.
+    The program's one HiGHS model gets only the rows stored since the last
+    call, with their slack and artificial columns, and dual simplex
+    restarts from the last optimal basis.  Returns (feasible, x, y):
+    approximate structural values and, when infeasible, row duals usable
+    as a Farkas certificate candidate; (None, None, None) when HiGHS ends
+    without an optimum."""
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     m = len(lp.rows)
     if m == 0:
         return True, np.zeros(lp.num_vars), None
-    A, b = _float_rows(lp)
-    if A.shape[0] * A.shape[1] < HIGHS_DENSE_BELOW:
-        A = A.toarray()
-    cost = np.concatenate([np.zeros(lp.ncols), np.ones(m)])
-    res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-    if not res.success:
+    h = lp.highs
+    if h is None:
+        h = lp.highs = _Highs()
+        h.setOptionValue("output_flag", False)
+        h.addVars(lp.num_vars, np.zeros(lp.num_vars), np.full(lp.num_vars, np.inf))
+    r0, n0 = h.getNumRow(), h.getNumCol()
+    if r0 < m:
+        # the model's columns: structural, then per push the new rows'
+        # slacks and one artificial per new row; a slack sits in its own
+        # row only, so stored column j >= c0 is model column j - c0 + n0
+        k, c0 = m - r0, n0 - r0
+        slacks = lp.ncols - c0
+        h.addVars(slacks, np.zeros(slacks), np.full(slacks, np.inf))
+        ri, ci, vi = lp.entries
+        e0 = bisect.bisect_left(ri, r0)
+        cols = np.asarray(ci[e0:], dtype=np.int32)
+        b = np.asarray(lp.rhs_float[r0:])
+        h.addRows(k, b, b, len(cols),
+                  np.searchsorted(ri[e0:], np.arange(r0, m)).astype(np.int32),
+                  np.where(cols < lp.num_vars, cols, cols - c0 + n0), np.asarray(vi[e0:]))
+        h.addCols(k, np.ones(k), np.zeros(k), np.full(k, np.inf),
+                  k, np.arange(k, dtype=np.int32), np.arange(r0, m, dtype=np.int32), np.ones(k))
+    h.run()
+    if h.getModelStatus() != HighsModelStatus.kOptimal:
         return None, None, None
-    feasible = res.fun <= 1e-7
-    x = res.x[: lp.num_vars]
+    sol = h.getSolution()
+    feasible = h.getObjectiveValue() <= 1e-7
+    x = np.array(sol.col_value[: lp.num_vars])
     y = None
-    if not feasible and res.eqlin is not None:
-        y = np.asarray(res.eqlin.marginals, dtype=float)
-        if float(y @ b) < 0:
+    if not feasible and sol.dual_valid:
+        y = np.array(sol.row_dual)
+        if float(y @ lp.rhs_float) < 0:
             y = -y
     return feasible, x, y
 
@@ -722,7 +747,10 @@ def lp_feasible(
     connection constraints at the given rates/capacities (plus instantiated
     extra inequality templates).  HiGHS steers lazy elemental generation:
     each round solves the program with the elemental rows active so far and
-    activates the rows its float point violates.  Exact arithmetic decides:
+    activates the rows its float point violates.  The rounds grow one
+    program, so HiGHS restarts each from the last round's optimal basis;
+    which vertex it lands on may set the rounds, the row count and the
+    point returned, never the verdict.  Exact arithmetic decides:
     a verified Farkas certificate proves infeasibility, and a rationalized
     HiGHS vertex that passes the exact re-check of every constraint proves
     feasibility.  When neither applies, the exact point comes from the float

@@ -176,7 +176,9 @@ def test_code_verify_short_decoder_table_exits_2(tmp_path, capsys):
     assert "decoder for session" in capsys.readouterr().err
 
 
-def test_lp_subcommands(tmp_path, capsys, monkeypatch):
+def relay_files(tmp_path):
+    """A relay network s -> m -> r, its one session, and two tuples: one at
+    the relay's capacity and one above it; the paths of their files."""
     net = Network(("s", "m", "r"),
                   (Edge("e1", "s", "m", UNCAPPED), Edge("e2", "m", "r", UNCAPPED)))
     conn = ConnectionRequirement(("U",), {"U": "s"}, {"U": ("r",)})
@@ -186,6 +188,11 @@ def test_lp_subcommands(tmp_path, capsys, monkeypatch):
         {"U": log2_units(1)}, {"e1": log2_units(1), "e2": log2_units(1)}).to_json())
     bad_tup = write(tmp_path, "t2.json", RateCapacityTuple(
         {"U": log2_units(2)}, {"e1": log2_units(1), "e2": log2_units(1)}).to_json())
+    return net_path, conn_path, ok_tup, bad_tup
+
+
+def test_lp_subcommands(tmp_path, capsys, monkeypatch):
+    net_path, conn_path, ok_tup, bad_tup = relay_files(tmp_path)
     assert run(["lp", "feasible", net_path, conn_path, ok_tup]) == 0
     assert run(["lp", "feasible", net_path, conn_path, bad_tup]) == 1
 
@@ -195,6 +202,21 @@ def test_lp_subcommands(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin",
                         io.StringIO("2 I(3;4) - I(1;2) - I(1;3,4) - 3 I(3;4|1) - I(3;4|2) <= 0"))
     assert run(["lp", "implies", "-", "--n", "4"]) == 1
+
+
+def test_lp_json_is_all_of_stdout(tmp_path, capfd):
+    """`lp feasible --json` and `lp implies --json` print one JSON document
+    and nothing else, at the file-descriptor level: HiGHS writes its log
+    from C++ to fd 1, where capsys would not see it."""
+    net_path, conn_path, ok_tup, bad_tup = relay_files(tmp_path)
+    expr_path = tmp_path / "e.txt"
+    expr_path.write_text("2 I(3;4) - I(1;2) - I(1;3,4) - 3 I(3;4|1) - I(3;4|2) <= 0")
+    for argv, code in [(["lp", "feasible", net_path, conn_path, ok_tup], 0),
+                       (["lp", "feasible", net_path, conn_path, bad_tup], 1),
+                       (["lp", "implies", str(expr_path), "--n", "4"], 1)]:
+        assert run(argv + ["--json"]) == code
+        out = capfd.readouterr().out
+        assert json.loads(out)["format"] == "report/1"
 
 
 @pytest.mark.parametrize("text", ["5/0 H(1) >= 0", "H(1/2) >= 0"])

@@ -728,21 +728,103 @@ def reference_point_from_basis(lp, basis):
 
 
 @st.composite
+def program_rows(draw, nvars, logs):
+    """One row (coeffs, b, equality) over nvars variables with coefficients
+    in -2..2 and a right-hand side that is a Fraction or, with `logs`,
+    a·log 2 + b·log 3."""
+    small = st.integers(-2, 2)
+    coeffs = {j: Fraction(draw(small)) for j in range(nvars)}
+    if logs:
+        b = LogScalar({2: draw(small), 3: Fraction(draw(small), 2)})
+    else:
+        b = Fraction(draw(small), draw(st.integers(1, 3)))
+    return coeffs, b, draw(st.booleans())
+
+
+@st.composite
 def linear_programs(draw):
     """Up to 4 rows over up to 4 variables with coefficients in -2..2 and
     right-hand sides that are all Fractions or all a·log 2 + b·log 3."""
     nvars = draw(st.integers(1, 4))
     logs = draw(st.booleans())
-    small = st.integers(-2, 2)
     lp = LinearProgram(num_vars=nvars)
     for _ in range(draw(st.integers(1, 4))):
-        coeffs = {j: Fraction(draw(small)) for j in range(nvars)}
-        if logs:
-            b = LogScalar({2: draw(small), 3: Fraction(draw(small), 2)})
-        else:
-            b = Fraction(draw(small), draw(st.integers(1, 3)))
-        lp.add(coeffs, b, draw(st.booleans()))
+        lp.add(*draw(program_rows(nvars, logs)))
     return lp
+
+
+@st.composite
+def row_batches(draw):
+    """2 to 4 batches of 1 to 4 rows each, drawn as `linear_programs` draws
+    its rows, and their number of variables."""
+    nvars = draw(st.integers(1, 4))
+    logs = draw(st.booleans())
+    rows = program_rows(nvars, logs)
+    return nvars, draw(st.lists(st.lists(rows, min_size=1, max_size=4), min_size=2, max_size=4))
+
+
+def cold_highs(lp):
+    """The reference of `solve_highs`: one fresh `linprog` solve of the
+    phase-1 program min Σs subject to A·x + I·s = b, x, s ≥ 0, with the
+    same (feasible, x, y) contract."""
+    from scipy.optimize import linprog
+
+    m = len(lp.rows)
+    if m == 0:
+        return True, np.zeros(lp.num_vars), None
+    A = np.zeros((m, lp.ncols + m))
+    for i, row in enumerate(lp.rows):
+        for j, c in row.items():
+            A[i, j] = float(c)
+        A[i, lp.ncols + i] = 1.0
+    b = np.array([float(v) for v in lp.rhs])
+    cost = np.concatenate([np.zeros(lp.ncols), np.ones(m)])
+    res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    if not res.success:
+        return None, None, None
+    feasible = res.fun <= 1e-7
+    y = None
+    if not feasible:
+        y = np.asarray(res.eqlin.marginals, dtype=float)
+        if float(y @ b) < 0:
+            y = -y
+    return feasible, res.x[: lp.num_vars], y
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_batches())
+def test_incremental_solve_highs_matches_a_cold_solve(case):
+    """The program's HiGHS model grows batch by batch; after each batch its
+    verdict is a fresh solve's, and a feasible point meets every row drawn
+    so far.  The model takes no part in == or repr."""
+    nvars, batches = case
+    lp, twin = LinearProgram(num_vars=nvars), LinearProgram(num_vars=nvars)
+    drawn = []
+    for batch in batches:
+        for row in batch:
+            lp.add(*row)
+            twin.add(*row)
+        drawn += batch
+        feasible, x, y = lpbound.solve_highs(lp)
+        assert feasible is not None and feasible == cold_highs(lp)[0]
+        if feasible:
+            assert x.min() >= -1e-6
+            for coeffs, b, equality in drawn:
+                gap = sum(float(c) * x[j] for j, c in coeffs.items()) - float(b)
+                assert abs(gap) <= 1e-6 if equality else gap <= 1e-6
+        else:
+            assert float(y @ lp.rhs_float) > 0
+    assert lp.highs.getNumRow() == len(lp.rows)
+    assert twin.highs is None and twin == lp and repr(twin) == repr(lp)
+
+
+def test_lp_feasible_verdicts_match_cold_highs(monkeypatch):
+    """Warm-started rounds decide as rounds solved from zero do, with and
+    without the Ingleton template."""
+    cases = [(*case, extra) for case in small_dags() for extra in ((), (ingleton_expression(),))]
+    warm = [lp_feasible(*case).feasible for case in cases]
+    monkeypatch.setattr(lpbound, "solve_highs", cold_highs)
+    assert [lp_feasible(*case).feasible for case in cases] == warm
 
 
 @settings(max_examples=400, deadline=None)
