@@ -10,7 +10,7 @@ import json
 import sys
 from typing import Optional
 
-from .construct import NegativeCapacityError, build_gdagger, capacitated_network, rate_capacity
+from .construct import build_gdagger, capacitated_network, rate_capacity
 from .codegen import linear_code, quasi_uniform_code
 from .exactlog import LogScalar
 from .groupchar import (
@@ -373,7 +373,7 @@ def run(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NegativeCapacityError, ResourceError, ValueError, KeyError) as exc:
+    except (ResourceError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,14 +31,11 @@ from .netmodel import (
     UNCAPPED,
     ConnectionRequirement,
     Edge,
+    NegativeCapacityError,  # noqa: F401  raised by rate_capacity, through RateCapacityTuple
     Network,
     RateCapacityTuple,
 )
 from .setfunc import SetFunction
-
-
-class NegativeCapacityError(ValueError):
-    """A capacity entry of M(h) has negative sign (h not monotone enough)."""
 
 
 def _aset(mask: int, n: int) -> Tuple[int, ...]:
@@ -196,7 +193,9 @@ def build_gdagger(N: int) -> GDaggerLayout:
 
 
 def rate_capacity(h: SetFunction, layout: GDaggerLayout) -> RateCapacityTuple:
-    """λ(S[α]) = h(α); capacities of the role edges as linear forms in h."""
+    """λ(S[α]) = h(α); capacities of the role edges as linear forms in h.
+    An h that is not monotone enough gives a negative entry, and
+    `RateCapacityTuple` raises NegativeCapacityError."""
     N = layout.n
     if len(h.ground) != N:
         raise ValueError(f"set function has {len(h.ground)} elements, layout expects {N}")
@@ -222,12 +221,6 @@ def rate_capacity(h: SetFunction, layout: GDaggerLayout) -> RateCapacityTuple:
             caps[sub.role_edges["W'"]] = hv(full) - hv(a)
             caps[sub.role_edges["W''"]] = hv(a | ib) - hv(ib)
             caps[sub.role_edges["W*"]] = hv(a)
-
-    for key, val in list(rates.items()) + list(caps.items()):
-        if val.sign() < 0:
-            raise NegativeCapacityError(
-                f"entry for {key!r} is negative; the input is not monotone"
-            )
     return RateCapacityTuple(rates, caps)
 
 

@@ -6,7 +6,6 @@ information expressions."""
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import re
@@ -319,19 +318,15 @@ class LinearProgram:
     row is stored as a·x = b with b ≥ 0, the form every solver reads: an
     inequality gets its own slack column, numbered after the `num_vars`
     structural columns in row order, and a row with b < 0 is negated.
-    The float solvers read the same rows converted once, as they are
-    stored: the (row, column, value) of every nonzero entry, and b.
-    `highs` is the program's HiGHS model, made by the first `solve_highs`
-    call and grown by each later one; rows are only ever appended, so the
+    `highs` is the program's HiGHS model, its only float form: the first
+    `solve_highs` call makes it and each later one pushes the rows stored
+    since, converted to floats once; rows are only ever appended, so the
     model always holds a prefix of them."""
 
     num_vars: int
     rows: List[Dict[int, Fraction]] = field(default_factory=list, init=False)
     rhs: List[object] = field(default_factory=list, init=False)
     ncols: int = field(init=False)
-    entries: Tuple[List[int], List[int], List[float]] = field(
-        default_factory=lambda: ([], [], []), init=False, repr=False)
-    rhs_float: List[float] = field(default_factory=list, init=False, repr=False)
     highs: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -344,13 +339,8 @@ class LinearProgram:
             self.ncols += 1
         if _sgn(b) < 0:
             row, b = {j: -c for j, c in row.items()}, -b
-        ri, ci, vi = self.entries
-        ri.extend([len(self.rows)] * len(row))
-        ci.extend(row)
-        vi.extend(map(float, row.values()))
         self.rows.append(row)
         self.rhs.append(b)
-        self.rhs_float.append(float(b))
 
 
 def _tableau(lp: LinearProgram):
@@ -378,68 +368,6 @@ def _pivot(rows: List[Dict[int, Fraction]], rhs: list, r: int, jin: int) -> None
                 else:
                     row.pop(j, None)
             rhs[i] = rhs[i] - rhs[r] * f
-
-
-def _float_rows(lp: LinearProgram):
-    """The stored float rows as a sparse [A | I], with one artificial column
-    per row after the ncols columns of A, and b."""
-    from scipy import sparse
-
-    m = len(lp.rows)
-    ri, ci, vi = lp.entries
-    art = np.arange(m)
-    A = sparse.csr_matrix(
-        (np.concatenate([vi, np.ones(m)]),
-         (np.concatenate([np.asarray(ri, dtype=int), art]),
-          np.concatenate([np.asarray(ci, dtype=int), lp.ncols + art]))),
-        shape=(m, lp.ncols + m),
-    )
-    return A, np.array(lp.rhs_float)
-
-
-def solve_float(lp: LinearProgram):
-    """Dense float phase-1 simplex.  Returns (feasible, basis, x) where basis
-    lists the final basic column indices (in the stored column space, then
-    the artificial columns) and x holds approximate structural-variable
-    values; used only to steer the exact certification."""
-    tol = 1e-9
-    m = len(lp.rows)
-    if m == 0:
-        return True, [], np.zeros(lp.num_vars)
-    ncols = lp.ncols
-    A, b = _float_rows(lp)
-    T = np.column_stack([A.toarray(), b])
-    basis = list(range(ncols, ncols + m))
-    for _ in range(60 * (m + 10)):
-        art_rows = [i for i, bb in enumerate(basis) if bb >= ncols]
-        if not art_rows or T[art_rows, -1].sum() <= tol:
-            break
-        # reduced costs of the phase-1 objective, recomputed for stability
-        obj = T[art_rows, :ncols].sum(axis=0)
-        for i, bb in enumerate(basis):
-            if bb < ncols:
-                obj[bb] = 0.0
-        jin = int(np.argmax(obj))
-        if obj[jin] <= tol:
-            break  # optimal with positive objective: infeasible
-        col = T[:, jin]
-        mask = col > tol
-        if not mask.any():
-            break
-        ratios = np.where(mask, T[:, -1] / np.where(mask, col, 1.0), np.inf)
-        r = int(np.argmin(ratios))
-        T[r] /= T[r, jin]
-        f = T[:, jin].copy()
-        f[r] = 0.0
-        T -= np.outer(f, T[r])
-        basis[r] = jin
-    art_rows = [i for i, bb in enumerate(basis) if bb >= ncols]
-    feasible = not art_rows or T[art_rows, -1].sum() <= 1e-7
-    x = np.zeros(lp.num_vars)
-    for i, bb in enumerate(basis):
-        if bb < lp.num_vars:
-            x[bb] = T[i, -1]
-    return feasible, basis, x
 
 
 def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
@@ -483,11 +411,11 @@ def solve_highs(lp: LinearProgram):
     """Float feasibility check of the stored system A·x = b, x ≥ 0 via
     HiGHS, in the explicit phase-1 form min Σs subject to A·x + I·s = b.
     The program's one HiGHS model gets only the rows stored since the last
-    call, with their slack and artificial columns, and dual simplex
-    restarts from the last optimal basis.  Returns (feasible, x, y):
-    approximate structural values and, when infeasible, row duals usable
-    as a Farkas certificate candidate; (None, None, None) when HiGHS ends
-    without an optimum."""
+    call, converted to floats as they are pushed, with their slack and
+    artificial columns, and dual simplex restarts from the last optimal
+    basis.  Returns (feasible, x, y): approximate structural values and,
+    when infeasible, row duals usable as a Farkas certificate candidate;
+    (None, None, None) when HiGHS ends without an optimum."""
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     m = len(lp.rows)
@@ -506,13 +434,13 @@ def solve_highs(lp: LinearProgram):
         k, c0 = m - r0, n0 - r0
         slacks = lp.ncols - c0
         h.addVars(slacks, np.zeros(slacks), np.full(slacks, np.inf))
-        ri, ci, vi = lp.entries
-        e0 = bisect.bisect_left(ri, r0)
-        cols = np.asarray(ci[e0:], dtype=np.int32)
-        b = np.asarray(lp.rhs_float[r0:])
-        h.addRows(k, b, b, len(cols),
-                  np.searchsorted(ri[e0:], np.arange(r0, m)).astype(np.int32),
-                  np.where(cols < lp.num_vars, cols, cols - c0 + n0), np.asarray(vi[e0:]))
+        new = lp.rows[r0:]
+        lengths = np.fromiter(map(len, new), np.int32, k)
+        cols = np.fromiter(itertools.chain.from_iterable(new), np.int32, lengths.sum())
+        vals = np.fromiter(itertools.chain.from_iterable(map(dict.values, new)), float, len(cols))
+        b = np.fromiter(map(float, lp.rhs[r0:]), float, k)
+        h.addRows(k, b, b, len(cols), np.cumsum(lengths, dtype=np.int32) - lengths,
+                  np.where(cols < lp.num_vars, cols, cols - c0 + n0), vals)
         h.addCols(k, np.ones(k), np.zeros(k), np.full(k, np.inf),
                   k, np.arange(k, dtype=np.int32), np.arange(r0, m, dtype=np.int32), np.ones(k))
     h.run()
@@ -524,9 +452,38 @@ def solve_highs(lp: LinearProgram):
     y = None
     if not feasible and sol.dual_valid:
         y = np.array(sol.row_dual)
-        if float(y @ lp.rhs_float) < 0:
+        if float(y @ np.fromiter(map(float, lp.rhs), float, m)) < 0:
             y = -y
     return feasible, x, y
+
+
+def solve_float(lp: LinearProgram):
+    """The program's HiGHS model at its last optimum, for the exact
+    certification to start from.  Returns (feasible, basis, x): basis lists
+    one basic column per row, in tableau columns, stored columns first, then
+    lp.ncols + i for the artificial of row i (a basic logical of row i is
+    the same unit column), and x holds approximate structural values;
+    (False, None, None) when there is no model, the model is behind the
+    program, or HiGHS did not end optimal."""
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
+
+    h = lp.highs
+    if h is None or h.getNumRow() < len(lp.rows):
+        return False, None, None
+    if h.getModelStatus() != HighsModelStatus.kOptimal:
+        return False, None, None
+    status, basic = h.getBasicVariables()
+    if status != HighsStatus.kOk:
+        return False, None, None
+    # the model's cost-0 columns are the stored columns in order, and its
+    # cost-1 columns the artificials in row order; HiGHS numbers the logical
+    # of row i as -1 - i
+    n = h.getNumCol()
+    art = h.getCols(n, np.arange(n, dtype=np.int32))[2] > 0
+    tableau = np.where(art, lp.ncols + np.cumsum(art), np.cumsum(~art)) - 1
+    basis = sorted(int(tableau[j]) if j >= 0 else lp.ncols - 1 - int(j) for j in basic)
+    x = np.array(h.getSolution().col_value[: lp.num_vars])
+    return h.getObjectiveValue() <= 1e-7, basis, x
 
 
 def farkas_verified(lp: LinearProgram, y) -> bool:
@@ -753,9 +710,10 @@ def lp_feasible(
     point returned, never the verdict.  Exact arithmetic decides:
     a verified Farkas certificate proves infeasibility, and a rationalized
     HiGHS vertex that passes the exact re-check of every constraint proves
-    feasibility.  When neither applies, the exact point comes from the float
-    simplex's basis or, failing that, from the exact phase-1 simplex, which
-    also proves infeasibility; it stands once no elemental row is violated.
+    feasibility.  When neither applies, the exact point comes from the basis
+    of HiGHS's last optimum or, failing that, from the exact phase-1
+    simplex, which also proves infeasibility; it stands once no elemental
+    row is violated.
 
     `hint` short-circuits the search when it is an exactly verified feasible
     point — e.g. the induced entropy of a known admissible code, which
@@ -868,8 +826,8 @@ def lp_feasible(
                     return LPResult(True, g, rounds, len(lp.rows))
         elif feasible_f is False and dual is not None and farkas_verified(lp, dual):
             return LPResult(False, None, rounds, len(lp.rows))
-        # float machinery inconclusive: exact basis certification, then
-        # exact simplex as the last resort
+        # float machinery inconclusive: exact certification of HiGHS's
+        # basis, then the exact simplex as the last resort
         okf, basis, _ = solve_float(lp)
         x = exact_point_from_basis(lp, basis) if okf else None
         if x is None:

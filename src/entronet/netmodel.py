@@ -353,10 +353,22 @@ EncoderMap = Union[TableMap, LinearMap]
 
 
 def _map_from_json(obj: Mapping) -> EncoderMap:
+    """A table of integers, or an F_q matrix whose rows have one length and
+    whose entries lie in 0..q-1; anything else is a StructuralError."""
     if obj["kind"] == "table":
-        return TableMap(obj["table"])
+        table = np.asarray(obj["table"])
+        if table.ndim != 1 or (table.size and table.dtype.kind not in "iu"):
+            raise StructuralError("a table map is a list of integers")
+        return TableMap(table)
     if obj["kind"] == "linear":
-        return LinearMap(obj["q"], obj["matrix"])
+        q, matrix = obj["q"], obj["matrix"]
+        if not (isinstance(matrix, list) and all(isinstance(r, list) for r in matrix)
+                and len({len(r) for r in matrix}) <= 1):
+            raise StructuralError("a linear map's matrix is a list of rows of one length")
+        if type(q) is not int or any(type(c) is not int or not 0 <= c < q
+                                     for r in matrix for c in r):
+            raise StructuralError(f"a linear map over F_{q} has integer entries in 0..q-1")
+        return LinearMap(q, matrix)
     raise StructuralError(f"unknown map kind {obj['kind']!r}")
 
 
@@ -408,13 +420,17 @@ class NetworkCode:
         return cls(alph, enc, dec)
 
 
+class NegativeCapacityError(ValueError):
+    """A rate or capacity entry has negative sign."""
+
+
 class RateCapacityTuple:
     def __init__(self, rates: Mapping[str, LogScalar], caps: Mapping[str, LogScalar]):
         self.rates = dict(rates)
         self.caps = dict(caps)  # only capacitated edges appear
         for k, v in list(self.rates.items()) + list(self.caps.items()):
             if v.sign() < 0:
-                raise ValueError(f"negative entry for {k!r}")
+                raise NegativeCapacityError(f"entry for {k!r} is negative")
 
     def cap(self, edge_id: str) -> Capacity:
         return self.caps.get(edge_id, UNCAPPED)
@@ -553,8 +569,12 @@ def _source_values(
 def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
               alphabets: Mapping[str, Alphabet]) -> np.ndarray:
     """Dense table of an encoder or decoder; a TableMap must cover exactly
-    its feed domain and write inside the alphabet of `out`."""
+    its feed domain and write inside the alphabet of `out`, and a LinearMap
+    must map into the vector space that is the alphabet of `out`."""
     if not isinstance(m, TableMap):
+        a = alphabets[out]
+        if a.kind != "vector" or a.q != m.q or (m.matrix and m.out_dim != a.dim):
+            raise StructuralError(f"{what} does not map into the alphabet of {out}")
         return m.to_table([alphabets[f] for f in feeds])
     dom = 1
     for f in feeds:

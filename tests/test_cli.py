@@ -176,6 +176,36 @@ def test_code_verify_short_decoder_table_exits_2(tmp_path, capsys):
     assert "decoder for session" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda code: code["encoders"].update(e1={"kind": "linear", "q": 2, "matrix": [[1, 1]]}),
+    lambda code: code["encoders"].update(e1={"kind": "linear", "q": 2, "matrix": [[5]]}),
+    lambda code: code["encoders"].update(e1={"kind": "linear", "q": 2, "matrix": [[-1]]}),
+    lambda code: code["encoders"].update(e1={"kind": "linear", "q": 2, "matrix": [[1], [1, 0]]}),
+    lambda code: code["encoders"].update(e1={"kind": "table", "table": [0, 1.7]}),
+])
+def test_code_verify_on_a_malformed_map_exits_2(tmp_path, capsys, edit):
+    """A chain s -> m -> r with every session and edge over F_2^1; each edit
+    breaks the first encoder's map."""
+    net = Network(("s", "m", "r"),
+                  (Edge("e1", "s", "m", UNCAPPED), Edge("e2", "m", "r", UNCAPPED)))
+    conn = ConnectionRequirement(("U",), {"U": "s"}, {"U": ("r",)})
+    bit = {"kind": "vector", "q": 2, "dim": 1}
+    ident = {"kind": "linear", "q": 2, "matrix": [[1]]}
+    code = {"format": "code/1", "alphabets": {"U": bit, "e1": bit, "e2": bit},
+            "encoders": {"e1": ident, "e2": ident},
+            "decoders": [{"receiver": "r", "session": "U", "map": ident}]}
+    one = log2_units(1)
+    bundle = {"format": "codebundle/1", "network": net.to_json(), "conn": conn.to_json(),
+              "code": code,
+              "tuple": RateCapacityTuple({"U": one}, {"e1": one, "e2": one}).to_json()}
+    assert run(["code", "verify", write(tmp_path, "ok.json", bundle)]) == 0
+    capsys.readouterr()
+    edit(code)
+    assert run(["code", "verify", write(tmp_path, "bad.json", bundle)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def relay_files(tmp_path):
     """A relay network s -> m -> r, its one session, and two tuples: one at
     the relay's capacity and one above it; the paths of their files."""

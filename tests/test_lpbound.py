@@ -420,21 +420,14 @@ def small_dags():
         yield fork, fconn, RateCapacityTuple({"X": rate}, {"sm": one, "m1": two, "m2": two})
 
 
-def test_fallback_path_matches_highs(monkeypatch):
-    """With HiGHS inconclusive, every round goes through the float simplex,
-    the exact basis point and, for infeasible programs, the exact phase-1
-    simplex; the verdicts must be those of the HiGHS path and every
-    feasible point must be exact."""
+def fallback_verdicts_match_highs(monkeypatch, **patches):
+    """lp_feasible on every small DAG with the lpbound names in `patches`
+    replaced: its verdicts must be those of the unpatched path, and every
+    feasible point must hold exactly."""
     cases = list(small_dags())
     steered = [lp_feasible(*case) for case in cases]
-    points = []
-
-    def basis_point(lp, basis, _exact=lpbound.exact_point_from_basis):
-        points.append(_exact(lp, basis))
-        return points[-1]
-
-    monkeypatch.setattr(lpbound, "exact_point_from_basis", basis_point)
-    monkeypatch.setattr(lpbound, "solve_highs", lambda lp: (None, None, None))
+    for name, value in patches.items():
+        monkeypatch.setattr(lpbound, name, value)
     for case, want in zip(cases, steered):
         got = lp_feasible(*case)
         assert got.feasible == want.feasible
@@ -442,10 +435,56 @@ def test_fallback_path_matches_highs(monkeypatch):
             if res.feasible:
                 assert check_polymatroid(res.assignment).ok
                 assert holds_exactly(res.assignment, *case)
-    # on these programs every basis of the float simplex gives an exact point
-    assert points and all(x is not None for x in points)
     assert [r.feasible for r in steered] == [True, True, False, False, True,
                                              True, True, False, True, False]
+
+
+def test_phase1_fallback_matches_highs(monkeypatch):
+    """With HiGHS inconclusive there is no model to read a basis off, so
+    the exact phase-1 simplex decides every round."""
+    calls, bases = [], []
+
+    def phase1(lp, _phase1=lpbound.solve_phase1):
+        calls.append(lp)
+        return _phase1(lp)
+
+    fallback_verdicts_match_highs(monkeypatch, solve_highs=lambda lp: (None, None, None),
+                                  solve_phase1=phase1,
+                                  exact_point_from_basis=lambda lp, basis: bases.append(basis))
+    assert len(calls) >= len(list(small_dags())) and not bases
+
+
+def meets_every_row(lp, x):
+    """The structural point x meets every stored row exactly: x ≥ 0, an
+    equality row's residual is 0, and an inequality row's slack is ≥ 0."""
+    if any(lpbound._sgn(v) < 0 for v in x.values()):
+        return False
+    for row, total in zip(lp.rows, lp.rhs):
+        slack = [c for j, c in row.items() if j >= lp.num_vars]
+        for j, c in row.items():
+            if j in x:
+                total = total - x[j] * c
+        s = lpbound._sgn(total)
+        if (s * slack[0] < 0) if slack else s != 0:
+            return False
+    return True
+
+
+def test_basis_fallback_matches_highs(monkeypatch):
+    """With no rationalized vertex, every feasible round goes through the
+    basis of HiGHS's last optimum; on these programs each such basis gives
+    an exact point."""
+    points = []
+
+    def basis_point(lp, basis, _exact=lpbound.exact_point_from_basis):
+        points.append(_exact(lp, basis))
+        assert len(basis) == len(lp.rows)
+        assert points[-1] is not None and meets_every_row(lp, points[-1])
+        return points[-1]
+
+    fallback_verdicts_match_highs(monkeypatch, exact_point_from_basis=basis_point,
+                                  rationalize_point=lambda xf, primes: None)
+    assert points
 
 
 @pytest.mark.parametrize("b, zero", [
@@ -813,7 +852,7 @@ def test_incremental_solve_highs_matches_a_cold_solve(case):
                 gap = sum(float(c) * x[j] for j, c in coeffs.items()) - float(b)
                 assert abs(gap) <= 1e-6 if equality else gap <= 1e-6
         else:
-            assert float(y @ lp.rhs_float) > 0
+            assert float(y @ [float(v) for v in lp.rhs]) > 0
     assert lp.highs.getNumRow() == len(lp.rows)
     assert twin.highs is None and twin == lp and repr(twin) == repr(lp)
 
@@ -838,10 +877,14 @@ def test_solve_phase1_matches_the_reference(lp):
 def test_exact_point_from_basis_matches_the_reference(lp, data):
     """Bases drawn over the stored columns, the artificials and one column
     past them, repeats allowed, so that singular and infeasible bases and
-    nonzero artificials all occur; plus the float simplex's own basis."""
+    nonzero artificials all occur; plus the basis of HiGHS's optimum, one
+    column per row, whenever HiGHS ends optimal."""
     m = len(lp.rows)
     cols = st.integers(0, lp.ncols + m)
-    bases = [data.draw(st.lists(cols, min_size=m, max_size=m)), lpbound.solve_float(lp)[1]]
+    bases = [data.draw(st.lists(cols, min_size=m, max_size=m))]
+    if lpbound.solve_highs(lp)[0] is not None:
+        bases.append(lpbound.solve_float(lp)[1])
+        assert len(bases[-1]) == m
     for basis in bases:
         assert lpbound.exact_point_from_basis(lp, basis) == reference_point_from_basis(lp, basis)
 
@@ -881,20 +924,6 @@ def test_sum_extension_matches_the_per_value_minimum(seed, n, data):
     g = sum_extension(fp, x, "Y", name="Z")
     amask = fp.ground.mask([x, "Y"])
     assert g.values == adjoined_by_min(fp, amask, fp([x]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(linear_programs())
-def test_float_rows_are_the_stored_rows(lp):
-    A, b = lpbound._float_rows(lp)
-    m = len(lp.rows)
-    dense = np.zeros((m, lp.ncols + m))
-    for i, row in enumerate(lp.rows):
-        for j, c in row.items():
-            dense[i, j] = float(c)
-        dense[i, lp.ncols + i] = 1.0
-    assert np.array_equal(A.toarray(), dense)
-    assert np.array_equal(b, [float(v) for v in lp.rhs])
 
 
 @st.composite

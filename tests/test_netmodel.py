@@ -285,6 +285,36 @@ def test_decoder_tables_are_checked_like_encoder_tables():
         evaluate_code(net, conn, code)
 
 
+@pytest.mark.parametrize("obj", [
+    {"kind": "table", "table": [0, 1.7, 1, 0]},  # would truncate to 1
+    {"kind": "table", "table": [0, "1", 1, 0]},
+    {"kind": "table", "table": [[0, 1], [1, 0]]},
+    {"kind": "linear", "q": 2, "matrix": [[1], [1, 0]]},  # ragged
+    {"kind": "linear", "q": 2, "matrix": [[5], [1]]},
+    {"kind": "linear", "q": 2, "matrix": [[-1], [1]]},  # would read as 1
+    {"kind": "linear", "q": 2, "matrix": [[1.0], [1]]},
+])
+def test_code_from_json_rejects_a_malformed_map(obj):
+    doc = xor_code().to_json()
+    assert evaluate_code(*butterfly(), NetworkCode.from_json(doc)).zero_error
+    doc["encoders"]["e_cd"] = obj
+    with pytest.raises(StructuralError):
+        NetworkCode.from_json(doc)
+
+
+@pytest.mark.parametrize("middle, alphabet", [
+    (LinearMap(2, [[1, 1], [1, 1]]), Alphabet(q=2, dim=1)),  # two outputs into F_2^1
+    (LinearMap(2, [[1], [1]]), Alphabet(q=3, dim=1)),
+    (LinearMap(2, [[1], [1]]), Alphabet(symbols=[0, 1])),
+])
+def test_a_linear_map_must_map_into_its_alphabet(middle, alphabet):
+    net, conn = butterfly()
+    code = xor_code(middle)
+    code.alphabets["e_cd"] = alphabet
+    with pytest.raises(StructuralError, match="encoder for e_cd"):
+        evaluate_code(net, conn, code)
+
+
 def test_from_function_puts_the_first_feed_most_significant():
     syms = Alphabet(symbols=["u", "v", "w"])
     vecs = Alphabet(q=2, dim=2)
