@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
@@ -146,7 +146,8 @@ class LogScalar:
     def _merge(self, other: "LogScalar", sign: int) -> "LogScalar":
         terms = dict(self._terms)
         for p, q in other._terms.items():
-            r = terms.get(p, 0) + sign * q
+            r = terms.get(p, 0)
+            r = r + q if sign > 0 else r - q
             if r:
                 terms[p] = r
             else:
@@ -264,42 +265,101 @@ ZERO = LogScalar.zero()
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def negative_rows(
-    values: Sequence[LogScalar], index: np.ndarray, weights: Sequence[int]
-) -> List[Tuple[int, LogScalar]]:
-    """Every row r of ``index`` (an integer array with one column per term)
-    whose combination ``sum_t weights[t] * values[index[r, t]]`` is negative,
-    paired with that combination, in row order.
+class IntegerForm(NamedTuple):
+    """A list of LogScalars as one integer matrix: row i, column j holds
+    ``den`` times the coefficient of ``primes[j]`` in value i.  ``bound`` is
+    the largest absolute entry; ``mat`` is int64 when ``bound`` fits, Python
+    ints otherwise, and read-only."""
 
-    The values become an integer matrix, one column per prime, over one
-    common denominator, and every row is gathered from it at once.  A row
-    with no negative entry holds; a row with negative and no positive
-    entries is negative; only a row with both goes to :meth:`LogScalar.sign`.
-    The matrix is int64 when no partial sum can overflow, Python ints
-    otherwise.
-    """
-    primes = sorted({p for v in values for p in v._terms})
+    primes: Tuple[int, ...]
+    den: int
+    mat: np.ndarray
+    bound: int
+
+    @classmethod
+    def of(cls, primes: Tuple[int, ...], den: int, mat: np.ndarray) -> "IntegerForm":
+        """The form of an integer matrix already over `primes` and `den`:
+        its bound found, its dtype narrowed to int64 when that fits, and the
+        matrix frozen."""
+        bound = max(int(mat.max()), -int(mat.min())) if mat.size else 0
+        mat = mat.astype(np.int64 if bound <= _INT64_MAX else object, copy=False)
+        mat.setflags(write=False)
+        return cls(primes, den, mat, bound)
+
+    def scalar(self, row: np.ndarray) -> LogScalar:
+        """The value a row of integers over the form's primes and
+        denominator stands for."""
+        return LogScalar._trusted(
+            {p: Fraction(x, self.den) for p, x in zip(self.primes, row.tolist()) if x}
+        )
+
+    def lifted(self, primes: Tuple[int, ...], den: int) -> np.ndarray:
+        """`mat` over `primes`, a superset of the form's, and `den`, a
+        multiple of its denominator."""
+        scale = den // self.den
+        mat = _widened(self.mat, self.bound * scale) * scale
+        out = np.zeros((len(mat), len(primes)), dtype=mat.dtype)
+        out[:, [primes.index(p) for p in self.primes]] = mat
+        return out
+
+
+def _widened(mat: np.ndarray, bound: int) -> np.ndarray:
+    """`mat` as Python ints when a result bounded by `bound` could pass
+    int64, else as it is."""
+    return mat if bound <= _INT64_MAX else mat.astype(object)
+
+
+def integer_form(values: Sequence[LogScalar]) -> IntegerForm:
+    """The integer form of `values`: one column per prime that occurs, in
+    increasing order, over the lcm of every coefficient's denominator."""
+    primes = tuple(sorted({p for v in values for p in v._terms}))
     col = {p: j for j, p in enumerate(primes)}
     den = math.lcm(*(q.denominator for v in values for q in v._terms.values()))
     ints = [[0] * len(primes) for _ in values]
-    top = 0
     for row, v in zip(ints, values):
         for p, q in v._terms.items():
-            row[col[p]] = x = q.numerator * (den // q.denominator)
-            top = max(top, abs(x))
-    # every partial sum of a row is bounded by top * sum(|weights|)
-    dtype = np.int64 if top * sum(abs(w) for w in weights) <= _INT64_MAX else object
-    mat = np.array(ints, dtype=dtype).reshape(len(values), len(primes))
-    rows = sum(w * mat[index[:, t]] for t, w in enumerate(weights))
-    mixed = (rows > 0).any(axis=1)
-    out = []
-    for r in np.flatnonzero((rows < 0).any(axis=1)).tolist():
-        slack = LogScalar._trusted(
-            {p: Fraction(x, den) for p, x in zip(primes, rows[r].tolist()) if x}
-        )
-        if not mixed[r] or slack.sign() < 0:
-            out.append((r, slack))
-    return out
+            row[col[p]] = q.numerator * (den // q.denominator)
+    try:
+        mat = np.array(ints, dtype=np.int64)
+    except OverflowError:
+        mat = np.array(ints, dtype=object)
+    return IntegerForm.of(primes, den, mat.reshape(len(values), len(primes)))
+
+
+def combine(form: IntegerForm, index: np.ndarray, weights: Sequence[int]) -> np.ndarray:
+    """Row r is ``sum_t weights[t] * form.mat[index[r, t]]``: int64 when no
+    partial sum can overflow, Python ints otherwise."""
+    # every partial sum of a row is bounded by bound * sum(|weights|)
+    mat = _widened(form.mat, form.bound * sum(abs(w) for w in weights))
+    return np.asarray(weights, dtype=mat.dtype) @ mat[index]
+
+
+def negative_mask(form: IntegerForm, index: np.ndarray, weights: Sequence[int]) -> np.ndarray:
+    """Whether each row r of ``index`` (an integer array with one column per
+    term) has a negative combination ``sum_t weights[t] * value[index[r, t]]``,
+    the values being those whose integer form is `form`.
+
+    Every row is gathered from the form's matrix at once (:func:`combine`).
+    A row with no negative entry holds; a row with negative and no positive
+    entries is negative; only a row with both goes to :meth:`LogScalar.sign`.
+    """
+    rows = combine(form, index, weights)
+    neg = (rows < 0).any(axis=1)
+    for r in np.flatnonzero(neg & (rows > 0).any(axis=1)).tolist():
+        neg[r] = form.scalar(rows[r]).sign() < 0
+    return neg
+
+
+def negative_rows(
+    form: IntegerForm, index: np.ndarray, weights: Sequence[int]
+) -> List[Tuple[int, LogScalar]]:
+    """Every row r of ``index`` that :func:`negative_mask` flags, paired with
+    its combination, in row order."""
+    neg = np.flatnonzero(negative_mask(form, index, weights))
+    if not len(neg):
+        return []
+    slacks = combine(form, index[neg], weights)
+    return [(r, form.scalar(row)) for r, row in zip(neg.tolist(), slacks)]
 
 
 def log2_units(coeff: RationalLike) -> LogScalar:

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .construct import GDaggerLayout
-from .exactlog import ZERO, LogScalar, negative_rows
+from .exactlog import ZERO, IntegerForm, LogScalar, combine, integer_form, negative_mask
 from .netmodel import (
     ConnectionRequirement,
     Network,
@@ -77,34 +77,46 @@ def _extended_ground(f: SetFunction, name: str) -> GroundSet:
 def functional_extension(
     f: SetFunction, A: SubsetLike, name: Optional[str] = None
 ) -> SetFunction:
-    """Adjoin Y with g(B) = f(B) and g({Y} ∪ B) = f(B ∪ A): the join of A."""
+    """Adjoin Y with g(B) = f(B) and g({Y} ∪ B) = f(B ∪ A): the join of A.
+    g's integer form is f's matrix stacked over its rows B ∪ A."""
     amask = f.ground.mask(A)
     if name is None:
         name = "J(" + ",".join(f.ground.subset(amask)) + ")"
     ground = _extended_ground(f, name)
-    k = len(f.ground)
-    values = list(f.values) + [f.values[m | amask] for m in range(1 << k)]
-    return _check(SetFunction(ground, values), "functional_extension")
+    upper = (np.arange(1 << len(f.ground)) | amask).tolist()
+    values = f.values + [f.values[m] for m in upper]
+    F = f.form
+    form = IntegerForm.of(F.primes, F.den, np.concatenate([F.mat, F.mat[upper]]))
+    return _check(SetFunction.derived(ground, values, form), "functional_extension")
 
 
-def _adjoin(f: SetFunction, name: str, amask: int, z: LogScalar, op: str) -> SetFunction:
+def _adjoin(f: SetFunction, name: str, amask: int, zp: int, zm: int, op: str) -> SetFunction:
     """Adjoin `name` as Z with g({Z} ∪ B) = min(f(B ∪ A), f(B) + z), for A
-    the elements of `amask`.  Every minimum is decided in one
-    `negative_rows` pass: row B is f(B ∪ A) − f(B) − z."""
+    the elements of `amask` and z = f(zp) − f(zm).  Every minimum is decided
+    in one `negative_mask` pass over f's integer form, row B being
+    f(B ∪ A) − f(B) − f(zp) + f(zm); g's form stacks f's matrix over the
+    rows of the minima."""
     ground = _extended_ground(f, name)
     n = 1 << len(f.ground)
     b = np.arange(n)
-    rows = np.stack([b | amask, b, np.full(n, n)], axis=1)
-    lower = {r for r, _ in negative_rows(f.values + [z], rows, (1, -1, -1))}
-    values = f.values + [f.values[m | amask] if m in lower else f.values[m] + z for m in range(n)]
-    return _check(SetFunction(ground, values), op)
+    index = np.stack([b | amask, b, np.full(n, zp), np.full(n, zm)], axis=1)
+    F = f.form
+    lower = negative_mask(F, index, (1, -1, -1, 1))
+    z = f.values[zp] - f.values[zm] if zm else f.values[zp]
+    values = f.values + [
+        f.values[m | amask] if low else f.values[m] + z for m, low in enumerate(lower.tolist())
+    ]
+    rows = np.where(lower[:, None], F.mat[index[:, 0]], combine(F, index[:, 1:], (1, 1, -1)))
+    form = IntegerForm.of(F.primes, F.den, np.concatenate([F.mat, rows]))
+    return _check(SetFunction.derived(ground, values, form), op)
 
 
 def sum_extension(
     f: SetFunction, X: str, Y: str, name: Optional[str] = None
 ) -> SetFunction:
     """Adjoin Z = X ⊕ Y with g(Z) = f(X), requiring f(X) = f(Y) and X ⊥ Y;
-    g({Z} ∪ B) = min(f(B ∪ {X,Y}), f(B) + g(Z))."""
+    g({Z} ∪ B) = min(f(B ∪ {X,Y}), f(B) + g(Z)).  g's integer form is
+    derived from f's: z's row is f's row X."""
     xm = f.ground.mask([X])
     ym = f.ground.mask([Y])
     if f.values[xm] != f.values[ym]:
@@ -113,7 +125,7 @@ def sum_extension(
         raise ExtensionError("sum extension requires the two elements independent")
     if name is None:
         name = f"({X}+{Y})"
-    return _adjoin(f, name, xm | ym, f.values[xm], "sum_extension")
+    return _adjoin(f, name, xm | ym, xm, 0, "sum_extension")
 
 
 def sw_extension(
@@ -123,26 +135,36 @@ def sw_extension(
     name: Optional[str] = None,
 ) -> SetFunction:
     """Adjoin Z describing X given Y: g(Z) = f(X∪Y) − f(Y), Z a function of
-    X, and X a function of {Z} ∪ Y; g({Z} ∪ B) = min(f(B ∪ X), f(B) + g(Z))."""
+    X, and X a function of {Z} ∪ Y; g({Z} ∪ B) = min(f(B ∪ X), f(B) + g(Z)).
+    g's integer form is derived from f's: z's row is f's row X∪Y minus its
+    row Y."""
     xm = f.ground.mask(X)
     ym = f.ground.mask(Y)
     if name is None:
         name = (
             "J(" + ",".join(f.ground.subset(xm)) + "|" + ",".join(f.ground.subset(ym)) + ")"
         )
-    return _adjoin(f, name, xm, f.values[xm | ym] - f.values[ym], "sw_extension")
+    return _adjoin(f, name, xm, xm | ym, ym, "sw_extension")
 
 
 def independent_adhesion(f: SetFunction, fstar: SetFunction) -> SetFunction:
-    """Join two functions on disjoint grounds with g(A) = f(A∩L) + f*(A∩L*)."""
+    """Join two functions on disjoint grounds with g(A) = f(A∩L) + f*(A∩L*).
+    g's integer form is the sum of the two forms' rows, both lifted to the
+    union of their primes and the lcm of their denominators."""
     if set(f.ground.labels) & set(fstar.ground.labels):
         raise ExtensionError("ground sets must be disjoint")
     ground = GroundSet(list(f.ground.labels) + list(fstar.ground.labels))
     k = len(f.ground)
-    values = []
-    for m in range(1 << len(ground)):
-        values.append(f.values[m & ((1 << k) - 1)] + fstar.values[m >> k])
-    return _check(SetFunction(ground, values), "independent_adhesion")
+    m = np.arange(1 << len(ground))
+    low, high = m & ((1 << k) - 1), m >> k
+    values = [f.values[a] + fstar.values[b] for a, b in zip(low.tolist(), high.tolist())]
+    F, G = f.form, fstar.form
+    primes = tuple(sorted(set(F.primes) | set(G.primes)))
+    den = math.lcm(F.den, G.den)
+    both = IntegerForm.of(primes, den, np.concatenate([F.lifted(primes, den), G.lifted(primes, den)]))
+    index = np.stack([low, len(F.mat) + high], axis=1)
+    form = IntegerForm.of(primes, den, combine(both, index, (1, 1)))
+    return _check(SetFunction.derived(ground, values, form), "independent_adhesion")
 
 
 # ---------------------------------------------------------------------------
@@ -766,10 +788,11 @@ def lp_feasible(
             s = (total - b).sign()
             if (equality and s != 0) or (not equality and s > 0):
                 return False
+        form = integer_form(values)
         # every instance of a template in one pass (a term-free one holds)
-        if any(weights and negative_rows(values, masks, weights) for masks, weights in templates):
+        if any(weights and negative_mask(form, masks, weights).any() for masks, weights in templates):
             return False
-        return not negative_rows(values, elementals, ELEMENTAL_WEIGHTS)
+        return not negative_mask(form, elementals, ELEMENTAL_WEIGHTS).any()
 
     if hint is not None and sorted(hint.ground.labels) == sorted(keys):
         values = [hint([kk for kk in keys if m >> index[kk] & 1]) for m in range(1 << k)]
@@ -801,8 +824,8 @@ def lp_feasible(
         return out[:LP_BATCH]
 
     def exact_scan(exact: List[LogScalar]) -> List[int]:
-        rows = negative_rows(exact, elementals, ELEMENTAL_WEIGHTS)
-        return [r for r, _ in rows if r not in active][:LP_BATCH]
+        rows = np.flatnonzero(negative_mask(integer_form(exact), elementals, ELEMENTAL_WEIGHTS))
+        return [r for r in rows.tolist() if r not in active][:LP_BATCH]
 
     rounds = 0
     while True:
@@ -1116,10 +1139,19 @@ def verify_connection_constraints(
     }
     _check_consistency(cert, bits, fail)
 
+    # the locals that map each variable, in certificate order
+    mapping: Dict[str, List[str]] = {}
+    for tag, b in bits.items():
+        for v in b:
+            mapping.setdefault(v, []).append(tag)
+
     def find_local(varnames: Sequence[str]) -> Tuple[List[LogScalar], Mapping[str, int]]:
-        for tag, b in bits.items():
-            if all(v in b for v in varnames):
-                return cert.locals_[tag].func.values, b
+        """The first local, in certificate order, that maps every variable:
+        the first among those that map the rarest one."""
+        tags = min((mapping.get(v, []) for v in varnames), key=len, default=list(bits))
+        for tag in tags:
+            if all(v in bits[tag] for v in varnames):
+                return cert.locals_[tag].func.values, bits[tag]
         raise CoverageError(f"no local function covers variables {list(varnames)}")
 
     for message, terms, rhs, sense in connection_clauses(net, conn, tup):

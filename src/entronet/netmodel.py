@@ -226,6 +226,10 @@ class Alphabet:
         else:
             if q is None or dim is None:
                 raise StructuralError("vector alphabet needs q and dim")
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (q, dim)):
+                raise StructuralError(f"vector alphabet needs integer q and dim, got {q!r}, {dim!r}")
+            if q < 2 or dim < 0:
+                raise StructuralError(f"vector alphabet needs q >= 2 and dim >= 0, got {q}, {dim}")
             self.kind = "vector"
             self.q = q
             self.dim = dim

@@ -15,7 +15,7 @@ from typing import Iterable, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exactlog import ZERO, LogScalar, negative_rows
+from .exactlog import ZERO, IntegerForm, LogScalar, integer_form, negative_rows
 
 SubsetLike = Union[int, Iterable[str]]
 
@@ -68,9 +68,16 @@ class GroundSet:
 
 
 class SetFunction:
-    """Map from subsets of a ground set to LogScalar, zero at the empty set."""
+    """Map from subsets of a ground set to LogScalar, zero at the empty set.
 
-    __slots__ = ("ground", "values")
+    `values` is never mutated in place: every operation builds a new set
+    function.  So `form`, the values' exact integer form
+    (:func:`~entronet.exactlog.integer_form`), is computed on first use and
+    kept; an extension that derives its form from its parent's sets it
+    with :meth:`derived`.
+    """
+
+    __slots__ = ("ground", "values", "_form")
 
     def __init__(self, ground: Union[GroundSet, Sequence[str]], values: Sequence[LogScalar]):
         if not isinstance(ground, GroundSet):
@@ -85,6 +92,24 @@ class SetFunction:
             raise ValueError("value at the empty set must be zero")
         self.ground = ground
         self.values = values
+        self._form = None
+
+    @classmethod
+    def derived(
+        cls, ground: GroundSet, values: Sequence[LogScalar], form: IntegerForm
+    ) -> "SetFunction":
+        """A set function whose integer form is already known; `form` must
+        equal ``integer_form(values)``."""
+        f = cls(ground, values)
+        f._form = form
+        return f
+
+    @property
+    def form(self) -> IntegerForm:
+        """The integer form of `values`, one row per subset mask."""
+        if self._form is None:
+            self._form = integer_form(self.values)
+        return self._form
 
     @classmethod
     def from_dict(
@@ -257,7 +282,7 @@ def check_polymatroid(f: SetFunction) -> ViolationReport:
     k = len(g)
     index = elemental_index(k)
     out: List[Violation] = []
-    for r, slack in negative_rows(f.values, index, ELEMENTAL_WEIGHTS):
+    for r, slack in negative_rows(f.form, index, ELEMENTAL_WEIGHTS):
         s = [g.subset(m) for m in index[r].tolist()]
         if r < k:
             out.append(Violation("monotonicity", (s[2], s[0]), slack))
@@ -323,7 +348,7 @@ def _check_quadruples(
     quads = _quadruples(k)
     out = [
         Violation(kind, tuple((g.labels[x],) for x in quads[r].tolist()), slack)
-        for r, slack in negative_rows(f.values, _quadruple_index(k, terms), weights)
+        for r, slack in negative_rows(f.form, _quadruple_index(k, terms), weights)
     ]
     return ViolationReport(kind, tuple(out))
 

@@ -176,6 +176,23 @@ def test_code_verify_short_decoder_table_exits_2(tmp_path, capsys):
     assert "decoder for session" in capsys.readouterr().err
 
 
+def chain_bundle():
+    """A code bundle of the chain s -> m -> r with every session and edge
+    over F_2^1 and identity maps."""
+    net = Network(("s", "m", "r"),
+                  (Edge("e1", "s", "m", UNCAPPED), Edge("e2", "m", "r", UNCAPPED)))
+    conn = ConnectionRequirement(("U",), {"U": "s"}, {"U": ("r",)})
+    bit = {"kind": "vector", "q": 2, "dim": 1}
+    ident = {"kind": "linear", "q": 2, "matrix": [[1]]}
+    code = {"format": "code/1", "alphabets": {"U": bit, "e1": dict(bit), "e2": bit},
+            "encoders": {"e1": ident, "e2": ident},
+            "decoders": [{"receiver": "r", "session": "U", "map": ident}]}
+    one = log2_units(1)
+    return {"format": "codebundle/1", "network": net.to_json(), "conn": conn.to_json(),
+            "code": code,
+            "tuple": RateCapacityTuple({"U": one}, {"e1": one, "e2": one}).to_json()}
+
+
 @pytest.mark.parametrize("edit", [
     lambda code: code["encoders"].update(e1={"kind": "linear", "q": 2, "matrix": [[1, 1]]}),
     lambda code: code["encoders"].update(e1={"kind": "linear", "q": 2, "matrix": [[5]]}),
@@ -184,23 +201,26 @@ def test_code_verify_short_decoder_table_exits_2(tmp_path, capsys):
     lambda code: code["encoders"].update(e1={"kind": "table", "table": [0, 1.7]}),
 ])
 def test_code_verify_on_a_malformed_map_exits_2(tmp_path, capsys, edit):
-    """A chain s -> m -> r with every session and edge over F_2^1; each edit
-    breaks the first encoder's map."""
-    net = Network(("s", "m", "r"),
-                  (Edge("e1", "s", "m", UNCAPPED), Edge("e2", "m", "r", UNCAPPED)))
-    conn = ConnectionRequirement(("U",), {"U": "s"}, {"U": ("r",)})
-    bit = {"kind": "vector", "q": 2, "dim": 1}
-    ident = {"kind": "linear", "q": 2, "matrix": [[1]]}
-    code = {"format": "code/1", "alphabets": {"U": bit, "e1": bit, "e2": bit},
-            "encoders": {"e1": ident, "e2": ident},
-            "decoders": [{"receiver": "r", "session": "U", "map": ident}]}
-    one = log2_units(1)
-    bundle = {"format": "codebundle/1", "network": net.to_json(), "conn": conn.to_json(),
-              "code": code,
-              "tuple": RateCapacityTuple({"U": one}, {"e1": one, "e2": one}).to_json()}
+    """Each edit breaks the first encoder's map in the chain bundle."""
+    bundle = chain_bundle()
+    code = bundle["code"]
     assert run(["code", "verify", write(tmp_path, "ok.json", bundle)]) == 0
     capsys.readouterr()
     edit(code)
+    assert run(["code", "verify", write(tmp_path, "bad.json", bundle)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", "1"), ("dim", 1.0), ("dim", -1), ("dim", True), ("dim", None),
+    ("q", 2.0), ("q", "2"), ("q", 1), ("q", False),
+])
+def test_code_verify_on_a_malformed_alphabet_exits_2(tmp_path, capsys, key, value):
+    """The chain bundle with one entry of the first edge's alphabet
+    replaced by a non-integer or out-of-range value."""
+    bundle = chain_bundle()
+    bundle["code"]["alphabets"]["e1"][key] = value
     assert run(["code", "verify", write(tmp_path, "bad.json", bundle)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

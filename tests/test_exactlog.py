@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from entronet.exactlog import (
     ZERO,
     LogScalar,
     entropy_of_counts,
+    integer_form,
     is_prime,
     log2_units,
+    negative_rows,
 )
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -178,3 +181,84 @@ def test_entropy_of_counts_refuses_a_non_positive_count(bad):
     for fn in (entropy_of_counts, entropy_of_counts_per_count):
         with pytest.raises(ValueError, match="positive"):
             fn(bad)
+
+
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def reference_negative_rows(values, index, weights):
+    """negative_rows as it was when it converted its values on every call:
+    the integer matrix built here, int64 when no partial sum can overflow."""
+    primes = sorted({p for v in values for p in v.terms})
+    col = {p: j for j, p in enumerate(primes)}
+    den = math.lcm(*(q.denominator for v in values for q in v.terms.values()))
+    ints = [[0] * len(primes) for _ in values]
+    top = 0
+    for row, v in zip(ints, values):
+        for p, q in v.terms.items():
+            row[col[p]] = x = q.numerator * (den // q.denominator)
+            top = max(top, abs(x))
+    dtype = np.int64 if top * sum(abs(w) for w in weights) <= INT64_MAX else object
+    mat = np.array(ints, dtype=dtype).reshape(len(values), len(primes))
+    rows = sum(w * mat[index[:, t]] for t, w in enumerate(weights))
+    mixed = (rows > 0).any(axis=1)
+    out = []
+    for r in np.flatnonzero((rows < 0).any(axis=1)).tolist():
+        slack = LogScalar({p: Fraction(x, den) for p, x in zip(primes, rows[r].tolist()) if x})
+        if not mixed[r] or slack.sign() < 0:
+            out.append((r, slack))
+    return out
+
+
+# coefficients small, or large enough that four of them pass int64
+coefficients = st.one_of(
+    fractions,
+    st.builds(Fraction, st.integers(-2**62, 2**62), st.integers(1, 3)),
+)
+big_scalars = st.dictionaries(st.sampled_from(PRIMES[:3]), coefficients, max_size=3).map(LogScalar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(big_scalars, min_size=1, max_size=8), st.data())
+def test_negative_rows_of_a_form_match_the_per_call_conversion(values, data):
+    # the per-call conversion chose int64 for all-zero weights whatever the
+    # entries, and overflowed on entries past int64; see the test below
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5).filter(any))
+    rows = st.lists(st.integers(0, len(values) - 1), min_size=len(weights),
+                    max_size=len(weights))
+    index = np.array(data.draw(st.lists(rows, min_size=1, max_size=12)))
+    assert negative_rows(integer_form(values), index, weights) == \
+        reference_negative_rows(values, index, weights)
+
+
+@given(st.lists(big_scalars, min_size=1, max_size=8))
+def test_integer_form_holds_every_value_exactly(values):
+    """Row i over den gives back value i; the matrix is int64 exactly when
+    its bound fits, and read-only."""
+    form = integer_form(values)
+    assert list(form.primes) == sorted({p for v in values for p in v.terms})
+    assert form.den == math.lcm(*(q.denominator for v in values for q in v.terms.values()))
+    for v, row in zip(values, form.mat.tolist()):
+        assert LogScalar({p: Fraction(x, form.den) for p, x in zip(form.primes, row)}) == v
+    assert form.bound == max((abs(x) for row in form.mat.tolist() for x in row), default=0)
+    assert (form.mat.dtype == np.int64) == (form.bound <= INT64_MAX)
+    with pytest.raises(ValueError, match="read-only"):
+        form.mat[0] = 0
+
+
+def test_negative_rows_widens_an_int64_form_whose_sums_overflow():
+    """Each value fits int64, but a row of four of them does not."""
+    big = LogScalar({2: 2**62 - 1})
+    values = [ZERO, big, -big, LogScalar({2: 1, 3: -(2**62)})]
+    form = integer_form(values)
+    assert form.mat.dtype == np.int64
+    index = np.array([[1, 1, 1, 3], [2, 2, 2, 1], [1, 2, 0, 0], [3, 3, 3, 3]])
+    weights = (1, 1, 1, -1)
+    got = negative_rows(form, index, weights)
+    assert got == reference_negative_rows(values, index, weights)
+    assert [r for r, _ in got] == [1, 3]
+
+
+def test_negative_rows_with_zero_weights_over_entries_past_int64():
+    values = [ZERO, LogScalar({5: 2**64})]
+    assert negative_rows(integer_form(values), np.array([[1, 0]]), (0, 0)) == []

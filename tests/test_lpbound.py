@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import perturb_non_polymatroid, random_integer_polymatroid
 from entronet.construct import build_gdagger, rate_capacity
-from entronet.exactlog import ZERO, LogScalar, log2_units, negative_rows
+from entronet.exactlog import ZERO, LogScalar, integer_form, log2_units, negative_rows
 from entronet.groupchar import builtin_function
 from entronet import lpbound
 from entronet.lpbound import (
@@ -926,6 +926,56 @@ def test_sum_extension_matches_the_per_value_minimum(seed, n, data):
     assert g.values == adjoined_by_min(fp, amask, fp([x]))
 
 
+def assert_form_is_derived_exactly(g):
+    """g's form, derived through its extensions, is the conversion of its
+    values: same primes, denominator, bound and matrix, and read-only."""
+    form, want = g.form, integer_form(g.values)
+    assert (form.primes, form.den, form.bound) == (want.primes, want.den, want.bound)
+    assert form.mat.dtype == want.mat.dtype and np.array_equal(form.mat, want.mat)
+    with pytest.raises(ValueError, match="read-only"):
+        form.mat[-1] = 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3), st.sampled_from(
+    ["functional", "sum", "sw", "adhesion"]), st.data())
+def test_every_extension_derives_the_integer_form_of_its_values(seed, n, op, data):
+    f = mixed_polymatroid(seed, n)
+    labels = list(f.ground.labels)
+    if op == "functional":
+        g = functional_extension(f, data.draw(st.integers(0, (1 << n) - 1)), name="Z")
+    elif op == "sum":
+        x = data.draw(st.sampled_from(labels))
+        fp = independent_adhesion(f, SetFunction(["Y"], f.restrict([x]).values))
+        assert_form_is_derived_exactly(fp)
+        g = sum_extension(fp, x, "Y", name="Z")
+    elif op == "sw":
+        xm = data.draw(st.integers(1, (1 << n) - 1))
+        g = sw_extension(f, xm, data.draw(st.integers(0, (1 << n) - 1)), name="Z")
+    else:
+        # a second function over other primes and denominators
+        other = mixed_polymatroid(seed + 1, data.draw(st.integers(1, 2))).scale(Fraction(5, 7))
+        other = SetFunction([f"o{x}" for x in other.ground.labels], other.values)
+        g = independent_adhesion(f, other)
+    assert_form_is_derived_exactly(g)
+
+
+def test_extensions_past_int64_take_the_object_path():
+    """Coefficients of 2^61 and more: every row sum of the minima pass can
+    pass int64, so the pass and the derived rows run on Python ints and
+    keep the per-value minima."""
+    f = mixed_polymatroid(7, 3).scale(2**61)
+    assert f.form.bound * 4 > np.iinfo(np.int64).max
+    g = sw_extension(f, 0b011, 0b100, name="Z")
+    assert g.values == adjoined_by_min(f, 0b011, f.values[0b111] - f.values[0b100])
+    assert_form_is_derived_exactly(g)
+    fp = independent_adhesion(f, SetFunction(["Y"], f.restrict(["1"]).values))
+    g = sum_extension(fp, "1", "Y", name="Z")
+    assert g.values == adjoined_by_min(fp, fp.ground.mask(["1", "Y"]), fp(["1"]))
+    assert_form_is_derived_exactly(g)
+    assert g.form.mat.dtype == object
+
+
 @st.composite
 def templates(draw):
     """An expression over up to 4 variables, with 0 to 6 terms, and the
@@ -954,7 +1004,7 @@ def test_instantiate_matches_relabel(case, data):
     small = st.integers(-3, 3)
     values = [ZERO] + [LogScalar({2: data.draw(small), 3: data.draw(small)})
                        for _ in range(1, 1 << len(keys))]
-    flagged = [r for r, _ in negative_rows(values, masks, weights)] if weights else []
+    flagged = [r for r, _ in negative_rows(integer_form(values), masks, weights)] if weights else []
     g = SetFunction(keys, values)
     assert flagged == [p for p, inst in enumerate(insts) if inst.evaluate(g).sign() < 0]
 
