@@ -286,8 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         "constructive codes, and LP outer bounds with exact arithmetic.",
     )
     p.add_argument("--json", action="store_true", help="emit structured JSON reports")
+    # the same flag after the subcommand; with no default of its own it
+    # leaves the global value in place when absent
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit structured JSON reports")
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="emit structured JSON reports")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("check", parents=[common], help="check a set function against an inequality family")

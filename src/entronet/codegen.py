@@ -10,12 +10,12 @@ from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .construct import GDaggerLayout
-from .ffield import GF, Matrix
+from .ffield import GF, Matrix, digits_of, flat_index
 from .groupchar import (
     FiniteGroup,
     SubspaceFamily,
     SupportSet,
-    quasi_uniform_check,
+    support_projections,
 )
 from .netmodel import (
     Alphabet,
@@ -24,7 +24,6 @@ from .netmodel import (
     Network,
     NetworkCode,
     TableMap,
-    _flat_index,
     decoder_feeds,
     edge_feeds,
 )
@@ -45,28 +44,22 @@ class SideInfoCode:
 
 
 def side_info_encoder(s: SupportSet) -> SideInfoCode:
+    """U1 is described by its rank, in alphabet order, within the slice of
+    the support that shares its U2."""
     if s.arity != 2:
         raise ValueError("side-information coding works on a pair support")
-    res = quasi_uniform_check(s)
-    if not res.ok:
-        raise ValueError(f"support is not quasi-uniform (failing coordinates {res.failing})")
-    pos = [{x: i for i, x in enumerate(a)} for a in s.alphabets]
-    slices: Dict[object, List[object]] = {}
-    for u1, u2 in s.tuples:
-        slices.setdefault(u2, []).append(u1)
-    m = None
+    syms, R, proj, failing = support_projections(s)
+    if failing:
+        raise ValueError(f"support is not quasi-uniform (failing coordinates {failing})")
+    # R's rows are sorted, so each slice lists its U1 in alphabet order
+    w = _group_rank(R[:, 1])
     encoder = {}
     decoder = {}
-    for u2, lst in slices.items():
-        lst.sort(key=lambda x: pos[0][x])
-        if m is None:
-            m = len(lst)
-        elif m != len(lst):  # cannot happen for quasi-uniform supports
-            raise ValueError("slice sizes differ; support is not quasi-uniform")
-        for w, u1 in enumerate(lst):
-            encoder[(u1, u2)] = w
-            decoder[(w, u2)] = u1
-    return SideInfoCode(m, encoder, decoder)
+    for (r1, r2), k in zip(R.tolist(), w.tolist()):
+        u1, u2 = syms[0][r1], syms[1][r2]
+        encoder[(u1, u2)] = k
+        decoder[(k, u2)] = u1
+    return SideInfoCode(len(R) // len(proj[0b10][0]), encoder, decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -91,37 +84,24 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
     indices; the type-2 bottleneck carries the index of V_α plus the session
     index modulo the projected support size.
 
-    Every table is gathered from the rank matrix R of the support: one row
-    per tuple in lexicographic order of alphabet positions, holding each
-    coordinate's rank among the symbols that occur there.  A table over fan
-    feeds is 0 off the support.
+    Every table is gathered from the rank matrix R of the support and its
+    projections (`support_projections`).  A table over fan feeds is 0 off
+    the support.
     """
     N = s.arity
     full = (1 << N) - 1
-
-    syms = []  # per coordinate: the symbols that occur, in alphabet order
-    for c, alpha in enumerate(s.alphabets):
-        pos = {x: k for k, x in enumerate(alpha)}
-        syms.append(sorted({t[c] for t in s.tuples}, key=pos.__getitem__))
-    rank = [{x: k for k, x in enumerate(col)} for col in syms]
-    R = np.array(sorted(tuple(rank[c][x] for c, x in enumerate(t)) for t in s.tuples))
+    syms, R, proj, failing = support_projections(s)
     sizes = [len(col) for col in syms]
     mf = len(R)
 
     def coords(mask: int) -> List[int]:
         return [c for c in range(N) if mask >> c & 1]
 
-    def symbols(cols: List[int], rows: np.ndarray) -> List[tuple]:
-        return [tuple(syms[c][k] for c, k in zip(cols, row)) for row in rows.tolist()]
+    def symbols(mask: int, rows: np.ndarray) -> List[tuple]:
+        """The symbols of each row of R in `rows` at the coordinates of `mask`."""
+        cols = coords(mask)
+        return [tuple(syms[c][row[c]] for c in cols) for row in R[rows].tolist()]
 
-    proj = {}  # mask -> (sorted α-projections, each row's projection index)
-    for mask in range(1, full + 1):
-        uniq, inv = np.unique(R[:, coords(mask)], axis=0, return_inverse=True)
-        proj[mask] = (uniq, inv.reshape(-1))
-    failing = tuple(
-        tuple(coords(mask)) for mask, (_, inv) in proj.items()
-        if len(set(np.bincount(inv).tolist())) > 1
-    )
     if failing:
         raise ValueError(f"support is not quasi-uniform (failing coordinates {failing})")
     if N != layout.n:
@@ -130,7 +110,7 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
 
     alphabets: Dict[str, Alphabet] = {}
     sess_full = layout.session_labels[full]
-    alphabets[sess_full] = Alphabet(symbols=symbols(coords(full), R))
+    alphabets[sess_full] = Alphabet(symbols=symbols(full, np.arange(mf)))
     for mask in range(1, full):
         alphabets[layout.session_labels[mask]] = Alphabet(symbols=range(len(proj[mask][0])))
     encoders: Dict[str, TableMap] = {}
@@ -145,12 +125,13 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
         feeds = edge_feeds(net, conn, net.edge(eid))
         cols = [layout.fans[f] - 1 for f in feeds if f in layout.fans]
         table = np.zeros(int(np.prod([sizes[c] for c in cols])), dtype=np.int64)
-        table[_flat_index(mf, [R[:, c] for c in cols], [sizes[c] for c in cols])] = values
+        table[flat_index(mf, [R[:, c] for c in cols], [sizes[c] for c in cols])] = values
         return table
 
     # sources part: V[j] edges carry coordinate j; fans forward one V value
     v_cols = [j - 1 for _, j in sorted((e, j) for j, e in layout.v_edges.items())]
-    digits = np.indices([sizes[c] for c in v_cols]).reshape(len(v_cols), -1)
+    v_sizes = [sizes[c] for c in v_cols]
+    digits = digits_of(np.arange(int(np.prod(v_sizes)), dtype=np.int64), v_sizes)
     for j in range(1, N + 1):
         set_encoder(layout.v_edges[j], Alphabet(symbols=syms[j - 1]), R[:, j - 1])
     for eid, j in layout.fans.items():
@@ -159,8 +140,8 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
     for sub in layout.subnets:
         a = sub.alpha
         sess_a = layout.session_labels[a]
-        sorted_a, inv_a = proj[a]
-        ma = len(sorted_a)
+        first_a, inv_a = proj[a]
+        ma = len(first_a)
         ident = np.arange(ma)
         if sub.kind == 0:
             set_encoder(sub.role_edges["W"], alphabets[sess_a], ident)
@@ -173,7 +154,7 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
         from_slice = np.zeros(mf, dtype=np.int64)
         from_slice[w * ma + inv_a] = np.arange(mf)
         slice_alpha = Alphabet(symbols=range(mf // ma))
-        va_alpha = Alphabet(symbols=symbols(coords(a), sorted_a))
+        va_alpha = Alphabet(symbols=symbols(a, first_a))
         if sub.kind == 1:
             set_encoder(sub.role_edges["W"], slice_alpha, w)
             set_encoder(sub.role_edges["W'"], va_alpha, on_fans(sub.role_edges["W'"], inv_a))
@@ -457,7 +438,7 @@ def group_code_encode(
         """Table over the feed domain holding each element's coset of `out`,
         and the entries where elements disagree."""
         sizes = [count[f] for f in feeds]
-        flat = _flat_index(len(elems), [coset[f][elems] for f in feeds], sizes)
+        flat = flat_index(len(elems), [coset[f][elems] for f in feeds], sizes)
         table = np.zeros(int(np.prod(sizes)), dtype=np.int64)
         table[flat] = coset[out][elems]
         return table, flat[table[flat] != coset[out][elems]]

@@ -4,6 +4,12 @@ Elements are integers 0..q-1.  For prime q they are residues; for prime
 powers they encode polynomial coefficients base p, with multiplication
 modulo a fixed Conway polynomial.  Vectors are tuples/lists of elements;
 matrices are lists of rows; maps act on row vectors as ``y = x @ M``.
+
+Every tuple space of the package is numbered one way, by `flat_index` and
+its inverse `digits_of`: the mixed-radix index with the FIRST coordinate
+most significant.  That numbers the vectors of F_q^dim (`GF.vec_index`),
+the entries of a code's tables over their feeds, and the source tuples
+that `evaluate_code` enumerates.
 """
 
 from __future__ import annotations
@@ -15,6 +21,28 @@ import numpy as np
 from .exactlog import factorize
 
 Matrix = List[List[int]]
+
+
+def flat_index(n: int, digits: Sequence, sizes: Sequence[int]):
+    """Mixed-radix index of n tuples given by their coordinates (arrays, or
+    ints for one tuple) in radices `sizes`, first coordinate most
+    significant; zeros(n) for no coordinates."""
+    if not digits:
+        return np.zeros(n, dtype=np.int64)
+    flat = digits[0]
+    for arr, s in zip(digits[1:], sizes[1:]):
+        flat = flat * s + arr
+    return flat
+
+
+def digits_of(flat, sizes: Sequence[int]) -> list:
+    """Inverse of `flat_index`: the coordinates of `flat`, an int or an
+    integer array, in radices `sizes`, first coordinate first."""
+    digits = []
+    for s in reversed(sizes):
+        flat, d = divmod(flat, s)
+        digits.append(d)
+    return digits[::-1]
 
 # Conway polynomials C_{p,k}, stored as coefficient lists [c_0, ..., c_{k-1}]
 # of x^k = -(c_0 + c_1 x + ... + c_{k-1} x^{k-1}), i.e. the monic polynomial
@@ -62,18 +90,12 @@ class GF:
             cp, coeffs = _CONWAY[q]
             assert cp == p
 
+            # an element's base-p digits are its coefficients, constant first
             def to_poly(a: int) -> List[int]:
-                out = []
-                for _ in range(k):
-                    out.append(a % p)
-                    a //= p
-                return out
+                return digits_of(a, [p] * k)[::-1]
 
             def from_poly(c: Sequence[int]) -> int:
-                v = 0
-                for x in reversed(c):
-                    v = v * p + x
-                return v
+                return flat_index(1, c[::-1], [p] * k)
 
             def polymul(a: int, b: int) -> int:
                 pa, pb = to_poly(a), to_poly(b)
@@ -299,13 +321,8 @@ class GF:
 
     def all_vectors(self, dim: int):
         """All q^dim row vectors, in mixed-radix index order (last coord fastest)."""
-        q = self.q
-        for idx in range(q ** dim):
-            v = []
-            for _ in range(dim):
-                v.append(idx % q)
-                idx //= q
-            yield tuple(reversed(v))
+        for idx in range(self.q ** dim):
+            yield tuple(digits_of(idx, [self.q] * dim))
 
     def image_table(self, M: Sequence[Sequence[int]]) -> np.ndarray:
         """Index of x @ M for every x in F_q^len(M), both in `vec_index`
@@ -313,19 +330,18 @@ class GF:
         q = self.q
         in_dim = len(M)
         total = q ** in_dim
-        flat = np.arange(total, dtype=np.int64)
-        digits = [(flat // q ** pos) % q for pos in range(in_dim - 1, -1, -1)]
+        digits = digits_of(np.arange(total, dtype=np.int64), [q] * in_dim)
         add = np.array(self.add_table, dtype=np.int64)
         mul = np.array(self.mul_table, dtype=np.int64)
-        out = np.zeros(total, dtype=np.int64)
+        out = []
         for j in range(len(M[0]) if M else 0):
             acc = np.zeros(total, dtype=np.int64)
             for i in range(in_dim):
                 c = M[i][j]
                 if c:
                     acc = add[acc, mul[digits[i], c]]
-            out = out * q + acc
-        return out
+            out.append(acc)
+        return flat_index(total, out, [q] * len(out))
 
     def vec_index(self, v: Sequence[int]) -> int:
         idx = 0

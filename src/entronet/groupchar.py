@@ -324,29 +324,25 @@ class SupportSet:
     tuples: FrozenSet[tuple]
 
     def __init__(self, arity: int, alphabets: Sequence[Sequence[object]], tuples):
-        tups = frozenset(tuple(t) for t in tuples)
+        try:
+            tups = frozenset(tuple(t) for t in tuples)
+            alph = tuple(tuple(a) for a in alphabets)
+            members = [set(a) for a in alph]
+        except TypeError as exc:
+            raise ValueError(f"support symbols must be hashable: {exc}") from None
         if not tups:
             raise ValueError("support must be nonempty")
-        alph = tuple(tuple(a) for a in alphabets)
         if len(alph) != arity:
             raise ValueError("need one alphabet per coordinate")
         for t in tups:
             if len(t) != arity:
                 raise ValueError(f"tuple {t} has wrong arity")
-            for x, a in zip(t, alph):
+            for x, a in zip(t, members):
                 if x not in a:
                     raise ValueError(f"symbol {x!r} missing from its coordinate alphabet")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "alphabets", alph)
         object.__setattr__(self, "tuples", tups)
-
-    def project(self, coords: Sequence[int]) -> Dict[tuple, int]:
-        """Projection multiplicities onto the given coordinates."""
-        out: Dict[tuple, int] = {}
-        for t in self.tuples:
-            key = tuple(t[c] for c in coords)
-            out[key] = out.get(key, 0) + 1
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -425,24 +421,51 @@ class QuasiUniformResult:
     failing: Tuple[Tuple[int, ...], ...]  # coordinate index sets that fail
 
 
+def support_projections(s: SupportSet):
+    """The projections of a support onto every nonempty coordinate set α,
+    as (syms, R, proj, failing).
+
+    syms[c] lists the symbols that occur at coordinate c, in alphabet
+    order.  R has one row per tuple, in lexicographic order, holding each
+    coordinate's rank in syms.  proj[α] is (first, inv) for α given as a
+    bit mask: R[first] holds one row per α-projection, in lexicographic
+    order of the projections, and inv[t] is the projection index of row t.
+    failing lists the coordinate sets whose projection counts differ, in
+    mask order; the support is quasi-uniform iff it is empty.
+
+    The α-projections are numbered from those of α without its last
+    coordinate c, by the key (projection index) * len(syms[c]) + R[:, c],
+    which stays below |support| * len(syms[c]) at any arity."""
+    n = s.arity
+    syms = []
+    for c, alpha in enumerate(s.alphabets):
+        pos = {x: k for k, x in enumerate(alpha)}
+        syms.append(sorted({t[c] for t in s.tuples}, key=pos.__getitem__))
+    rank = [{x: k for k, x in enumerate(col)} for col in syms]
+    R = np.array(sorted(tuple(rank[c][x] for c, x in enumerate(t)) for t in s.tuples),
+                 dtype=np.int64)
+    proj = {}
+    failing = []
+    for mask in range(1, 1 << n):
+        c = mask.bit_length() - 1
+        rest = mask ^ (1 << c)
+        key = R[:, c] if not rest else proj[rest][1] * len(syms[c]) + R[:, c]
+        _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+        proj[mask] = (first, inv)
+        counts = np.bincount(inv)
+        if counts.min() != counts.max():
+            failing.append(tuple(i for i in range(n) if mask >> i & 1))
+    return syms, R, proj, tuple(failing)
+
+
 def quasi_uniform_check(s: SupportSet) -> QuasiUniformResult:
     """Every projection must be uniform on its support; if so, the entropy
     function is α ↦ log of the projected support size."""
-    n = s.arity
-    values: List[LogScalar] = [ZERO]
-    failing: List[Tuple[int, ...]] = []
-    for mask in range(1, 1 << n):
-        coords = [i for i in range(n) if mask >> i & 1]
-        proj = s.project(coords)
-        counts = set(proj.values())
-        if len(counts) != 1:
-            failing.append(tuple(coords))
-            values.append(ZERO)
-        else:
-            values.append(LogScalar.log_int(len(proj)))
+    _, _, proj, failing = support_projections(s)
     if failing:
-        return QuasiUniformResult(False, None, tuple(failing))
-    return QuasiUniformResult(True, SetFunction(_default_ground(n), values), ())
+        return QuasiUniformResult(False, None, failing)
+    values = [ZERO] + [LogScalar.log_int(len(proj[mask][0])) for mask in range(1, 1 << s.arity)]
+    return QuasiUniformResult(True, SetFunction(_default_ground(s.arity), values), ())
 
 
 def builtin_function(name: str, a: Union[int, Fraction] = 1) -> SetFunction:

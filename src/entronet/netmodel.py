@@ -6,8 +6,8 @@ Conventions:
     its tail node (sorted by label) followed by the tail's in-edges (sorted
     by edge id).  A decoder at a receiver reads the sessions originating
     there followed by the receiver's in-edges, same ordering.
-  - Lookup tables are dense arrays over the flat feed-domain index with the
-    FIRST feed most significant.
+  - Lookup tables are dense arrays over the flat feed-domain index
+    (`ffield.flat_index`: the FIRST feed most significant).
   - Linear maps act on row vectors: y = x @ M over GF(q).
 """
 
@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .exactlog import ZERO, LogScalar, entropy_of_counts
-from .ffield import GF
+from .ffield import GF, digits_of, flat_index
 from .groupchar import SubspaceFamily
 from .setfunc import GroundSet, SetFunction
 
@@ -250,12 +250,7 @@ class Alphabet:
     def symbol(self, idx: int):
         if self.kind == "symbols":
             return self.symbols[idx]
-        q, dim = self.q, self.dim
-        v = []
-        for _ in range(dim):
-            v.append(idx % q)
-            idx //= q
-        return tuple(reversed(v))
+        return tuple(digits_of(idx, [self.q] * self.dim))
 
     def log_size(self) -> LogScalar:
         return LogScalar.log_int(self.size)
@@ -547,29 +542,6 @@ class EvaluationResult:
         return self.oracle.to_setfunction()
 
 
-def _flat_index(n: int, arrays: List[np.ndarray], sizes: List[int]) -> np.ndarray:
-    """Flat feed-domain index of n tuples, first feed most significant."""
-    if not arrays:
-        return np.zeros(n, dtype=np.int64)
-    flat = arrays[0]
-    for arr, s in zip(arrays[1:], sizes[1:]):
-        flat = flat * s + arr
-    return flat
-
-
-def _source_values(
-    sess: Sequence[str], sizes: Mapping[str, int], start: int, stop: int
-) -> Dict[str, np.ndarray]:
-    """Symbol indices of the sessions over source tuples start..stop-1 of
-    their product, first session most significant."""
-    values: Dict[str, np.ndarray] = {}
-    rem = np.arange(start, stop, dtype=np.int64)
-    for s in reversed(sess):
-        values[s] = rem % sizes[s]
-        rem = rem // sizes[s]
-    return values
-
-
 def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
               alphabets: Mapping[str, Alphabet]) -> np.ndarray:
     """Dense table of an encoder or decoder; a TableMap must cover exactly
@@ -676,7 +648,7 @@ def evaluate_code(
     def propagate(edges: List[str], values: Dict[str, np.ndarray], n: int) -> None:
         for eid in edges:
             feeds = feeds_of[eid]
-            flat = _flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
+            flat = flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
             values[eid] = tables[eid][flat]
 
     failing: List[tuple] = []
@@ -687,11 +659,12 @@ def evaluate_code(
         for start in range(0, cone_total, chunk):
             stop = min(start + chunk, cone_total)
             n = stop - start
-            values = _source_values(cone_sess, sizes, start, stop)
+            sources = np.arange(start, stop, dtype=np.int64)
+            values = dict(zip(cone_sess, digits_of(sources, [sizes[s] for s in cone_sess])))
             propagate(cone_edges, values, n)
             for r, s in checks:
                 feeds = dec_feeds[r]
-                flat = _flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
+                flat = flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
                 bad = np.nonzero(dec_tables[(r, s)][flat] != values[s])[0]
                 if bad.size:
                     zero_error = False
@@ -703,7 +676,8 @@ def evaluate_code(
                         failing.append((src, r, s))
 
     def joint() -> EntropyOracle:
-        values = _source_values(sess, sizes, 0, total)
+        sources = np.arange(total, dtype=np.int64)
+        values = dict(zip(sess, digits_of(sources, [sizes[s] for s in sess])))
         propagate([e.id for e in order], values, total)
         return EntropyOracle(values, sizes, total)
 
@@ -768,26 +742,14 @@ def code_product(
         s1 = [code1.alphabets[f].size for f in feeds]
         s2 = [code2.alphabets[f].size for f in feeds]
         sp = [alphabets[f].size for f in feeds]
-        dom = 1
-        for s in sp:
-            dom *= s
-        idx = np.arange(dom, dtype=np.int64)
-        rem = idx
-        f1 = np.zeros(dom, dtype=np.int64)
-        f2 = np.zeros(dom, dtype=np.int64)
-        # decompose the product-domain flat index feed by feed (last fastest)
-        parts = []
-        for s in reversed(sp):
-            parts.append(rem % s)
-            rem = rem // s
-        parts.reverse()
-        for part, a1, a2 in zip(parts, s1, s2):
-            i1 = part // a2
-            i2 = part % a2
-            f1 = f1 * a1 + i1
-            f2 = f2 * a2 + i2
-        o2 = code2.alphabets[out_key].size
-        return TableMap(t1[f1] * o2 + t2[f2])
+        dom = math.prod(sp)
+        # each product-domain feed index is a pair of the two codes' indices
+        parts = digits_of(np.arange(dom, dtype=np.int64), sp)
+        pairs = [digits_of(part, [a1, a2]) for part, a1, a2 in zip(parts, s1, s2)]
+        f1 = flat_index(dom, [i1 for i1, _ in pairs], s1)
+        f2 = flat_index(dom, [i2 for _, i2 in pairs], s2)
+        sizes = [code1.alphabets[out_key].size, code2.alphabets[out_key].size]
+        return TableMap(flat_index(dom, [t1[f1], t2[f2]], sizes))
 
     encoders = {}
     for e in net.edges:

@@ -6,9 +6,14 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from entronet.exactlog import LogScalar
 from entronet.ffield import GF
 from entronet.groupchar import (
+    SubgroupFamily,
+    SupportSet,
+    coset_support,
     cyclic,
     dihedral,
     direct_product,
@@ -44,6 +49,50 @@ def group_catalog():
             g = direct_product(g, cyclic(d))
         groups.append(("x".join(map(str, dims)), g))
     return groups
+
+
+def reference_quasi_uniform_check(s):
+    """Quasi-uniformity decided by counting each projection's multiplicities
+    in a dict, tuple by tuple: the reference for `support_projections`.
+    Returns (ok, failing coordinate sets, entropy values or None)."""
+    n = s.arity
+    values = [ZERO]
+    failing = []
+    for mask in range(1, 1 << n):
+        coords = [i for i in range(n) if mask >> i & 1]
+        proj = {}
+        for t in s.tuples:
+            key = tuple(t[c] for c in coords)
+            proj[key] = proj.get(key, 0) + 1
+        if len(set(proj.values())) != 1:
+            failing.append(tuple(coords))
+        values.append(LogScalar.log_int(len(proj)))
+    return not failing, tuple(failing), None if failing else values
+
+
+_SMALL_GROUPS = [(name, g) for name, g in group_catalog() if g.order <= 12]
+_small_subgroups = {}
+
+
+@st.composite
+def supports(draw, arity=st.integers(1, 4)):
+    """A support whose alphabets are shuffled and may hold unused symbols:
+    either the coset support of a subgroup family, which is quasi-uniform,
+    or a random set of tuples, which mostly is not."""
+    n = draw(arity)
+    if draw(st.booleans()):
+        name, g = draw(st.sampled_from(_SMALL_GROUPS))
+        subs = _small_subgroups.setdefault(name, [sorted(x) for x in g.all_subgroups()])
+        base = coset_support(SubgroupFamily(g, [draw(st.sampled_from(subs)) for _ in range(n)]))
+        sizes = [len(a) for a in base.alphabets]
+        tuples = base.tuples
+    else:
+        sizes = [draw(st.integers(1, 4)) for _ in range(n)]
+        tuples = draw(st.sets(st.tuples(*[st.integers(0, k - 1) for k in sizes]),
+                              min_size=1, max_size=16))
+    alphabets = [draw(st.permutations([f"{c}:{x}" for x in range(k + draw(st.integers(0, 2)))]))
+                 for c, k in enumerate(sizes)]
+    return SupportSet(n, alphabets, [tuple(f"{c}:{x}" for c, x in enumerate(t)) for t in tuples])
 
 
 def chained_intersection(fam, indices):

@@ -49,6 +49,37 @@ def test_json_reports(zy_path, capsys):
     assert rep["format"] == "report/1" and rep["ok"] is False
 
 
+def report_commands(tmp_path, capsys):
+    """(argv, exit code) of a `check`, a `qu check`, an `lp implies` and a
+    `witness verify` that print a report."""
+    h_path = write(tmp_path, "h.json", SetFunction.from_log2("12", {"1": 1, "2": 2, "12": 2}).to_json())
+    assert run(["witness", "build", h_path, "--n", "2"]) == 0
+    cert_path = write(tmp_path, "cert.json", json.loads(capsys.readouterr().out))
+    assert run(["construct", "gdagger", "--n", "2", "--h", h_path, "--json"]) == 0
+    tup_path = write(tmp_path, "tup.json", json.loads(capsys.readouterr().out)["tuple"])
+    g = direct_product(cyclic(2), cyclic(2))
+    subs = [sorted(x) for x in g.all_subgroups() if len(x) == 2]
+    fam_path = write(tmp_path, "fam.json", SubgroupFamily(g, (subs[0], subs[1])).to_json())
+    assert run(["group", "support", fam_path, "--json"]) == 0
+    sup_path = write(tmp_path, "sup.json", json.loads(capsys.readouterr().out))
+    expr_path = tmp_path / "e.txt"
+    expr_path.write_text("I(1;2) >= 0\n")
+    return [
+        (["check", "zy", write(tmp_path, "zy.json", builtin_function("zy").to_json())], 1),
+        (["qu", "check", sup_path], 0),
+        (["lp", "implies", str(expr_path), "--n", "3"], 0),
+        (["witness", "verify", cert_path, tup_path], 0),
+    ]
+
+
+@pytest.mark.parametrize("position", ["global", "subcommand"])
+def test_json_flag_works_before_and_after_the_subcommand(tmp_path, capsys, position):
+    for argv, code in report_commands(tmp_path, capsys):
+        argv = ["--json"] + argv if position == "global" else argv + ["--json"]
+        assert run(argv) == code
+        assert json.loads(capsys.readouterr().out)["format"] == "report/1"
+
+
 def test_stdin_dash(monkeypatch, capsys):
     doc = json.dumps(builtin_function("projective-plane").to_json())
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
@@ -222,6 +253,17 @@ def test_code_verify_on_a_malformed_alphabet_exits_2(tmp_path, capsys, key, valu
     bundle = chain_bundle()
     bundle["code"]["alphabets"]["e1"][key] = value
     assert run(["code", "verify", write(tmp_path, "bad.json", bundle)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["qu", "check"], ["code", "build", "qu", "--n", "1"]])
+@pytest.mark.parametrize("support", [
+    {"format": "support/1", "arity": 1, "alphabets": [[1]], "tuples": [[{}]]},
+    {"format": "support/1", "arity": 1, "alphabets": [[0, {"a": 1}]], "tuples": [[0]]},
+])
+def test_a_support_with_an_unhashable_symbol_exits_2(tmp_path, capsys, command, support):
+    assert run(command + [write(tmp_path, "sup.json", support)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

@@ -5,10 +5,10 @@ import random
 import re
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subspaces, chained_intersection
+from conftest import all_subspaces, chained_intersection, reference_quasi_uniform_check, supports
 from entronet.codegen import (
     GroupCodeError,
     group_code_encode,
@@ -237,6 +237,38 @@ def test_side_info_encoder_round_trip():
             w = sic.encoder[(u1, u2)]
             assert w < sic.alphabet_size
             assert sic.decoder[(w, u2)] == u1
+
+
+def reference_side_info_encoder(s):
+    """The side-information code built slice by slice: the U1 values seen
+    with each U2, sorted by alphabet position and numbered in that order."""
+    ok, failing, _ = reference_quasi_uniform_check(s)
+    if not ok:
+        raise ValueError(f"support is not quasi-uniform (failing coordinates {failing})")
+    pos = {x: i for i, x in enumerate(s.alphabets[0])}
+    slices = {}
+    for u1, u2 in s.tuples:
+        slices.setdefault(u2, []).append(u1)
+    encoder, decoder = {}, {}
+    for u2, lst in slices.items():
+        for w, u1 in enumerate(sorted(lst, key=pos.__getitem__)):
+            encoder[(u1, u2)] = w
+            decoder[(w, u2)] = u1
+    return len(lst), encoder, decoder
+
+
+@settings(max_examples=200, deadline=None)
+@given(supports(arity=st.just(2)))
+@example(SupportSet(2, [[0, 1], [0, 1]], [(0, 0), (0, 1), (1, 0)]))
+def test_side_info_encoder_matches_the_slice_construction(s):
+    try:
+        expected = reference_side_info_encoder(s)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            side_info_encoder(s)
+        return
+    sic = side_info_encoder(s)
+    assert (sic.alphabet_size, sic.encoder, sic.decoder) == expected
 
 
 def butterfly():

@@ -1,8 +1,14 @@
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from entronet.ffield import GF
+from entronet.ffield import GF, digits_of, flat_index
+from entronet.netmodel import Alphabet
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9, 16]
 
@@ -83,6 +89,41 @@ def test_all_vectors_and_index():
     assert len(vecs) == 9 and len(set(map(tuple, vecs))) == 9
     for i, v in enumerate(vecs):
         assert gf.vec_index(v) == i
+
+
+@st.composite
+def flat_indices(draw):
+    """Radices and some flat indices of their product space."""
+    sizes = draw(st.lists(st.integers(1, 6), max_size=5))
+    return sizes, draw(st.lists(st.integers(0, math.prod(sizes) - 1), min_size=1, max_size=20))
+
+
+@given(flat_indices())
+def test_digits_of_inverts_flat_index(case):
+    sizes, flats = case
+    digits = digits_of(np.array(flats, dtype=np.int64), sizes)
+    assert all(((0 <= d) & (d < s)).all() for d, s in zip(digits, sizes))
+    assert flat_index(len(flats), digits, sizes).tolist() == flats
+    if sizes:
+        for f in flats:
+            one = digits_of(f, sizes)
+            assert all(type(d) is int for d in one) and flat_index(1, one, sizes) == f
+        # first coordinate most significant, as itertools.product orders tuples
+        space = digits_of(np.arange(math.prod(sizes)), sizes)
+        assert list(zip(*(d.tolist() for d in space))) == list(itertools.product(*map(range, sizes)))
+
+
+@pytest.mark.parametrize("q, dim", [(2, 0), (2, 3), (3, 2), (4, 2), (5, 1)])
+def test_vectors_are_listed_and_decoded_in_index_order(q, dim):
+    gf = GF(q)
+    vecs = list(gf.all_vectors(dim))
+    assert [gf.vec_index(v) for v in vecs] == list(range(q ** dim))
+    alpha = Alphabet(q=q, dim=dim)
+    assert all(alpha.symbol(alpha.index(v)) == v for v in vecs)
+    # the image table holds the index of x @ M at the index of x
+    M = [[(3 * i + j) % q for j in range(2)] for i in range(dim)]
+    table = gf.image_table(M)
+    assert all(table[gf.vec_index(x)] == gf.vec_index(gf.apply(x, M)) for x in vecs)
 
 
 def test_unsupported_field_size():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subspaces, chained_intersection, group_catalog
+from conftest import (
+    all_subspaces,
+    chained_intersection,
+    group_catalog,
+    reference_quasi_uniform_check,
+    supports,
+)
 from entronet.exactlog import LogScalar, log2_units
 from entronet.ffield import GF
 from entronet.groupchar import (
@@ -23,6 +29,7 @@ from entronet.groupchar import (
     entropy_from_subspaces,
     quasi_uniform_check,
     quaternion,
+    support_projections,
     symmetric,
 )
 from entronet.setfunc import check_ingleton, check_polymatroid
@@ -218,11 +225,38 @@ def test_entropy_at_matches_the_chained_intersection(case):
 def test_support_projection():
     s = SupportSet(3, [[0, 1], [0, 1], [0, 1]],
                    [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)])
-    p = s.project([0, 1])  # projection multiplicities
-    assert p == {(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+    syms, R, proj, failing = support_projections(s)
+    first, inv = proj[0b011]  # each (U1, U2) pair once
+    assert R[first][:, :2].tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert inv.tolist() == [0, 1, 2, 3] and failing == ()
     res = quasi_uniform_check(s)
     assert res.ok
     assert res.entropy(["1", "2", "3"]) == log2_units(2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(supports())
+def test_quasi_uniform_check_matches_the_dict_pass(s):
+    ok, failing, values = reference_quasi_uniform_check(s)
+    res = quasi_uniform_check(s)
+    assert (res.ok, res.failing) == (ok, failing)
+    assert (res.entropy.values if res.ok else None) == values
+    # every α-projection is listed once, in lexicographic order of its symbols' ranks
+    syms, R, proj, _ = support_projections(s)
+    for mask, (first, inv) in proj.items():
+        cols = [c for c in range(s.arity) if mask >> c & 1]
+        rows = list(map(tuple, R[first][:, cols].tolist()))
+        assert rows == sorted(set(map(tuple, R[:, cols].tolist())))
+        assert (R[first][inv][:, cols] == R[:, cols]).all()
+
+
+def test_quasi_uniform_check_does_not_overflow_at_arity_5():
+    """2^13 tuples (i, i, i, i, i): every projection has 2^13 classes, so a
+    flat key over all five coordinates would need 2^65."""
+    k = 1 << 13
+    s = SupportSet(5, [range(k)] * 5, [(i,) * 5 for i in range(k)])
+    res = quasi_uniform_check(s)
+    assert res.ok and res.entropy.values[1:] == [LogScalar.log_int(k)] * 31
 
 
 def test_json_round_trips():
