@@ -43,36 +43,41 @@ class SideInfoCode:
     decoder: Mapping[Tuple[int, object], object]  # (w, u2) -> u1
 
 
+def _side_info(u: np.ndarray, nu: int, v: np.ndarray, nv: int):
+    """Side-information coding of u (in 0..nu-1) given v (in 0..nv-1) over
+    distinct pairs (u[t], v[t]): each pair's w, the rank of its u among the
+    u paired with its v, and the table over (w, v) that gives u back.  On a
+    quasi-uniform support every v is paired with equally many u, so the
+    table has no gaps."""
+    n = len(u)
+    order = np.argsort(flat_index(n, [v, u], [nv, nu]))
+    w = np.empty(n, dtype=np.int64)
+    w[order] = np.arange(n) - np.searchsorted(v[order], v[order])
+    table = np.zeros(n, dtype=np.int64)
+    table[flat_index(n, [w, v], [n // nv, nv])] = u
+    return w, table
+
+
 def side_info_encoder(s: SupportSet) -> SideInfoCode:
     """U1 is described by its rank, in alphabet order, within the slice of
     the support that shares its U2."""
     if s.arity != 2:
         raise ValueError("side-information coding works on a pair support")
-    syms, R, proj, failing = support_projections(s)
+    syms, R, _, failing = support_projections(s)
     if failing:
         raise ValueError(f"support is not quasi-uniform (failing coordinates {failing})")
-    # R's rows are sorted, so each slice lists its U1 in alphabet order
-    w = _group_rank(R[:, 1])
+    w, table = _side_info(R[:, 0], len(syms[0]), R[:, 1], len(syms[1]))
     encoder = {}
     decoder = {}
     for (r1, r2), k in zip(R.tolist(), w.tolist()):
         u1, u2 = syms[0][r1], syms[1][r2]
         encoder[(u1, u2)] = k
         decoder[(k, u2)] = u1
-    return SideInfoCode(len(R) // len(proj[0b10][0]), encoder, decoder)
+    return SideInfoCode(len(table) // len(syms[1]), encoder, decoder)
 
 
 # ---------------------------------------------------------------------------
 # Theorem-1-style code from a quasi-uniform support
-
-
-def _group_rank(keys: np.ndarray) -> np.ndarray:
-    """Rank of each entry among the entries with an equal key, in entry order."""
-    order = np.argsort(keys, kind="stable")
-    first = np.searchsorted(keys[order], keys[order])
-    rank = np.empty(len(keys), dtype=np.int64)
-    rank[order] = np.arange(len(keys)) - first
-    return rank
 
 
 def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
@@ -150,9 +155,7 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
             continue
         # W: rank of the support tuple within its α-slice; the inverse reads
         # the tuple back from (W, index of V_α)
-        w = _group_rank(inv_a)
-        from_slice = np.zeros(mf, dtype=np.int64)
-        from_slice[w * ma + inv_a] = np.arange(mf)
+        w, from_slice = _side_info(np.arange(mf), mf, inv_a, ma)
         slice_alpha = Alphabet(symbols=range(mf // ma))
         va_alpha = Alphabet(symbols=symbols(a, first_a))
         if sub.kind == 1:
@@ -173,26 +176,24 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
         # W'': rank of V_α among the α-projections seen with V_i (n2 feeds:
         # fans of V_{α∪i}); W* inverts it (n3 feeds: W'', then the fan of V_i)
         mi = sizes[sub.i - 1]
-        pairs, pair_of_row = np.unique(R[:, sub.i - 1] * ma + inv_a, return_inverse=True)
-        w2 = _group_rank(pairs // ma)
+        first_ai, inv_ai = proj[a | 1 << (sub.i - 1)]
+        w2, wstar = _side_info(inv_a[first_ai], ma, R[first_ai, sub.i - 1], mi)
         set_encoder(
             sub.role_edges["W''"],
-            Alphabet(symbols=range(len(pairs) // mi)),
-            on_fans(sub.role_edges["W''"], w2[pair_of_row]),
+            Alphabet(symbols=range(len(wstar) // mi)),
+            on_fans(sub.role_edges["W''"], w2[inv_ai]),
         )
-        wstar = np.zeros(len(pairs) // mi * mi, dtype=np.int64)
-        wstar[w2 * mi + pairs // ma] = pairs % ma
         set_encoder(sub.role_edges["W*"], va_alpha, wstar)
         for rx, dem in sub.receivers.items():
             if dem == sess_full:
                 # feeds: Sa>rxU, W', W>U; the slice of V_α = W - S_α
-                wp = np.arange(mf // ma)[:, None]
-                decoders[(rx, dem)] = TableMap(
-                    from_slice[wp * ma + (ident - ident[:, None, None]) % ma].reshape(-1)
-                )
+                s, wp, x = digits_of(np.arange(ma * mf), [ma, mf // ma, ma])
+                table = from_slice[flat_index(ma * mf, [wp, (x - s) % ma], [mf // ma, ma])]
             else:
                 # feeds: W*, W>L; S_α = W - V_α
-                decoders[(rx, dem)] = TableMap(((ident - ident[:, None]) % ma).reshape(-1))
+                v, x = digits_of(np.arange(ma * ma), [ma, ma])
+                table = (x - v) % ma
+            decoders[(rx, dem)] = TableMap(table)
 
     return NetworkCode(alphabets, encoders, decoders)
 

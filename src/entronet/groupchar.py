@@ -356,6 +356,9 @@ class SupportSet:
     def from_json(cls, obj: Mapping) -> "SupportSet":
         if obj.get("format", "support/1") != "support/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
+        for key in ("alphabets", "tuples"):
+            if not isinstance(obj[key], list) or not all(isinstance(x, list) for x in obj[key]):
+                raise ValueError(f"a support's {key} are a list of lists")
         alph = [[_dejson_sym(x) for x in a] for a in obj["alphabets"]]
         tups = [tuple(_dejson_sym(x) for x in t) for t in obj["tuples"]]
         return cls(obj["arity"], alph, tups)

@@ -2,14 +2,13 @@
 description, independent adhesion), per-subnetwork witness certificates for
 the fixed network, the LP outer bound on rate-capacity tuples (steered by
 HiGHS, decided by exact certificates), and Shannon-derivability of linear
-information expressions."""
+information expressions.  The expressions and their instantiation live in
+`setfunc` (`InfoExpression`, `template_index`) and are re-exported here."""
 
 from __future__ import annotations
 
 import itertools
 import math
-import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -30,10 +29,14 @@ from .netmodel import (
 from .setfunc import (
     ELEMENTAL_WEIGHTS,
     GroundSet,
+    InfoExpression,
     SetFunction,
     SubsetLike,
     check_polymatroid,
     elemental_index,
+    ingleton_expression,
+    template_index,
+    zhang_yeung_expression,
 )
 
 LP_BATCH = 400  # elemental rows lp_feasible activates per round, at most
@@ -165,162 +168,6 @@ def independent_adhesion(f: SetFunction, fstar: SetFunction) -> SetFunction:
     index = np.stack([low, len(F.mat) + high], axis=1)
     form = IntegerForm.of(primes, den, combine(both, index, (1, 1)))
     return _check(SetFunction.derived(ground, values, form), "independent_adhesion")
-
-
-# ---------------------------------------------------------------------------
-# information expressions
-
-
-# one role per token: a fraction is only a coefficient; a label is an
-# identifier or a digit run, and a digit run may also be an integer
-# coefficient or the constant 0
-_TOKEN = re.compile(
-    r"\s*(?:(?P<rel>>=|<=|=)|(?P<op>[+-])|(?P<frac>\d+/\d+)|(?P<meas>[HI])\s*\("
-    r"|(?P<label>[A-Za-z_]\w*|\d+)|(?P<sep>[;|,)])|(?P<bad>\S))"
-)
-
-
-@dataclass(frozen=True)
-class InfoExpression:
-    """A linear combination Σ cᵢ·H(Bᵢ) asserted ≥ 0, in canonical term order."""
-
-    terms: Tuple[Tuple[Fraction, Tuple[str, ...]], ...]
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[Tuple[str, ...], Fraction]) -> "InfoExpression":
-        canon: Dict[Tuple[str, ...], Fraction] = {}
-        for subset, c in terms.items():
-            key = tuple(sorted(set(subset)))
-            if not key:
-                continue
-            canon[key] = canon.get(key, Fraction(0)) + Fraction(c)
-        items = [(c, s) for s, c in canon.items() if c]
-        items.sort(key=lambda t: (len(t[1]), t[1]))
-        return cls(tuple(items))
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        out = set()
-        for _, s in self.terms:
-            out.update(s)
-        return tuple(sorted(out))
-
-    def evaluate(self, f: SetFunction) -> LogScalar:
-        total = ZERO
-        for c, s in self.terms:
-            total = total + f(s) * c
-        return total
-
-    def relabel(self, mapping: Mapping[str, str]) -> "InfoExpression":
-        return InfoExpression.from_terms(
-            {tuple(mapping[x] for x in s): c for c, s in self.terms}
-        )
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0 >= 0"
-        parts = []
-        for i, (c, s) in enumerate(self.terms):
-            mag = abs(c)
-            coeff = "" if mag == 1 else f"{mag} "
-            atom = f"H({','.join(s)})"
-            if i == 0:
-                parts.append(("-" if c < 0 else "") + coeff + atom)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + coeff + atom)
-        return " ".join(parts) + " >= 0"
-
-    @classmethod
-    def parse(cls, text: str) -> "InfoExpression":
-        """Grammar (docs/expr.md): signed terms `[coeff] H(list[|list])` or
-        `[coeff] I(list;list[|list])`, or the constant 0, on each side of an
-        optional `>=` or `<=`; everything is normalized to `expr >= 0`."""
-        # no parse step takes a `bad` token, so any other character is an error
-        tokens = [(m.lastgroup, m.group(m.lastgroup)) for m in _TOKEN.finditer(text)]
-        tokens.append((None, "the end"))
-        i = 0
-        terms: Counter = Counter()
-
-        def take(kind: str, value: Optional[str] = None) -> Optional[str]:
-            """The next token, consumed, if it is of this kind (and value)."""
-            nonlocal i
-            k, v = tokens[i]
-            if k != kind or value not in (None, v):
-                return None
-            i += 1
-            return v
-
-        def labels() -> List[str]:
-            out = [take("label")]
-            while take("sep", ","):
-                out.append(take("label"))
-            if None in out:
-                raise ValueError(f"expected a variable label, got {tokens[i][1]!r}")
-            return out
-
-        def side(sign: int) -> None:
-            nonlocal i
-            first = True
-            while tokens[i][0] not in ("rel", None):
-                op = take("op")
-                if not (op or first):
-                    raise ValueError(f"expected '+' or '-' before {tokens[i][1]!r}")
-                first = False
-                c = Fraction(-sign if op == "-" else sign)
-                kind, v = tokens[i]
-                number = kind == "frac" or (kind == "label" and v[0].isdigit())
-                if number:
-                    i += 1
-                    try:
-                        c *= Fraction(v)
-                    except ZeroDivisionError:
-                        raise ValueError(f"zero denominator in {v!r}") from None
-                meas = take("meas")
-                if meas is None:
-                    if not number:
-                        raise ValueError(f"expected H(...) or I(...), got {v!r}")
-                    if c:
-                        raise ValueError("nonzero constants are not supported")
-                    continue
-                a = labels()
-                if meas == "H":
-                    signed = [(1, a)]
-                elif take("sep", ";"):
-                    b = labels()
-                    signed = [(1, a), (1, b), (-1, a + b)]
-                else:
-                    raise ValueError("I(...) needs ';' between its arguments")
-                cond = labels() if take("sep", "|") else []
-                if not take("sep", ")"):
-                    raise ValueError("missing ')'")
-                # H(A|C) = H(AC) - H(C), I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
-                for s, subset in signed + [(-1, [])]:
-                    terms[frozenset(subset + cond)] += s * c
-
-        side(1)
-        rel = take("rel")
-        if rel == "=":
-            raise ValueError("equalities are not supported; state both inequalities")
-        if rel:
-            side(-1)
-        if tokens[i][0] is not None:
-            raise ValueError(f"trailing tokens in expression from {tokens[i][1]!r}")
-        flip = -1 if rel == "<=" else 1
-        return cls.from_terms({subset: flip * c for subset, c in terms.items()})
-
-
-def ingleton_expression(labels: Sequence[str] = ("1", "2", "3", "4")) -> InfoExpression:
-    a, b, c, d = labels
-    return InfoExpression.parse(
-        f"I({a};{b}|{c}) + I({a};{b}|{d}) + I({c};{d}) - I({a};{b}) >= 0"
-    )
-
-
-def zhang_yeung_expression(labels: Sequence[str] = ("1", "2", "3", "4")) -> InfoExpression:
-    a, b, c, d = labels
-    return InfoExpression.parse(
-        f"2 I({c};{d}) - I({a};{b}) - I({a};{c},{d}) - 3 I({c};{d}|{a}) - I({c};{d}|{b}) <= 0"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -676,34 +523,26 @@ def connection_clauses(net: Network, conn: ConnectionRequirement, tup: RateCapac
 
 def _instantiate(expr: InfoExpression, keys: Sequence[str]):
     """`expr` over every injective assignment of the keys to its variables,
-    in `itertools.permutations` order.  Returns the masks of its terms (one
-    row per assignment, one column per term of `expr`; bit i stands for
-    keys[i]), the terms' coefficients scaled to integers, and each
+    in `itertools.permutations` order.  Returns the masks and integer
+    weights of `template_index` (bit i stands for keys[i]), and each
     instance's row {mask − 1: −c} of `-instance <= 0`, its terms in the
     order that `InfoExpression.relabel` gives them."""
-    slots = expr.variables
     k = len(keys)
-    combos = np.array(list(itertools.permutations(range(k), len(slots))), dtype=np.int64)
-    combos = combos.reshape(math.perm(k, len(slots)), len(slots))
+    _, masks, weights = template_index(expr, k)
     # relabel orders an instance's terms by size, then by their sorted
     # labels; among sets of one size that is the descending order of the
     # mask whose bit k-1-r stands for the label of rank r
     pos = {x: r for r, x in enumerate(sorted(keys))}
     rev = 1 << (k - 1 - np.array([pos[x] for x in keys], dtype=np.int64))
-    masks = np.zeros((len(combos), len(expr.terms)), dtype=np.int64)
-    order_key = np.zeros_like(masks)
-    for t, (_, s) in enumerate(expr.terms):
-        cols = combos[:, [slots.index(x) for x in s]]
-        masks[:, t] = np.bitwise_or.reduce(1 << cols, axis=1)
-        order_key[:, t] = len(s) << k | ((1 << k) - 1 - np.bitwise_or.reduce(rev[cols], axis=1))
-    order = np.argsort(order_key, axis=1)
+    sizes = np.array([len(s) for _, s in expr.terms], dtype=np.int64)
+    bits = masks[:, :, None] >> np.arange(k) & 1
+    order = np.argsort(sizes << k | ((1 << k) - 1 - bits @ rev), axis=1)
     neg = [-c for c, _ in expr.terms]
     rows = [
         {m - 1: neg[t] for m, t in zip(mrow, trow)}
         for mrow, trow in zip(np.take_along_axis(masks, order, axis=1).tolist(), order.tolist())
     ]
-    scale = math.lcm(*(c.denominator for c, _ in expr.terms))
-    return masks, [int(c * scale) for c, _ in expr.terms], rows
+    return masks, weights, rows
 
 
 @dataclass(frozen=True)
@@ -740,7 +579,11 @@ def lp_feasible(
     `hint` short-circuits the search when it is an exactly verified feasible
     point — e.g. the induced entropy of a known admissible code, which
     certifies feasibility because achievable tuples satisfy the LP bound.
-    A failing hint is ignored."""
+    A failing hint is ignored.
+
+    Sessions and edges are the variables of one ground set, so a session
+    label that is also an edge id raises `StructuralError`."""
+    conn.validate_against(net)
     keys = list(conn.sessions) + [e.id for e in net.edges]
     k = len(keys)
     if k > ground_cap:
@@ -749,7 +592,7 @@ def lp_feasible(
             "duality network use witness certificates (build_witness / "
             "verify_connection_constraints) instead"
         )
-    index = {kk: i for i, kk in enumerate(keys)}
+    ground = GroundSet(keys)
     nvars = (1 << k) - 1  # variable j-1 holds g of subset mask j
 
     def coeffs_of(terms) -> Dict[int, Fraction]:
@@ -757,9 +600,7 @@ def lp_feasible(
         coefficients are dropped."""
         coeffs: Dict[int, Fraction] = {}
         for c, subset in terms:
-            mask = 0
-            for lab in subset:
-                mask |= 1 << index[lab]
+            mask = ground.mask(subset)
             if mask:
                 coeffs[mask - 1] = coeffs.get(mask - 1, Fraction(0)) + c
         return {j: c for j, c in coeffs.items() if c}
@@ -795,9 +636,9 @@ def lp_feasible(
         return not negative_mask(form, elementals, ELEMENTAL_WEIGHTS).any()
 
     if hint is not None and sorted(hint.ground.labels) == sorted(keys):
-        values = [hint([kk for kk in keys if m >> index[kk] & 1]) for m in range(1 << k)]
+        values = [hint(ground.subset(m)) for m in range(1 << k)]
         if exact_ok(values):
-            return LPResult(True, SetFunction(GroundSet(keys), values), 0, len(base_rows))
+            return LPResult(True, SetFunction(ground, values), 0, len(base_rows))
 
     primes: set = set()
     for _, b, _ in base_rows:
@@ -845,7 +686,7 @@ def lp_feasible(
             if exact is not None:
                 exact = [ZERO] + exact
                 if exact_ok(exact):
-                    g = SetFunction(GroundSet(keys), exact)
+                    g = SetFunction(ground, exact)
                     return LPResult(True, g, rounds, len(lp.rows))
         elif feasible_f is False and dual is not None and farkas_verified(lp, dual):
             return LPResult(False, None, rounds, len(lp.rows))
@@ -863,7 +704,7 @@ def lp_feasible(
                 exact[j + 1] = v
         new = exact_scan(exact)
         if not new:
-            g = SetFunction(GroundSet(keys), exact)
+            g = SetFunction(ground, exact)
             return LPResult(True, g, rounds, len(lp.rows))
         activate(new)
 
@@ -884,14 +725,10 @@ def shannon_implies(expr: InfoExpression, n: int):
     labels = expr.variables
     if len(labels) > n:
         raise ValueError("expression references more variables than n")
-    labels = list(labels) + [f"_v{i}" for i in range(n - len(labels))]
-    index = {lab: i for i, lab in enumerate(labels)}
+    ground = GroundSet(list(labels) + [f"_v{i}" for i in range(n - len(labels))])
     target = [Fraction(0)] * (1 << n)
     for c, subset in expr.terms:
-        mask = 0
-        for lab in subset:
-            mask |= 1 << index[lab]
-        target[mask] += c
+        target[ground.mask(subset)] += c
     elementals = elemental_index(n).tolist()
     cols: Dict[int, Dict[int, int]] = {}
     for i, row in enumerate(elementals):

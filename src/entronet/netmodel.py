@@ -24,7 +24,7 @@ import numpy as np
 
 from .exactlog import ZERO, LogScalar, entropy_of_counts
 from .ffield import GF, digits_of, flat_index
-from .groupchar import SubspaceFamily
+from .groupchar import SubspaceFamily, _dejson_sym
 from .setfunc import GroundSet, SetFunction
 
 
@@ -174,7 +174,11 @@ class ConnectionRequirement:
 
     def validate_against(self, net: Network) -> None:
         nodeset = set(net.nodes)
+        edge_ids = {e.id for e in net.edges}
         for s in self.sessions:
+            # sessions and edges are variables of one namespace
+            if s in edge_ids:
+                raise StructuralError(f"session label {s} is also an edge id")
             if self.origin[s] not in nodeset:
                 raise StructuralError(f"origin of session {s} not in network")
             for r in self.receivers[s]:
@@ -263,7 +267,7 @@ class Alphabet:
     @classmethod
     def from_json(cls, obj: Mapping) -> "Alphabet":
         if obj["kind"] == "symbols":
-            return cls(symbols=[_sym_dejson(s) for s in obj["symbols"]])
+            return cls(symbols=[_dejson_sym(s) for s in obj["symbols"]])
         return cls(q=obj["q"], dim=obj["dim"])
 
     def __eq__(self, other):
@@ -279,12 +283,6 @@ class Alphabet:
 def _sym_json(s):
     if isinstance(s, tuple):
         return list(_sym_json(x) for x in s)
-    return s
-
-
-def _sym_dejson(s):
-    if isinstance(s, list):
-        return tuple(_sym_dejson(x) for x in s)
     return s
 
 

@@ -1,17 +1,24 @@
-"""Set functions over finite ground sets with exact log-valued entries.
+"""Set functions over finite ground sets with exact log-valued entries, the
+linear information expressions that measure them, and the inequality checks
+(polymatroid, Ingleton, Zhang–Yeung).
 
 Subsets are encoded as bitmasks: bit ``i`` corresponds to the ground label at
 position ``i``; all iteration is in increasing mask order so reports and
-serialized output are deterministic.
+serialized output are deterministic.  Each inequality is stated once, as an
+`InfoExpression`; `template_index` instantiates it over a ground set, for the
+checks here and for the LP templates of `lpbound`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -317,63 +324,211 @@ def is_independent(f: SetFunction, parts: Sequence[SubsetLike]) -> bool:
     return f.values[union] == total
 
 
-@lru_cache(maxsize=None)
-def _quadruples(k: int) -> np.ndarray:
-    """Every ordered assignment of 4 distinct elements to a, b, c, d, in
-    lexicographic order."""
-    quads = np.array(list(itertools.permutations(range(k), 4)))
-    quads.setflags(write=False)
-    return quads
+# ---------------------------------------------------------------------------
+# information expressions
 
 
-@lru_cache(maxsize=None)
-def _quadruple_index(k: int, terms: Tuple[str, ...]) -> np.ndarray:
-    """Column t holds the mask of terms[t] (letters of "abcd") under each
-    assignment of `_quadruples(k)`."""
-    bits = 1 << _quadruples(k)
-    index = np.stack(
-        [sum(bits[:, "abcd".index(ch)] for ch in term) for term in terms], axis=1
+# one role per token: a fraction is only a coefficient; a label is an
+# identifier or a digit run, and a digit run may also be an integer
+# coefficient or the constant 0
+_TOKEN = re.compile(
+    r"\s*(?:(?P<rel>>=|<=|=)|(?P<op>[+-])|(?P<frac>\d+/\d+)|(?P<meas>[HI])\s*\("
+    r"|(?P<label>[A-Za-z_]\w*|\d+)|(?P<sep>[;|,)])|(?P<bad>\S))"
+)
+
+
+@dataclass(frozen=True)
+class InfoExpression:
+    """A linear combination Σ cᵢ·H(Bᵢ) asserted ≥ 0, in canonical term order."""
+
+    terms: Tuple[Tuple[Fraction, Tuple[str, ...]], ...]
+
+    @classmethod
+    def from_terms(cls, terms: Mapping[Tuple[str, ...], Fraction]) -> "InfoExpression":
+        canon: Dict[Tuple[str, ...], Fraction] = {}
+        for subset, c in terms.items():
+            key = tuple(sorted(set(subset)))
+            if not key:
+                continue
+            canon[key] = canon.get(key, Fraction(0)) + Fraction(c)
+        items = [(c, s) for s, c in canon.items() if c]
+        items.sort(key=lambda t: (len(t[1]), t[1]))
+        return cls(tuple(items))
+
+    @property
+    def variables(self) -> Tuple[str, ...]:
+        out = set()
+        for _, s in self.terms:
+            out.update(s)
+        return tuple(sorted(out))
+
+    def evaluate(self, f: SetFunction) -> LogScalar:
+        total = ZERO
+        for c, s in self.terms:
+            total = total + f(s) * c
+        return total
+
+    def relabel(self, mapping: Mapping[str, str]) -> "InfoExpression":
+        return InfoExpression.from_terms(
+            {tuple(mapping[x] for x in s): c for c, s in self.terms}
+        )
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0 >= 0"
+        parts = []
+        for i, (c, s) in enumerate(self.terms):
+            mag = abs(c)
+            coeff = "" if mag == 1 else f"{mag} "
+            atom = f"H({','.join(s)})"
+            if i == 0:
+                parts.append(("-" if c < 0 else "") + coeff + atom)
+            else:
+                parts.append(("- " if c < 0 else "+ ") + coeff + atom)
+        return " ".join(parts) + " >= 0"
+
+    @classmethod
+    @lru_cache
+    def parse(cls, text: str) -> "InfoExpression":
+        """Grammar (docs/expr.md): signed terms `[coeff] H(list[|list])` or
+        `[coeff] I(list;list[|list])`, or the constant 0, on each side of an
+        optional `>=` or `<=`; everything is normalized to `expr >= 0`.
+        Expressions are immutable, so the last texts parsed are kept: the
+        checks state their inequality as text on every call."""
+        # no parse step takes a `bad` token, so any other character is an error
+        tokens = [(m.lastgroup, m.group(m.lastgroup)) for m in _TOKEN.finditer(text)]
+        tokens.append((None, "the end"))
+        i = 0
+        terms: Counter = Counter()
+
+        def take(kind: str, value: Optional[str] = None) -> Optional[str]:
+            """The next token, consumed, if it is of this kind (and value)."""
+            nonlocal i
+            k, v = tokens[i]
+            if k != kind or value not in (None, v):
+                return None
+            i += 1
+            return v
+
+        def labels() -> List[str]:
+            out = [take("label")]
+            while take("sep", ","):
+                out.append(take("label"))
+            if None in out:
+                raise ValueError(f"expected a variable label, got {tokens[i][1]!r}")
+            return out
+
+        def side(sign: int) -> None:
+            nonlocal i
+            first = True
+            while tokens[i][0] not in ("rel", None):
+                op = take("op")
+                if not (op or first):
+                    raise ValueError(f"expected '+' or '-' before {tokens[i][1]!r}")
+                first = False
+                c = Fraction(-sign if op == "-" else sign)
+                kind, v = tokens[i]
+                number = kind == "frac" or (kind == "label" and v[0].isdigit())
+                if number:
+                    i += 1
+                    try:
+                        c *= Fraction(v)
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {v!r}") from None
+                meas = take("meas")
+                if meas is None:
+                    if not number:
+                        raise ValueError(f"expected H(...) or I(...), got {v!r}")
+                    if c:
+                        raise ValueError("nonzero constants are not supported")
+                    continue
+                a = labels()
+                if meas == "H":
+                    signed = [(1, a)]
+                elif take("sep", ";"):
+                    b = labels()
+                    signed = [(1, a), (1, b), (-1, a + b)]
+                else:
+                    raise ValueError("I(...) needs ';' between its arguments")
+                cond = labels() if take("sep", "|") else []
+                if not take("sep", ")"):
+                    raise ValueError("missing ')'")
+                # H(A|C) = H(AC) - H(C), I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+                for s, subset in signed + [(-1, [])]:
+                    terms[frozenset(subset + cond)] += s * c
+
+        side(1)
+        rel = take("rel")
+        if rel == "=":
+            raise ValueError("equalities are not supported; state both inequalities")
+        if rel:
+            side(-1)
+        if tokens[i][0] is not None:
+            raise ValueError(f"trailing tokens in expression from {tokens[i][1]!r}")
+        flip = -1 if rel == "<=" else 1
+        return cls.from_terms({subset: flip * c for subset, c in terms.items()})
+
+
+def ingleton_expression(labels: Sequence[str] = ("1", "2", "3", "4")) -> InfoExpression:
+    a, b, c, d = labels
+    return InfoExpression.parse(
+        f"I({a};{b}|{c}) + I({a};{b}|{d}) + I({c};{d}) - I({a};{b}) >= 0"
     )
-    index.setflags(write=False)
-    return index
 
 
-def _check_quadruples(
-    f: SetFunction, kind: str, terms: Tuple[str, ...], weights: Tuple[int, ...]
-) -> ViolationReport:
+def zhang_yeung_expression(labels: Sequence[str] = ("1", "2", "3", "4")) -> InfoExpression:
+    a, b, c, d = labels
+    return InfoExpression.parse(
+        f"2 I({c};{d}) - I({a};{b}) - I({a};{c},{d}) - 3 I({c};{d}|{a}) - I({c};{d}|{b}) <= 0"
+    )
+
+
+@lru_cache
+def template_index(expr: InfoExpression, k: int):
+    """`expr` over every injective assignment of k ground elements to its
+    variables (slots, in `expr.variables` order), in
+    `itertools.permutations` order.  Returns the assignments (one row each,
+    the element of each slot), the masks of the terms under each assignment
+    (one column per term of `expr`) and the terms' coefficients scaled to
+    integers by the lcm of their denominators, for `negative_rows`."""
+    slots = expr.variables
+    assignments = np.array(list(itertools.permutations(range(k), len(slots))), dtype=np.int64)
+    assignments = assignments.reshape(math.perm(k, len(slots)), len(slots))
+    masks = np.zeros((len(assignments), len(expr.terms)), dtype=np.int64)
+    for t, (_, s) in enumerate(expr.terms):
+        cols = assignments[:, [slots.index(x) for x in s]]
+        masks[:, t] = np.bitwise_or.reduce(1 << cols, axis=1)
+    assignments.setflags(write=False)
+    masks.setflags(write=False)
+    scale = math.lcm(*(c.denominator for c, _ in expr.terms))
+    return assignments, masks, tuple(int(c * scale) for c, _ in expr.terms)
+
+
+def _check_template(f: SetFunction, kind: str, expr: InfoExpression) -> ViolationReport:
+    """One violation per assignment of ground elements to the four slots of
+    `expr` (whose coefficients are integers) that makes it negative."""
     g = f.ground
-    k = len(g)
-    if k < 4:
+    if len(g) < 4:
         raise ValueError(f"{kind.title()} check requires at least 4 ground elements")
-    quads = _quadruples(k)
+    assignments, masks, weights = template_index(expr, len(g))
     out = [
-        Violation(kind, tuple((g.labels[x],) for x in quads[r].tolist()), slack)
-        for r, slack in negative_rows(f.form, _quadruple_index(k, terms), weights)
+        Violation(kind, tuple((g.labels[x],) for x in assignments[r].tolist()), slack)
+        for r, slack in negative_rows(f.form, masks, weights)
     ]
     return ViolationReport(kind, tuple(out))
-
-
-# g(ab)+g(ac)+g(ad)+g(bc)+g(bd) - g(a) - g(b) - g(cd) - g(abc) - g(abd)
-_INGLETON_TERMS = ("ab", "ac", "ad", "bc", "bd", "a", "b", "cd", "abc", "abd")
-_INGLETON_WEIGHTS = (1, 1, 1, 1, 1, -1, -1, -1, -1, -1)
-
-# I(a;b) + I(a;cd) + 3 I(c;d|a) + I(c;d|b) - 2 I(c;d), term by term
-_ZY_TERMS = ("a", "b", "ab", "a", "cd", "acd", "ac", "ad", "acd", "a",
-             "bc", "bd", "bcd", "b", "c", "d", "cd")
-_ZY_WEIGHTS = (1, 1, -1, 1, 1, -1, 3, 3, -3, -3, 1, 1, -1, -1, -2, -2, 2)
 
 
 def check_ingleton(f: SetFunction) -> ViolationReport:
     """g(12)+g(13)+g(14)+g(23)+g(24) >= g(1)+g(2)+g(34)+g(123)+g(124),
     evaluated over every ordered assignment of 4 distinct elements."""
-    return _check_quadruples(f, "ingleton", _INGLETON_TERMS, _INGLETON_WEIGHTS)
+    return _check_template(f, "ingleton", ingleton_expression())
 
 
 def check_zhang_yeung(f: SetFunction) -> ViolationReport:
     """The 1998 non-Shannon inequality
     2 I(3;4) <= I(1;2) + I(1;34) + 3 I(3;4|1) + I(3;4|2),
     over every ordered assignment of 4 distinct elements."""
-    return _check_quadruples(f, "zhang-yeung", _ZY_TERMS, _ZY_WEIGHTS)
+    return _check_template(f, "zhang-yeung", zhang_yeung_expression())
 
 
 def flats(f: SetFunction) -> List[Tuple[str, ...]]:

@@ -268,6 +268,37 @@ def test_a_support_with_an_unhashable_symbol_exits_2(tmp_path, capsys, command, 
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [["qu", "check"], ["code", "build", "qu", "--n", "1"]])
+@pytest.mark.parametrize("support", [
+    {"format": "support/1", "arity": 1, "alphabets": [[0]], "tuples": [0]},
+    {"format": "support/1", "arity": 1, "alphabets": [0], "tuples": [[0]]},
+    {"format": "support/1", "arity": 1, "alphabets": [[0]], "tuples": 0},
+])
+def test_a_support_whose_entries_are_not_lists_exits_2(tmp_path, capsys, command, support):
+    assert run(command + [write(tmp_path, "sup.json", support)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_code_verify_refuses_a_session_named_like_an_edge(tmp_path, capsys):
+    """A bundle whose edge shares its id with the session; the edge sends 0
+    whatever the session is, yet the shared name made the code read as
+    zero-error."""
+    net = Network(("s", "r"), (Edge("X", "s", "r", UNCAPPED),))
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    bit = {"kind": "symbols", "symbols": [0, 1]}
+    code = {"format": "code/1", "alphabets": {"X": bit},
+            "encoders": {"X": {"kind": "table", "table": [0, 0]}},
+            "decoders": [{"receiver": "r", "session": "X",
+                          "map": {"kind": "table", "table": [0, 1]}}]}
+    one = log2_units(1)
+    bundle = {"format": "codebundle/1", "network": net.to_json(), "conn": conn.to_json(),
+              "code": code, "tuple": RateCapacityTuple({"X": one}, {"X": one}).to_json()}
+    assert run(["code", "verify", write(tmp_path, "bundle.json", bundle)]) == 2
+    err = capsys.readouterr().err
+    assert "also an edge id" in err and "Traceback" not in err
+
+
 def relay_files(tmp_path):
     """A relay network s -> m -> r, its one session, and two tuples: one at
     the relay's capacity and one above it; the paths of their files."""

@@ -42,6 +42,7 @@ from entronet.netmodel import (
     Network,
     RateCapacityTuple,
     ResourceError,
+    StructuralError,
     UNCAPPED,
 )
 from entronet.setfunc import ELEMENTAL_WEIGHTS, SetFunction, check_polymatroid, elemental_index
@@ -358,6 +359,22 @@ def test_lp_ground_cap_error_mentions_witness_path():
     tup = rate_capacity(h, lay)
     with pytest.raises(ResourceError, match="witness"):
         lp_feasible(lay.network, lay.conn, tup)
+
+
+@pytest.mark.parametrize("rate, feasible", [(1, True), (2, False)])
+def test_lp_feasible_refuses_a_session_label_that_is_an_edge_id(rate, feasible):
+    """On the chain s -> r of capacity 1 the rate-1 tuple is feasible and
+    the rate-2 one is not; with the edge named like the session, both are
+    refused before any LP is solved."""
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    for eid in ("e", "X"):
+        net = Network(("s", "r"), (Edge(eid, "s", "r", UNCAPPED),))
+        tup = RateCapacityTuple({"X": log2_units(rate)}, {eid: log2_units(1)})
+        if eid == "e":
+            assert lp_feasible(net, conn, tup).feasible == feasible
+        else:
+            with pytest.raises(StructuralError, match="also an edge id"):
+                lp_feasible(net, conn, tup)
 
 
 def test_lp_feasible_point_is_polymatroid():

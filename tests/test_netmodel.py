@@ -274,6 +274,23 @@ def test_cycle_detection_and_validation():
         bad.validate_against(net)
 
 
+def session_named_like_its_edge(eid="X"):
+    """The chain s -> r over edge `eid` with session X, and a code whose edge
+    sends 0 whatever X is while the decoder reads the edge as X."""
+    net = Network(("s", "r"), (Edge(eid, "s", "r", UNCAPPED),))
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    bit = Alphabet(symbols=[0, 1])
+    code = NetworkCode({"X": bit, eid: bit}, {eid: TableMap([0, 0])},
+                       {("r", "X"): TableMap([0, 1])})
+    return net, conn, code
+
+
+def test_a_session_label_that_is_an_edge_id_is_refused():
+    assert not evaluate_code(*session_named_like_its_edge("e")).zero_error
+    with pytest.raises(StructuralError, match="session label X is also an edge id"):
+        evaluate_code(*session_named_like_its_edge())
+
+
 def test_decoder_tables_are_checked_like_encoder_tables():
     net, conn = butterfly()
     code = xor_code()

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -11,6 +13,7 @@ from conftest import (
     perturb_non_polymatroid,
     random_integer_polymatroid,
 )
+from entronet import lpbound, setfunc
 from entronet.exactlog import ZERO, LogScalar, log2_units
 from entronet.groupchar import builtin_function
 from entronet.setfunc import (
@@ -227,3 +230,58 @@ def test_kernel_matches_the_scalar_loops_and_brute_force(f):
     if len(f.ground) >= 4:
         assert check_ingleton(f) == scalar_quadruples(f, "ingleton")
         assert check_zhang_yeung(f) == scalar_quadruples(f, "zhang-yeung")
+
+
+def mixed_prime_k5():
+    """Truncated modular functions over the primes 2, 3 and 5 on five
+    elements, with four values moved by mixed-prime amounts."""
+    values = [ZERO] * 32
+    for p, t, r, c in ((2, 0b00111, 2, Fraction(3, 2)), (3, 0b11010, 1, Fraction(1)),
+                       (5, 0b10101, 2, Fraction(2, 3)), (2, 0b11111, 3, Fraction(1))):
+        for m in range(32):
+            values[m] = values[m] + LogScalar({p: c * min(bin(m & t).count("1"), r)})
+    for m, shift in ((0b01111, {2: -1, 3: Fraction(1, 2)}), (0b00011, {2: -2, 5: 1}),
+                     (0b11100, {3: Fraction(-1, 3)}), (0b10011, {2: 1, 3: -1})):
+        values[m] = values[m] + LogScalar(shift)
+    return SetFunction([str(i + 1) for i in range(5)], values)
+
+
+@pytest.mark.parametrize("name, check, count, digest", [
+    ("zy", check_ingleton, 4, "603ef5ac80f342efccc275fea7d5aea1addadeae2f210ebd9fbdcb6e793f57a0"),
+    ("zy", check_zhang_yeung, 4, "f2cb4ca8be396388a8230888f9bfd88e15ace40dc4fd65e20c8e69955e6d2b00"),
+    ("projective-plane", check_ingleton, 4,
+     "3cbf7cf305ed4d4936a1f4ca24aa74c2bd88c6369910f868f939726c4478f308"),
+    ("projective-plane", check_zhang_yeung, 0,
+     "db7e10f74e5718617419928e7f7be4d504198f3b5be39dd8b65242143fc8ab0c"),
+    ("mixed", check_ingleton, 8, "8cc3e58caa8ce5cbdcf32d2e7f2730f874eb1cd99d689463f82be892e917e663"),
+    ("mixed", check_zhang_yeung, 4, "43a1125e20bd58dd9a0f0b9b6b579be4d761c2aa8df6582ae1cd344982255413"),
+])
+def test_inequality_reports_are_unchanged(name, check, count, digest):
+    """SHA-256 of the report JSON, recorded when the checks had their own
+    term tables: the order of the violations and their slacks."""
+    f = mixed_prime_k5() if name == "mixed" else builtin_function(name)
+    rep = check(f)
+    assert len(rep.instances) == count
+    assert hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode()).hexdigest() == digest
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_set_functions())
+def test_checks_flag_exactly_the_negative_instances_of_the_lp_templates(f):
+    """check_ingleton and check_zhang_yeung flag the assignments at which an
+    instance of the template that `lp feasible --ingleton` (or its
+    Zhang–Yeung counterpart) adds is negative, with its value as slack."""
+    assume(len(f.ground) >= 4)
+    for check, kind, expr in ((check_ingleton, "ingleton", lpbound.ingleton_expression()),
+                              (check_zhang_yeung, "zhang-yeung", lpbound.zhang_yeung_expression())):
+        want = []
+        for combo in itertools.permutations(f.ground.labels, 4):
+            value = expr.relabel(dict(zip(expr.variables, combo))).evaluate(f)
+            if value < ZERO:
+                want.append(Violation(kind, tuple((x,) for x in combo), value))
+        assert check(f) == ViolationReport(kind, tuple(want))
+
+
+def test_lpbound_reads_the_expressions_of_setfunc():
+    for name in ("InfoExpression", "ingleton_expression", "zhang_yeung_expression"):
+        assert getattr(lpbound, name) is getattr(setfunc, name)
