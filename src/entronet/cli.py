@@ -160,8 +160,7 @@ def cmd_code_build(args) -> int:
     obj = _read(args.input)
     layout = build_gdagger(args.n)
     if args.kind == "qu":
-        fmt = obj.get("format")
-        if fmt == "subgroupfamily/1":
+        if isinstance(obj, dict) and obj.get("format") == "subgroupfamily/1":
             s = coset_support(SubgroupFamily.from_json(obj))
         else:
             s = SupportSet.from_json(obj)
@@ -191,7 +190,7 @@ def cmd_code_build(args) -> int:
 def cmd_code_verify(args) -> int:
     if args.conn is None:
         bundle = _read(args.net)
-        if bundle.get("format") != "codebundle/1":
+        if not isinstance(bundle, dict) or bundle.get("format") != "codebundle/1":
             raise UsageError("single-file verify expects a codebundle/1 document")
         net = Network.from_json(bundle["network"])
         conn = ConnectionRequirement.from_json(bundle["conn"])

@@ -59,8 +59,42 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's variant of Pollard's
+    rho on x -> x² + c, from y = 2 and c = 1, 2, ... until one succeeds,
+    with the gcd taken once per 128 steps and the last block replayed step
+    by step when that gcd overshoots to n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> Dict[int, int]:
-    """Prime factorization of a positive integer (trial division)."""
+    """Prime factorization of a positive integer, primes ascending: trial
+    division by the small primes, then each cofactor below PRIME_TEST_LIMIT
+    is either prime (`is_prime`) or split by `_rho_factor`; a cofactor at or
+    above the limit is factored by trial division."""
     if n < 1:
         raise ValueError(f"cannot factorize non-positive integer {n}")
     out: Dict[int, int] = {}
@@ -68,15 +102,28 @@ def factorize(n: int) -> Dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 67
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    if n < 67 * 67:  # no factor below 67 is left: n is 1 or a prime
+        if n > 1:
+            out[n] = 1
+        return out
+    todo = [n]
+    while todo:
+        n = todo.pop()
+        if n >= PRIME_TEST_LIMIT:
+            d = 67
+            while d * d <= n:
+                while n % d == 0:
+                    out[d] = out.get(d, 0) + 1
+                    n //= d
+                d += 2
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+        elif is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            d = _rho_factor(n)
+            todo += [d, n // d]
+    return dict(sorted(out.items()))
 
 
 def _mpf_to_fraction(x) -> Fraction:

@@ -121,6 +121,8 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FiniteGroup":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a group is an object")
         if obj.get("format", "group/1") != "group/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
         return cls(obj["table"])
@@ -223,6 +225,8 @@ class SubgroupFamily:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SubgroupFamily":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a subgroup family is an object")
         if obj.get("format", "subgroupfamily/1") != "subgroupfamily/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
         return cls(FiniteGroup.from_json(obj["group"]), obj["members"])
@@ -312,6 +316,8 @@ class SubspaceFamily:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SubspaceFamily":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a subspace family is an object")
         if obj.get("format", "subspacefamily/1") != "subspacefamily/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
         return cls(obj["q"], obj["ambient_dim"], obj["members"])
@@ -354,6 +360,8 @@ class SupportSet:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SupportSet":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a support is an object")
         if obj.get("format", "support/1") != "support/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
         for key in ("alphabets", "tuples"):

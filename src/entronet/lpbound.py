@@ -187,13 +187,16 @@ class LinearProgram:
     row is stored as a·x = b with b ≥ 0, the form every solver reads: an
     inequality gets its own slack column, numbered after the `num_vars`
     structural columns in row order, and a row with b < 0 is negated.
-    `highs` is the program's HiGHS model, its only float form: the first
-    `solve_highs` call makes it and each later one pushes the rows stored
-    since, converted to floats once; rows are only ever appended, so the
-    model always holds a prefix of them."""
+    Coefficients keep their type: an `int` stays an `int` (every row of
+    `lp_feasible` and `shannon_implies` is integral, with the slack at 1), a
+    `Fraction` stays a `Fraction`; the exact solvers lift them to `Fraction`
+    in `_tableau`.  `highs` is the program's HiGHS model, its only float
+    form: the first `solve_highs` call makes it and each later one pushes
+    the rows stored since, converted to floats once; rows are only ever
+    appended, so the model always holds a prefix of them."""
 
     num_vars: int
-    rows: List[Dict[int, Fraction]] = field(default_factory=list, init=False)
+    rows: List[Dict[int, Union[int, Fraction]]] = field(default_factory=list, init=False)
     rhs: List[object] = field(default_factory=list, init=False)
     ncols: int = field(init=False)
     highs: object = field(default=None, init=False, repr=False, compare=False)
@@ -201,10 +204,10 @@ class LinearProgram:
     def __post_init__(self) -> None:
         self.ncols = self.num_vars
 
-    def add(self, coeffs: Mapping[int, Fraction], b, equality: bool) -> None:
-        row = {j: c if type(c) is Fraction else Fraction(c) for j, c in coeffs.items() if c}
+    def add(self, coeffs: Mapping[int, Union[int, Fraction]], b, equality: bool) -> None:
+        row = {j: c if type(c) in (int, Fraction) else Fraction(c) for j, c in coeffs.items() if c}
         if not equality:
-            row[self.ncols] = Fraction(1)
+            row[self.ncols] = 1
             self.ncols += 1
         if _sgn(b) < 0:
             row, b = {j: -c for j, c in row.items()}, -b
@@ -212,10 +215,17 @@ class LinearProgram:
         self.rhs.append(b)
 
 
-def _tableau(lp: LinearProgram):
-    """Copies of the stored rows, row i with its artificial column ncols + i,
-    and of their right-hand sides: the tableau that `_pivot` works in."""
-    rows = [{**row, lp.ncols + i: Fraction(1)} for i, row in enumerate(lp.rows)]
+def _tableau(lp: LinearProgram, columns: Optional[set] = None):
+    """Copies of the stored rows, their coefficients lifted to `Fraction` and
+    row i with its artificial column ncols + i, and of their right-hand
+    sides: the tableau that `_pivot` works in.  Given `columns`, the copies
+    keep only those columns, artificials included."""
+    rows = []
+    for i, row in enumerate(lp.rows):
+        copy = {j: Fraction(c) for j, c in row.items() if columns is None or j in columns}
+        if columns is None or lp.ncols + i in columns:
+            copy[lp.ncols + i] = Fraction(1)
+        rows.append(copy)
     return rows, list(lp.rhs)
 
 
@@ -240,15 +250,16 @@ def _pivot(rows: List[Dict[int, Fraction]], rhs: list, r: int, jin: int) -> None
 
 
 def exact_point_from_basis(lp: LinearProgram, basis: Sequence[int]):
-    """Pivot each basis column (stored or artificial, one per row) into the
-    exact tableau, on the sparsest row not yet pivoted, and return
+    """Solve B·x_B = b exactly for the basis columns B (stored or
+    artificial, one per row): pivot each into a tableau of only those
+    columns, on the sparsest row not yet pivoted, and return
     {structural var: value} when the basic solution is a verified feasible
     point of the program; None when the float pass misidentified the basis:
     it is singular, a basic value is negative or an artificial is nonzero."""
     m = len(lp.rows)
     if m == 0:
         return {}
-    rows, rhs = _tableau(lp)
+    rows, rhs = _tableau(lp, set(basis))
     where: List[int] = []
     used = [False] * m
     for c in basis:
@@ -526,7 +537,8 @@ def _instantiate(expr: InfoExpression, keys: Sequence[str]):
     in `itertools.permutations` order.  Returns the masks and integer
     weights of `template_index` (bit i stands for keys[i]), and each
     instance's row {mask − 1: −c} of `-instance <= 0`, its terms in the
-    order that `InfoExpression.relabel` gives them."""
+    order that `InfoExpression.relabel` gives them and −c an `int` where c
+    is integral."""
     k = len(keys)
     _, masks, weights = template_index(expr, k)
     # relabel orders an instance's terms by size, then by their sorted
@@ -537,7 +549,7 @@ def _instantiate(expr: InfoExpression, keys: Sequence[str]):
     sizes = np.array([len(s) for _, s in expr.terms], dtype=np.int64)
     bits = masks[:, :, None] >> np.arange(k) & 1
     order = np.argsort(sizes << k | ((1 << k) - 1 - bits @ rev), axis=1)
-    neg = [-c for c, _ in expr.terms]
+    neg = [-int(c) if c.denominator == 1 else -c for c, _ in expr.terms]
     rows = [
         {m - 1: neg[t] for m, t in zip(mrow, trow)}
         for mrow, trow in zip(np.take_along_axis(masks, order, axis=1).tolist(), order.tolist())
@@ -562,8 +574,11 @@ def lp_feasible(
     hint: Optional[SetFunction] = None,
 ) -> LPResult:
     """Decide whether some polymatroid over sessions ∪ edges satisfies all
-    connection constraints at the given rates/capacities (plus instantiated
-    extra inequality templates).  HiGHS steers lazy elemental generation:
+    connection constraints at the given rates/capacities (plus the extra
+    inequality templates over every injective assignment of the variables,
+    each distinct instance once).  Every row has integer coefficients for an
+    integral template; only right-hand sides are `LogScalar`s.  HiGHS steers
+    lazy elemental generation:
     each round solves the program with the elemental rows active so far and
     activates the rows its float point violates.  The rounds grow one
     program, so HiGHS restarts each from the last round's optimal basis;
@@ -595,29 +610,36 @@ def lp_feasible(
     ground = GroundSet(keys)
     nvars = (1 << k) - 1  # variable j-1 holds g of subset mask j
 
-    def coeffs_of(terms) -> Dict[int, Fraction]:
+    def coeffs_of(terms) -> Dict[int, int]:
         """Σ c·g(B) as {variable: coefficient}; g(∅) = 0 and zero
         coefficients are dropped."""
-        coeffs: Dict[int, Fraction] = {}
+        coeffs: Dict[int, int] = {}
         for c, subset in terms:
             mask = ground.mask(subset)
             if mask:
-                coeffs[mask - 1] = coeffs.get(mask - 1, Fraction(0)) + c
+                coeffs[mask - 1] = coeffs.get(mask - 1, 0) + c
         return {j: c for j, c in coeffs.items() if c}
 
-    clauses: List[Tuple[Dict[int, Fraction], object, bool]] = []
+    clauses: List[Tuple[Dict[int, int], object, bool]] = []
     for _, terms, b, sense in connection_clauses(net, conn, tup):
         coeffs = coeffs_of(terms)
         if sense == ">=":  # a·x >= b  ->  -a·x <= -b
             coeffs, b = {j: -c for j, c in coeffs.items()}, -b
         clauses.append((coeffs, b, sense == "="))
     base_rows = list(clauses)
-    # extra templates instantiated over all injective label assignments
+    # extra templates instantiated over all injective label assignments; a
+    # symmetric template repeats instances (Ingleton's a<->b, c<->d give each
+    # row four times), so each distinct row goes in once
     templates = []
+    seen: set = set()
     for expr in extra:
         masks, weights, rows = _instantiate(expr, keys)
         templates.append((masks, weights))
-        base_rows += [(row, ZERO, False) for row in rows]
+        for row in rows:
+            key = frozenset(row.items())
+            if key not in seen:
+                seen.add(key)
+                base_rows.append((row, ZERO, False))
 
     elementals = elemental_index(k)
 

@@ -118,6 +118,8 @@ class Network:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Network":
+        if not isinstance(obj, Mapping):
+            raise StructuralError("a network is an object")
         if obj.get("format", "network/1") != "network/1":
             raise StructuralError(f"unexpected format {obj.get('format')!r}")
         edges = [
@@ -206,6 +208,8 @@ class ConnectionRequirement:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ConnectionRequirement":
+        if not isinstance(obj, Mapping):
+            raise StructuralError("a connection requirement is an object")
         if obj.get("format", "connection/1") != "connection/1":
             raise StructuralError(f"unexpected format {obj.get('format')!r}")
         return cls(obj["sessions"], obj["origin"], obj["receivers"])
@@ -409,6 +413,8 @@ class NetworkCode:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "NetworkCode":
+        if not isinstance(obj, Mapping):
+            raise StructuralError("a network code is an object")
         if obj.get("format", "code/1") != "code/1":
             raise StructuralError(f"unexpected format {obj.get('format')!r}")
         alph = {k: Alphabet.from_json(v) for k, v in obj["alphabets"].items()}
@@ -448,6 +454,8 @@ class RateCapacityTuple:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RateCapacityTuple":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a rate-capacity tuple is an object")
         if obj.get("format", "ratecap/1") != "ratecap/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
         return cls(

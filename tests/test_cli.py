@@ -280,6 +280,34 @@ def test_a_support_whose_entries_are_not_lists_exits_2(tmp_path, capsys, command
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc", [[], 0, "x"])
+@pytest.mark.parametrize("command", [
+    ["qu", "check", "DOC"], ["group", "entropy", "DOC"], ["subspace", "entropy", "DOC"],
+    ["code", "build", "qu", "DOC", "--n", "2"], ["code", "verify", "DOC"],
+    ["lp", "feasible", "DOC", "DOC", "DOC"],
+])
+def test_a_document_that_is_not_an_object_exits_2(tmp_path, capsys, command, doc):
+    path = write(tmp_path, "doc.json", doc)
+    assert run([path if a == "DOC" else a for a in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [[], 0, "x"])
+def test_a_part_that_is_not_an_object_exits_2(tmp_path, capsys, doc):
+    """Each file of `lp feasible`, then each part of a code bundle, in turn."""
+    files = list(relay_files(tmp_path)[:3])
+    for i in range(3):
+        argv = files[:i] + [write(tmp_path, "doc.json", doc)] + files[i + 1:]
+        assert run(["lp", "feasible"] + argv) == 2
+    for part in ("network", "conn", "code", "tuple"):
+        bundle = chain_bundle()
+        bundle[part] = doc
+        assert run(["code", "verify", write(tmp_path, "bundle.json", bundle)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 7 and "Traceback" not in err
+
+
 def test_code_verify_refuses_a_session_named_like_an_edge(tmp_path, capsys):
     """A bundle whose edge shares its id with the session; the edge sends 0
     whatever the session is, yet the shared name made the code read as

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ from entronet.exactlog import (
     ZERO,
     LogScalar,
     entropy_of_counts,
+    factorize,
     integer_form,
     is_prime,
     log2_units,
@@ -135,6 +137,45 @@ def test_is_prime_refuses_numbers_past_the_limit():
     assert is_prime(PRIME_TEST_LIMIT + 2) is False  # divisible by 3
     with pytest.raises(ValueError):
         LogScalar.from_json({"1000000000000000000000000000057": "1"})
+
+
+def trial_factors(n: int) -> dict:
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# (n, its factorization when the test knows it): n < 10^7 against trial
+# division, semiprimes of two 30-bit primes, and 64-bit integers
+factor_cases = st.one_of(
+    st.integers(1, 10**7 - 1).map(lambda n: (n, trial_factors(n))),
+    st.lists(st.integers(2**29, 2**30 - 2**10).map(next_prime), min_size=2, max_size=2).map(
+        lambda pq: (pq[0] * pq[1], dict(Counter(sorted(pq))))),
+    st.integers(1, 2**64).map(lambda n: (n, None)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_cases)
+def test_factorize_gives_ascending_primes_whose_product_is_n(case):
+    n, want = case
+    got = factorize(n)
+    assert math.prod(p**e for p, e in got.items()) == n
+    assert list(got) == sorted(got) and all(e > 0 and is_prime(p) for p, e in got.items())
+    if want is not None:
+        assert got == want
 
 
 def entropy_of_counts_per_count(counts):

@@ -740,7 +740,7 @@ def reference_point_from_basis(lp, basis):
     for i in range(m):
         row = {}
         for k, c in enumerate(cols):
-            v = Fraction(int(c - ncols == i)) if c >= ncols else rows[i].get(c)
+            v = Fraction(int(c - ncols == i)) if c >= ncols else Fraction(rows[i].get(c, 0))
             if v:
                 row[k] = v
         M.append(row)
@@ -904,6 +904,93 @@ def test_exact_point_from_basis_matches_the_reference(lp, data):
         assert len(bases[-1]) == m
     for basis in bases:
         assert lpbound.exact_point_from_basis(lp, basis) == reference_point_from_basis(lp, basis)
+
+
+@st.composite
+def program_pairs(draw):
+    """One program drawn as `linear_programs` draws it, stored twice: with
+    `int` coefficients and with the same coefficients as `Fraction`s."""
+    nvars, logs = draw(st.integers(1, 4)), draw(st.booleans())
+    rows = draw(st.lists(program_rows(nvars, logs), min_size=1, max_size=4))
+    as_int, as_fraction = LinearProgram(num_vars=nvars), LinearProgram(num_vars=nvars)
+    for coeffs, b, equality in rows:
+        as_int.add({j: int(c) for j, c in coeffs.items()}, b, equality)
+        as_fraction.add(coeffs, b, equality)
+    return as_int, as_fraction
+
+
+def exact_values(x):
+    return x is None or all(type(v) in (Fraction, LogScalar) for v in x.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_pairs(), st.data())
+def test_exact_solvers_agree_on_int_and_fraction_coefficients(pair, data):
+    """The stored types differ, every exact result is the same and exact."""
+    as_int, as_fraction = pair
+    assert all(type(c) is int for row in as_int.rows for c in row.values())
+    assert all(type(c) is Fraction for row in as_fraction.rows for j, c in row.items()
+               if j < as_fraction.num_vars)
+    got = lpbound.solve_phase1(as_int)
+    assert got == lpbound.solve_phase1(as_fraction) and exact_values(got[1])
+    m = len(as_int.rows)
+    basis = data.draw(st.lists(st.integers(0, as_int.ncols + m), min_size=m, max_size=m))
+    got = lpbound.exact_point_from_basis(as_int, basis)
+    assert got == lpbound.exact_point_from_basis(as_fraction, basis) and exact_values(got)
+
+
+def test_lp_feasible_adds_a_repeated_template_once():
+    """Ingleton twice is Ingleton once: the same verdicts and constraint
+    counts; and its 120 instances over five variables hold 30 distinct
+    rows."""
+    ing = ingleton_expression()
+    for case in small_dags():
+        once, twice = lp_feasible(*case, extra=(ing,)), lp_feasible(*case, extra=(ing, ing))
+        assert (twice.feasible, twice.constraints) == (once.feasible, once.constraints)
+    rows = lpbound._instantiate(ing, ["X", "sa", "sb", "ar", "br"])[2]
+    assert len(rows) == 120 and len({frozenset(row.items()) for row in rows}) == 30
+
+
+def all_instances_verdict(net, conn, tup, extra):
+    """The reference verdict: one float LP with every connection clause,
+    every instance of every template, relabelled one assignment at a time
+    and repeats included, and every elemental row."""
+    from scipy.optimize import linprog
+
+    keys = list(conn.sessions) + [e.id for e in net.edges]
+    k, index = len(keys), {x: i for i, x in enumerate(keys)}
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+
+    def add(terms, rhs, sense):
+        row = np.zeros((1 << k) - 1)
+        for c, subset in terms:
+            mask = sum(1 << index[x] for x in subset)
+            if mask:
+                row[mask - 1] += float(c)
+        sign = -1 if sense == ">=" else 1
+        A, b = (A_eq, b_eq) if sense == "=" else (A_ub, b_ub)
+        A.append(sign * row)
+        b.append(sign * float(rhs))
+
+    for _, terms, rhs, sense in connection_clauses(net, conn, tup):
+        add(terms, rhs, sense)
+    for expr in extra:
+        for combo in itertools.permutations(keys, len(expr.variables)):
+            add(expr.relabel(dict(zip(expr.variables, combo))).terms, 0, ">=")
+    for row in elemental_index(k).tolist():
+        terms = [(c, [x for x in keys if mask >> index[x] & 1])
+                 for mask, c in zip(row, ELEMENTAL_WEIGHTS)]
+        add(terms, 0, ">=")
+    res = linprog(np.zeros((1 << k) - 1), A_ub=A_ub, b_ub=b_ub, A_eq=A_eq or None,
+                  b_eq=b_eq or None, bounds=(0, None), method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def test_lp_feasible_verdicts_match_every_instance_added():
+    for case in small_dags():
+        for extra in ((), (ingleton_expression(),), (zhang_yeung_expression(),)):
+            assert lp_feasible(*case, extra=extra).feasible == all_instances_verdict(*case, extra)
 
 
 def mixed_polymatroid(seed, n):
