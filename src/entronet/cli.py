@@ -8,11 +8,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .construct import build_gdagger, capacitated_network, rate_capacity
 from .codegen import linear_code, quasi_uniform_code
-from .exactlog import LogScalar
+from .exactlog import ZERO, LogScalar
 from .groupchar import (
     SubgroupFamily,
     SubspaceFamily,
@@ -164,11 +163,14 @@ def cmd_code_build(args) -> int:
             s = coset_support(SubgroupFamily.from_json(obj))
         else:
             s = SupportSet.from_json(obj)
-        res = quasi_uniform_check(s)
-        if not res.ok:
-            raise UsageError("input support is not quasi-uniform")
-        h = res.entropy
+        # raises ValueError on a support that is not quasi-uniform; on one
+        # that is, each session alphabet is the support's projection onto
+        # its α, so h(α) = log |A_{S_α}|
         code = quasi_uniform_code(s, layout)
+        h = SetFunction([str(i + 1) for i in range(args.n)], [ZERO] + [
+            LogScalar.log_int(code.alphabets[layout.session_labels[mask]].size)
+            for mask in range(1, 1 << args.n)
+        ])
     else:
         fam = SubspaceFamily.from_json(obj)
         h = entropy_from_subspaces(fam)

@@ -1,46 +1,22 @@
 """Constructive achievability: zero-error network codes on the fixed network
 from quasi-uniform supports and from subspace families, plus the underlying
-compression primitives and group-coset encoding."""
+compression primitives."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .construct import GDaggerLayout
 from .ffield import GF, Matrix, digits_of, flat_index
-from .groupchar import (
-    FiniteGroup,
-    SubspaceFamily,
-    SupportSet,
-    support_projections,
-)
-from .netmodel import (
-    Alphabet,
-    ConnectionRequirement,
-    LinearMap,
-    Network,
-    NetworkCode,
-    TableMap,
-    decoder_feeds,
-    edge_feeds,
-)
+from .groupchar import SubspaceFamily, SupportSet, support_projections
+from .netmodel import Alphabet, LinearMap, NetworkCode, TableMap, edge_feeds
 
 
 # ---------------------------------------------------------------------------
 # side-information compression over a quasi-uniform pair support
-
-
-@dataclass(frozen=True)
-class SideInfoCode:
-    """Zero-error description of U1 when the decoder knows U2, at alphabet
-    size |Ω(U1,U2)| / |Ω(U2)| (an integer by quasi-uniformity)."""
-
-    alphabet_size: int
-    encoder: Mapping[tuple, int]  # (u1, u2) -> slice index
-    decoder: Mapping[Tuple[int, object], object]  # (w, u2) -> u1
 
 
 def _side_info(u: np.ndarray, nu: int, v: np.ndarray, nv: int):
@@ -56,24 +32,6 @@ def _side_info(u: np.ndarray, nu: int, v: np.ndarray, nv: int):
     table = np.zeros(n, dtype=np.int64)
     table[flat_index(n, [w, v], [n // nv, nv])] = u
     return w, table
-
-
-def side_info_encoder(s: SupportSet) -> SideInfoCode:
-    """U1 is described by its rank, in alphabet order, within the slice of
-    the support that shares its U2."""
-    if s.arity != 2:
-        raise ValueError("side-information coding works on a pair support")
-    syms, R, _, failing = support_projections(s)
-    if failing:
-        raise ValueError(f"support is not quasi-uniform (failing coordinates {failing})")
-    w, table = _side_info(R[:, 0], len(syms[0]), R[:, 1], len(syms[1]))
-    encoder = {}
-    decoder = {}
-    for (r1, r2), k in zip(R.tolist(), w.tolist()):
-        u1, u2 = syms[0][r1], syms[1][r2]
-        encoder[(u1, u2)] = k
-        decoder[(k, u2)] = u1
-    return SideInfoCode(len(table) // len(syms[1]), encoder, decoder)
 
 
 # ---------------------------------------------------------------------------
@@ -398,65 +356,4 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
                 dec = _neg(gf, gf.identity(dp)) + gf.identity(dp)
                 decoders[(rx, sess_a)] = LinearMap(q, dec)
 
-    return NetworkCode(alphabets, encoders, decoders)
-
-
-# ---------------------------------------------------------------------------
-# group network codes: coset-intersection encoding
-
-
-class GroupCodeError(ValueError):
-    pass
-
-
-def group_code_encode(
-    G: FiniteGroup,
-    assignment: Mapping[str, FrozenSet[int]],
-    net: Network,
-    conn: ConnectionRequirement,
-) -> NetworkCode:
-    """Every session/edge carries the index of the left coset of its assigned
-    subgroup, cosets numbered in order of their first element.  Each table
-    is read off the group elements: an element's feed cosets map to its coset
-    of G_e.  Raises GroupCodeError naming the edge when an edge has no feeds
-    or two elements with equal feed cosets lie in different cosets of G_e.
-    A decoder entry whose elements disagree is 0, as is an unreachable one."""
-    for key in list(conn.sessions) + [e.id for e in net.edges]:
-        if key not in assignment:
-            raise GroupCodeError(f"no subgroup assigned to {key!r}")
-        sub = frozenset(assignment[key])
-        if not G.is_subgroup(sub):
-            raise GroupCodeError(f"assignment for {key!r} is not a subgroup")
-
-    # key -> coset index of every element
-    coset = {key: G.cosets(sub) for key, sub in assignment.items()}
-    count = {key: int(c.max()) + 1 for key, c in coset.items()}
-
-    # every element is one source combination; without sessions there is none
-    elems = np.arange(G.order if conn.sessions else 0)
-
-    def scatter(feeds: List[str], out: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Table over the feed domain holding each element's coset of `out`,
-        and the entries where elements disagree."""
-        sizes = [count[f] for f in feeds]
-        flat = flat_index(len(elems), [coset[f][elems] for f in feeds], sizes)
-        table = np.zeros(int(np.prod(sizes)), dtype=np.int64)
-        table[flat] = coset[out][elems]
-        return table, flat[table[flat] != coset[out][elems]]
-
-    encoders = {}
-    for e in net.edges:
-        feeds = edge_feeds(net, conn, e)
-        if elems.size and not feeds:
-            raise GroupCodeError(f"edge {e.id} has no feeds")
-        table, clash = scatter(feeds, e.id)
-        if clash.size:
-            raise GroupCodeError(f"edge {e.id}: elements with equal feed cosets differ in coset")
-        encoders[e.id] = TableMap(table)
-    decoders = {}
-    for r, sdem in conn.demands():
-        table, clash = scatter(decoder_feeds(net, conn, r), sdem)
-        table[clash] = 0
-        decoders[(r, sdem)] = TableMap(table)
-    alphabets = {key: Alphabet(symbols=range(k)) for key, k in count.items()}
     return NetworkCode(alphabets, encoders, decoders)

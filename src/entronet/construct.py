@@ -23,7 +23,7 @@ tuple M(h) = (λ(h), ω(h)) is a linear function of h.  Subnetworks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .exactlog import ZERO, LogScalar

@@ -719,62 +719,6 @@ def alphabets_meet_tuple(
     return True
 
 
-def code_product(
-    net: Network, conn: ConnectionRequirement, code1: NetworkCode, code2: NetworkCode
-) -> NetworkCode:
-    """Componentwise product code: alphabets are Cartesian products,
-    encoders/decoders act coordinate-wise."""
-    keys = set(code1.alphabets) | set(code2.alphabets)
-    if set(code1.alphabets) != set(code2.alphabets):
-        raise ValueError("codes cover different sessions/edges")
-
-    def pair_alpha(k: str) -> Alphabet:
-        a1, a2 = code1.alphabets[k], code2.alphabets[k]
-        return Alphabet(
-            symbols=[
-                (a1.symbol(i), a2.symbol(j))
-                for i in range(a1.size)
-                for j in range(a2.size)
-            ]
-        )
-
-    alphabets = {k: pair_alpha(k) for k in keys}
-
-    def product_table(
-        m1: EncoderMap, m2: EncoderMap, what: str, feeds: List[str], out_key: str
-    ) -> TableMap:
-        t1 = _tabulate(m1, f"{what} of the first code", feeds, out_key, code1.alphabets)
-        t2 = _tabulate(m2, f"{what} of the second code", feeds, out_key, code2.alphabets)
-        s1 = [code1.alphabets[f].size for f in feeds]
-        s2 = [code2.alphabets[f].size for f in feeds]
-        sp = [alphabets[f].size for f in feeds]
-        dom = math.prod(sp)
-        # each product-domain feed index is a pair of the two codes' indices
-        parts = digits_of(np.arange(dom, dtype=np.int64), sp)
-        pairs = [digits_of(part, [a1, a2]) for part, a1, a2 in zip(parts, s1, s2)]
-        f1 = flat_index(dom, [i1 for i1, _ in pairs], s1)
-        f2 = flat_index(dom, [i2 for _, i2 in pairs], s2)
-        sizes = [code1.alphabets[out_key].size, code2.alphabets[out_key].size]
-        return TableMap(flat_index(dom, [t1[f1], t2[f2]], sizes))
-
-    encoders = {}
-    for e in net.edges:
-        feeds = edge_feeds(net, conn, e)
-        encoders[e.id] = product_table(
-            code1.encoders[e.id], code2.encoders[e.id], f"encoder for {e.id}", feeds, e.id
-        )
-    decoders = {}
-    for (r, s) in code1.decoders:
-        if (r, s) not in code2.decoders:
-            continue
-        feeds = decoder_feeds(net, conn, r)
-        decoders[(r, s)] = product_table(
-            code1.decoders[(r, s)], code2.decoders[(r, s)],
-            f"decoder for session {s} at receiver {r}", feeds, s,
-        )
-    return NetworkCode(alphabets, encoders, decoders)
-
-
 def kernels_of_linear_code(
     net: Network, conn: ConnectionRequirement, code: NetworkCode
 ) -> SubspaceFamily:

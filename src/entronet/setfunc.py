@@ -299,31 +299,6 @@ def check_polymatroid(f: SetFunction) -> ViolationReport:
     return ViolationReport("polymatroid", tuple(out))
 
 
-def conditional_entropy(f: SetFunction, A: SubsetLike, B: SubsetLike) -> LogScalar:
-    a = f.ground.mask(A)
-    b = f.ground.mask(B)
-    return f.values[a | b] - f.values[b]
-
-
-def is_function_of(f: SetFunction, X: SubsetLike, A: SubsetLike) -> bool:
-    x = f.ground.mask(X)
-    a = f.ground.mask(A)
-    return f.values[x | a] == f.values[a]
-
-
-def is_independent(f: SetFunction, parts: Sequence[SubsetLike]) -> bool:
-    masks = [f.ground.mask(p) for p in parts]
-    union = 0
-    for m in masks:
-        if union & m:
-            raise ValueError("parts must be pairwise disjoint")
-        union |= m
-    total = ZERO
-    for m in masks:
-        total = total + f.values[m]
-    return f.values[union] == total
-
-
 # ---------------------------------------------------------------------------
 # information expressions
 
@@ -529,66 +504,3 @@ def check_zhang_yeung(f: SetFunction) -> ViolationReport:
     2 I(3;4) <= I(1;2) + I(1;34) + 3 I(3;4|1) + I(3;4|2),
     over every ordered assignment of 4 distinct elements."""
     return _check_template(f, "zhang-yeung", zhang_yeung_expression())
-
-
-def flats(f: SetFunction) -> List[Tuple[str, ...]]:
-    """Subsets A with f(A ∪ {x}) > f(A) for every x outside A.
-
-    Requires a polymatroid; under monotonicity the single-element test is
-    equivalent to the all-proper-supersets condition.
-    """
-    report = check_polymatroid(f)
-    if not report.ok:
-        raise ValueError("flats requires a polymatroid input")
-    g = f.ground
-    n = len(g)
-    v = f.values
-    out = []
-    for m in range(1 << n):
-        if all(
-            (v[m | (1 << i)] - v[m]).sign() > 0
-            for i in range(n)
-            if not m >> i & 1
-        ):
-            out.append(g.subset(m))
-    return out
-
-
-def delta(f: SetFunction, A: SubsetLike, B: SubsetLike) -> LogScalar:
-    a = f.ground.mask(A)
-    b = f.ground.mask(B)
-    return f.values[a] + f.values[b] - f.values[a | b] - f.values[a & b]
-
-
-def adhesion_compatible(
-    f: SetFunction, fstar: SetFunction, shared: Mapping[str, str]
-) -> bool:
-    """Matúš adhesivity condition: the two functions (which must coincide on
-    the shared part) can be joined iff Δ_f(A,B) >= Δ_f(L'∩A, L'∩B) for all
-    flats A, B of f."""
-    for lab in shared:
-        if lab not in f.ground._index:
-            raise KeyError(f"shared label {lab!r} not in first ground set")
-    for lab in shared.values():
-        if lab not in fstar.ground._index:
-            raise KeyError(f"shared label {lab!r} not in second ground set")
-    shared_labels = list(shared)
-    for m in range(1 << len(shared_labels)):
-        sub = [shared_labels[i] for i in range(len(shared_labels)) if m >> i & 1]
-        if f(sub) != fstar([shared[x] for x in sub]):
-            raise ValueError("functions disagree on the shared subset")
-    lmask = f.ground.mask(shared_labels)
-    flist = [f.ground.mask(a) for a in flats(f)]
-    v = f.values
-    for a in flist:
-        for b in flist:
-            lhs = v[a] + v[b] - v[a | b] - v[a & b]
-            rhs = (
-                v[lmask & a]
-                + v[lmask & b]
-                - v[(lmask & a) | (lmask & b)]
-                - v[lmask & a & b]
-            )
-            if (lhs - rhs).sign() < 0:
-                return False
-    return True

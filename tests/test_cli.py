@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -10,9 +11,11 @@ from entronet.exactlog import log2_units
 from entronet.groupchar import (
     SubgroupFamily,
     SubspaceFamily,
+    SupportSet,
     builtin_function,
     cyclic,
     direct_product,
+    symmetric,
 )
 from entronet.netmodel import (
     ConnectionRequirement,
@@ -168,6 +171,53 @@ def test_code_build_and_verify_bundle(tmp_path, capsys):
     paths = [write(tmp_path, f"{k}.json", bundle[k])
              for k in ("network", "conn", "code", "tuple")]
     assert run(["code", "verify", *paths]) == 0
+
+
+def qu_families():
+    """A Z2xZ2 family at N=2 and three transposition subgroups of S3 at N=3."""
+    z2z2 = direct_product(cyclic(2), cyclic(2))
+    pairs = [sorted(s) for s in z2z2.all_subgroups() if len(s) == 2]
+    s3 = symmetric(3)
+    transpositions = [sorted(s) for s in s3.all_subgroups() if len(s) == 2]
+    return [(SubgroupFamily(z2z2, pairs[:2]), 2), (SubgroupFamily(s3, transpositions), 3)]
+
+
+@pytest.mark.parametrize("case,digest", zip(qu_families(), [
+    "4d96c0aff629122d9156828fb1b1822d0d2282f90d7338161195604c026e1fb5",
+    "41edcc9d708fbeaf3ff7af63248c16d279f6dc3a1946bb49cd9a20ab8276a138",
+]))
+def test_code_build_qu_bundle_is_unchanged(tmp_path, capsys, case, digest):
+    """The bundle's SHA-256, as built when h came from `quasi_uniform_check`."""
+    fam, n = case
+    assert run(["code", "build", "qu", write(tmp_path, "fam.json", fam.to_json()),
+                "--n", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_code_build_qu_projects_the_support_once(tmp_path, capsys, monkeypatch):
+    import entronet.groupchar as groupchar
+
+    calls = []
+
+    def spy(s, _project=groupchar.support_projections):
+        calls.append(s)
+        return _project(s)
+
+    monkeypatch.setattr("entronet.groupchar.support_projections", spy)
+    monkeypatch.setattr("entronet.codegen.support_projections", spy)
+    fam, n = qu_families()[1]
+    assert run(["code", "build", "qu", write(tmp_path, "fam.json", fam.to_json()),
+                "--n", str(n)]) == 0
+    assert len(calls) == 1
+
+
+def test_code_build_qu_on_a_support_that_is_not_quasi_uniform_exits_2(tmp_path, capsys):
+    support = SupportSet(2, [[0, 1], [0, 1]], [(0, 0), (0, 1), (1, 0)])
+    assert run(["code", "build", "qu", write(tmp_path, "sup.json", support.to_json()),
+                "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_code_verify_evaluates_the_code_once(tmp_path, capsys, monkeypatch):

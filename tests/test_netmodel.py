@@ -25,7 +25,6 @@ from entronet.netmodel import (
     TableMap,
     UNCAPPED,
     check_admissible,
-    code_product,
     evaluate_code,
     kernels_of_linear_code,
     to_dot,
@@ -208,36 +207,11 @@ def test_a_linear_table_over_the_cap_is_refused_before_it_is_built(monkeypatch):
         evaluate_code(*wide_inner_code())
 
 
-def test_code_product_with_trivial_code_is_identity():
-    net, conn = butterfly()
-    code = xor_code()
-    singleton = Alphabet(q=2, dim=0)  # one-symbol alphabet
-    feed_counts = {"e_sa": 2, "e_sb": 2, "e_ac": 1, "e_bc": 1, "e_cd": 2,
-                   "e_ar2": 1, "e_br1": 1, "e_dr1": 1, "e_dr2": 1}
-
-    def const(nfeeds):
-        return TableMap.from_function(lambda *a: (), [singleton] * nfeeds, singleton)
-
-    triv = NetworkCode(
-        {k: singleton for k in list("XY") + EDGE_IDS},
-        {e: const(n) for e, n in feed_counts.items()},
-        {(r, s): const(2) for r in ("r1", "r2") for s in ("X", "Y")},
-    )
-    prod = code_product(net, conn, code, triv)
-    res = evaluate_code(net, conn, prod)
-    assert res.zero_error
-    for k in list("XY") + EDGE_IDS:
-        assert prod.alphabets[k].size == code.alphabets[k].size
-
-
-@pytest.mark.parametrize("table", [[0, 1, 1], [0, 1, 1, 0, 1]])
-def test_code_product_rejects_a_table_off_its_feed_domain(table):
-    # e_cd reads e_ac and e_bc: four feed tuples
-    net, conn = butterfly()
+@pytest.mark.parametrize("table", [[0, 1, 1], [0, 1, 1, 0, 1], [0, 1, 2, 0]])
+def test_a_table_off_its_feed_domain_or_alphabet_is_refused(table):
+    # e_cd reads e_ac and e_bc: four feed tuples into a binary alphabet
     with pytest.raises(StructuralError, match="encoder for e_cd"):
-        code_product(net, conn, xor_code(middle=TableMap(table)), xor_code())
-    with pytest.raises(StructuralError, match="encoder for e_cd"):
-        code_product(net, conn, xor_code(), xor_code(middle=TableMap(table)))
+        evaluate_code(*butterfly(), xor_code(middle=TableMap(table)))
 
 
 def test_kernels_of_xor_code():

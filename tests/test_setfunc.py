@@ -22,16 +22,10 @@ from entronet.setfunc import (
     SetFunction,
     Violation,
     ViolationReport,
-    adhesion_compatible,
     check_ingleton,
     check_polymatroid,
     check_zhang_yeung,
-    conditional_entropy,
-    delta,
     elemental_index,
-    flats,
-    is_function_of,
-    is_independent,
 )
 
 
@@ -71,31 +65,14 @@ def test_uniform_matroid_properties():
     assert check_polymatroid(f).ok
     assert check_ingleton(f).ok
     assert check_zhang_yeung(f).ok
-    assert conditional_entropy(f, "3", "12") == ZERO
-    assert is_function_of(f, "3", "12")
-    assert not is_function_of(f, "2", "1")
-    assert is_independent(f, ["1", "2"])
-    assert not is_independent(f, ["1", "2", "3"])
 
 
-def test_restrict_and_flats():
+def test_restrict():
     f = SetFunction.from_log2("abc", {"a": 1, "b": 1, "c": 2, "ab": 2,
                                       "ac": 2, "bc": 2, "abc": 2})
     r = f.restrict("ab")
     assert r.ground.labels == ("a", "b")
     assert r(["a", "b"]) == log2_units(2)
-    fl = flats(f)
-    assert ("a", "b", "c") in fl and ("a",) in fl
-    # f({a,c}) = f({c}), so {c} is not a flat
-    assert ("c",) not in fl
-
-
-def test_delta_and_adhesion_compatible():
-    f = SetFunction.from_log2("ab", {"a": 1, "b": 1, "ab": 2})
-    assert delta(f, "a", "b") == ZERO  # independent: I(a;b) = 0
-    g = SetFunction.from_log2("ab", {"a": 1, "b": 1, "ab": 1})
-    assert delta(g, "a", "b") == log2_units(1)
-    assert adhesion_compatible(f, f, {"a": "a"})
 
 
 def test_json_round_trip():
