@@ -415,15 +415,20 @@ def log2_units(coeff: RationalLike) -> LogScalar:
 
 
 def entropy_of_counts(counts: Iterable[int]) -> LogScalar:
-    """Exact entropy of a distribution given by positive integer counts.
+    """Exact entropy of a distribution given by positive integer counts."""
+    return entropy_of_histogram(Counter(counts))
+
+
+def entropy_of_histogram(hist: Mapping[int, int]) -> LogScalar:
+    """Exact entropy of a distribution whose positive integer counts are
+    given as a histogram: count c -> its multiplicity m_c.
 
     With total T, H = log T - (1/T) * sum_c m_c * c * log c over the
-    distinct counts c, each occurring m_c times.  Each distinct count is
-    factorized once and the coefficient of each prime p is
-    (T * e_p(T) - sum_c m_c * c * e_p(c)) / T, one Fraction per prime; the
-    counts of a uniform distribution are all equal and give a single term.
+    distinct counts c.  Each distinct count is factorized once and the
+    coefficient of each prime p is (T * e_p(T) - sum_c m_c * c * e_p(c)) / T,
+    one Fraction per prime; the counts of a uniform distribution are all
+    equal and give a single term.
     """
-    hist = Counter(counts)
     total = sum(c * m for c, m in hist.items())
     if total <= 0 or any(c <= 0 for c in hist):
         raise ValueError("counts must be positive integers")

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .exactlog import ZERO, LogScalar, entropy_of_counts
+from .exactlog import ZERO, LogScalar, entropy_of_histogram
 from .ffield import GF, digits_of, flat_index
 from .groupchar import SubspaceFamily, _dejson_sym
 from .setfunc import GroundSet, SetFunction
@@ -474,6 +474,7 @@ def decoder_feeds(net: Network, conn: ConnectionRequirement, node: str) -> List[
 
 
 _CODE_LIMIT = 1 << 62  # largest radix product a mixed-radix int64 code may reach
+_BINCOUNT_SPAN = 4  # bincount counts a code whose radix product is at most this many times its length
 
 
 def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -483,37 +484,89 @@ def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 class EntropyOracle:
-    """On-demand exact entropies of the empirical joint distribution of the
-    session/edge variables (uniform over all source tuples)."""
+    """On-demand exact entropies of the session and edge variables, with the
+    sessions independent and uniform.
 
-    def __init__(self, arrays: Mapping[str, np.ndarray], sizes: Mapping[str, int], total: int):
+    Each variable k is one array over the tuples of its scope `scopes[k]`,
+    the sessions it reads, numbered by `flat_index` over the scope in that
+    order.  H(keys) is counted over the tuples of the union U of the keys'
+    scopes alone: counting over every source tuple multiplies each count by
+    the product of the alphabet sizes of the sessions outside U, and the
+    entropy of a count histogram does not change when every count is
+    scaled by one factor.  No array the oracle allocates is longer than
+    `chunk`; a query whose U has more tuples raises ResourceError."""
+
+    def __init__(self, arrays: Mapping[str, np.ndarray], sizes: Mapping[str, int],
+                 scopes: Mapping[str, Sequence[str]], chunk: int):
         self.arrays = dict(arrays)
         self.sizes = dict(sizes)
-        self.total = total
-        self.ground = GroundSet(sorted(self.arrays))
+        self.scopes = {k: tuple(scope) for k, scope in scopes.items()}
+        self.chunk = chunk
+        self.ground = GroundSet(sorted(self.scopes))
+        self._digits: Dict[Tuple[str, ...], Dict[str, np.ndarray]] = {}
+
+    def tuples(self, scope: Sequence[str]) -> int:
+        return math.prod(self.sizes[s] for s in scope)
+
+    def over(self, key: str, union: Tuple[str, ...]) -> np.ndarray:
+        """The values of `key` on the tuples of `union`, a superset of its
+        scope: its array gathered through the flat index of each tuple's
+        restriction to the scope (the digits of each union are kept)."""
+        scope = self.scopes[key]
+        if scope == union:
+            return self.arrays[key]
+        n = self.tuples(union)
+        digits = self._digits.get(union)
+        if digits is None:
+            digits = self._digits[union] = dict(zip(union, digits_of(
+                np.arange(n, dtype=np.int64), [self.sizes[s] for s in union])))
+        flat = flat_index(n, [digits[s] for s in scope], [self.sizes[s] for s in scope])
+        return self.arrays[key][flat]
 
     def entropy(self, keys: Sequence[str]) -> LogScalar:
-        """H(keys): the tuples of `keys` are numbered by one mixed-radix int64
-        code, and the entropy is that of the code's count histogram
-        (`entropy_of_counts`, one term per distinct count).  Before a step
-        whose radix product could pass 2^62, the running code, and if need
-        be the operand, is replaced by the rank of its value among its
-        distinct values, which keeps the partition and so the counts."""
+        """H(keys) over the tuples of the union U of their scopes: the
+        values of `keys` are numbered by one mixed-radix int64 code, and the
+        entropy is that of the code's count histogram (`entropy_of_histogram`,
+        one term per distinct count).  Before a step whose radix product
+        could pass 2^62, the running code, and if need be the operand, is
+        replaced by the rank of its value among its distinct values, which
+        keeps the partition and so the counts.  The counts come from
+        `np.bincount` when the code's radix product is at most
+        `_BINCOUNT_SPAN` times the tuples of U, and from `np.unique`
+        otherwise."""
         keys = list(keys)
         if not keys:
             return ZERO
-        code = np.zeros(self.total, dtype=np.int64)
-        card = 1
+        union = self.scopes[keys[0]]
+        if len(keys) > 1:
+            reads = {s for k in keys for s in self.scopes[k]}
+            union = tuple(sorted(reads))
+        n = self.tuples(union)
+        if n > self.chunk:
+            raise ResourceError(
+                f"entropy of {keys} needs {n} source tuples, over the chunk of {self.chunk}"
+            )
+        code, card = None, 1
         for k in keys:
-            arr, size = self.arrays[k], self.sizes[k]
+            arr, size = self.over(k, union), self.sizes[k]
+            if code is None:
+                code, card = arr, size
+                continue
             if card * size > _CODE_LIMIT:
                 code, card = _ranks(code)
             if card * size > _CODE_LIMIT:
                 arr, size = _ranks(arr)
             code = code * size + arr
             card *= size
-        _, counts = np.unique(code, return_counts=True)
-        return entropy_of_counts(counts.tolist())
+        if card <= min(_BINCOUNT_SPAN * n, self.chunk):
+            counts = np.bincount(code)
+            counts = counts[counts.nonzero()]
+        else:
+            counts = np.unique(code, return_counts=True)[1]
+        if counts.min() == counts.max():  # uniform, as the law of a linear code is
+            return LogScalar.log_int(len(counts))
+        values, times = np.unique(counts, return_counts=True)
+        return entropy_of_histogram(dict(zip(values.tolist(), times.tolist())))
 
     def to_setfunction(self, max_ground: int = 14) -> SetFunction:
         n = len(self.ground)
@@ -529,22 +582,23 @@ class EntropyOracle:
 
 @dataclass
 class EvaluationResult:
-    """Verdict of `evaluate_code`.  `oracle` is built by one joint pass over
-    every source tuple on its first access (also through `induced`), and is
-    None when that pass would not fit in one chunk."""
+    """Verdict of `evaluate_code`.  `oracle` is built on its first access
+    (also through `induced`): each variable is tabulated once, in
+    topological order, over the tuples of its scope.  It is None when some
+    scope has more tuples than one chunk."""
 
     zero_error: bool
     failing_inputs: List[tuple]
-    _joint: Optional[Callable[[], EntropyOracle]] = field(default=None, repr=False)
+    _scoped: Callable[[], Optional[EntropyOracle]] = field(repr=False)
 
     @cached_property
     def oracle(self) -> Optional[EntropyOracle]:
-        return None if self._joint is None else self._joint()
+        return self._scoped()
 
     @property
     def induced(self) -> SetFunction:
         if self.oracle is None:
-            raise ResourceError("induced entropies unavailable (chunked evaluation)")
+            raise ResourceError("induced entropies unavailable (a scope exceeds one chunk)")
         return self.oracle.to_setfunction()
 
 
@@ -563,7 +617,8 @@ def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
         dom *= alphabets[f].size
     if len(m.table) != dom:
         raise StructuralError(f"{what} has {len(m.table)} entries, expected {dom}")
-    if len(m.table) and (m.table.max() >= alphabets[out].size or m.table.min() < 0):
+    # a negative entry reads as at least 2^63 in the unsigned view
+    if len(m.table) and m.table.view(np.uint64).max() >= alphabets[out].size:
         raise StructuralError(f"{what} writes outside its alphabet")
     return m.table
 
@@ -597,8 +652,11 @@ def evaluate_code(
     receiver, session), at most `REPORT_LIMIT` of them; a session whose
     origin lies outside the failing receiver's cone, and which that receiver
     does not decode, is reported at its first symbol.  The result's `oracle`
-    comes from a joint pass over all source tuples, run only when first
-    asked for and only if they fit in one chunk."""
+    is built when first asked for: a session's scope is itself, an edge's
+    scope is the union of its feeds' scopes (the sessions originating in its
+    tail's ancestor cone), and each variable is tabulated once, in
+    topological order, over the tuples of its scope; it is None if some
+    scope has more than `chunk` tuples."""
     conn.validate_against(net)
     for e in net.edges:
         if e.id not in code.encoders:
@@ -611,7 +669,6 @@ def evaluate_code(
 
     sizes = {k: a.size for k, a in code.alphabets.items()}
     sess = list(conn.sessions)
-    total = math.prod(sizes[s] for s in sess)
 
     # receivers whose cones hold the same sessions share one enumeration,
     # capped before any table is built
@@ -651,12 +708,6 @@ def evaluate_code(
             dec_feeds[r], s, code.alphabets,
         )
 
-    def propagate(edges: List[str], values: Dict[str, np.ndarray], n: int) -> None:
-        for eid in edges:
-            feeds = feeds_of[eid]
-            flat = flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
-            values[eid] = tables[eid][flat]
-
     failing: List[tuple] = []
     zero_error = True
     for cone_sess, (nodes, checks) in groups.items():
@@ -667,7 +718,10 @@ def evaluate_code(
             n = stop - start
             sources = np.arange(start, stop, dtype=np.int64)
             values = dict(zip(cone_sess, digits_of(sources, [sizes[s] for s in cone_sess])))
-            propagate(cone_edges, values, n)
+            for eid in cone_edges:
+                feeds = feeds_of[eid]
+                flat = flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
+                values[eid] = tables[eid][flat]
             for r, s in checks:
                 feeds = dec_feeds[r]
                 flat = flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
@@ -681,13 +735,26 @@ def evaluate_code(
                         )
                         failing.append((src, r, s))
 
-    def joint() -> EntropyOracle:
-        sources = np.arange(total, dtype=np.int64)
-        values = dict(zip(sess, digits_of(sources, [sizes[s] for s in sess])))
-        propagate([e.id for e in order], values, total)
-        return EntropyOracle(values, sizes, total)
+    def scoped() -> Optional[EntropyOracle]:
+        # an edge reads the sessions its feeds read: those originating in
+        # its tail's ancestor cone
+        scopes = {s: (s,) for s in sess}
+        for e in order:
+            reads = {s for f in feeds_of[e.id] for s in scopes[f]}
+            scopes[e.id] = tuple(s for s in sess if s in reads)
+        if any(math.prod(sizes[s] for s in scope) > chunk for scope in scopes.values()):
+            return None
+        oracle = EntropyOracle(
+            {s: np.arange(sizes[s], dtype=np.int64) for s in sess}, sizes, scopes, chunk
+        )
+        for e in order:
+            feeds, scope = feeds_of[e.id], scopes[e.id]
+            flat = flat_index(oracle.tuples(scope), [oracle.over(f, scope) for f in feeds],
+                              [sizes[f] for f in feeds])
+            oracle.arrays[e.id] = tables[e.id][flat]
+        return oracle
 
-    return EvaluationResult(zero_error, failing, joint if total <= chunk else None)
+    return EvaluationResult(zero_error, failing, scoped)
 
 
 def check_admissible(

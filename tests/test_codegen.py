@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import all_subspaces, chained_intersection, reference_quasi_uniform_check, supports
 from entronet.codegen import _side_info, linear_code, linear_compress, quasi_uniform_code
 from entronet.construct import build_gdagger, capacitated_network, rate_capacity
-from entronet.exactlog import LogScalar
+from entronet.exactlog import ZERO, LogScalar
 from entronet.ffield import GF, flat_index
 from entronet.groupchar import (
     SubgroupFamily,
@@ -26,6 +26,7 @@ from entronet.groupchar import (
 )
 from entronet.netmodel import (
     MAX_CONE_TUPLES,
+    ResourceError,
     alphabets_meet_tuple,
     evaluate_code,
     kernels_of_linear_code,
@@ -154,7 +155,8 @@ def test_linear_code_with_full_space_member():
 
 def test_linear_code_past_the_joint_space_cap():
     """3^19 joint source tuples: only the receiver cones are enumerated, and
-    each fits under the cap."""
+    each fits under the cap.  The oracle tabulates each variable over the
+    sessions it reads, so it answers though the joint space passes a chunk."""
     fam = SubspaceFamily(3, 3, ((), ((0, 0, 1),), ((0, 1, 0),)))
     lay = build_gdagger(3)
     code = linear_code(fam, lay)
@@ -165,8 +167,22 @@ def test_linear_code_past_the_joint_space_cap():
         total *= code.alphabets[s].size
     assert total == 3 ** 19 and total > MAX_CONE_TUPLES
     ev = evaluate_code(net, lay.conn, code)
-    assert ev.zero_error and ev.oracle is None
+    assert ev.zero_error
     assert alphabets_meet_tuple(net, lay.conn, code, tup)
+    ker = kernels_of_linear_code(net, lay.conn, code)
+    sess = sorted(lay.conn.sessions)
+    edges = sorted(e.id for e in net.edges)
+    labels = sess + edges
+    # independent sessions: their entropies add up to H(all sessions)
+    assert sum((ev.oracle.entropy([s]) for s in sess), ZERO) == ker.entropy_at(range(len(sess)))
+    # edges that read one session and edges that read two
+    picked = [e for e in edges if len(ev.oracle.scopes[e]) == 1][::20]
+    picked += [e for e in edges if len(ev.oracle.scopes[e]) == 2][::5]
+    assert len(picked) >= 6
+    for sel in [[s] for s in sess] + [[e] for e in picked] + [picked[:2], sess[:2]]:
+        assert ev.oracle.entropy(sel) == ker.entropy_at([labels.index(k) for k in sel])
+    with pytest.raises(ResourceError):
+        ev.oracle.entropy(sess)  # all 3^19 tuples
 
 
 @pytest.mark.parametrize("support", [

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -113,7 +114,9 @@ def test_induced_entropy_of_xor_code():
 def test_oracle_is_built_once_and_only_within_one_chunk():
     net, conn = butterfly()
     res = evaluate_code(net, conn, xor_code())
-    assert res.oracle is res.oracle and res.oracle.total == 4
+    # e_cd reads both sessions, so its scope holds 2 * 2 tuples
+    assert res.oracle is res.oracle and res.oracle.scopes["e_cd"] == ("X", "Y")
+    assert res.oracle.tuples(res.oracle.scopes["e_cd"]) == len(res.oracle.arrays["e_cd"]) == 4
     chunked = evaluate_code(net, conn, xor_code(), chunk=2)
     assert chunked.zero_error and chunked.oracle is None
     with pytest.raises(ResourceError):
@@ -126,9 +129,14 @@ WIDE = {"x": [2**30, 0, 2**30, 0], "y": [0] * 4, "z": [0, 2**33, 0, 0]}
 WIDE_SIZES = {"x": 2**31, "y": 2**34, "z": 2**34}
 
 
+def one_scope(arrays, sizes, total):
+    """An oracle whose variables all read one session t of `total` symbols."""
+    return EntropyOracle(arrays, {**sizes, "t": total}, {k: ("t",) for k in arrays}, total)
+
+
 def test_oracle_codes_of_wide_alphabets_do_not_wrap():
     arrays = {k: np.array(v, dtype=np.int64) for k, v in WIDE.items()}
-    oracle = EntropyOracle(arrays, WIDE_SIZES, 4)
+    oracle = one_scope(arrays, WIDE_SIZES, 4)
     assert oracle.entropy(["x", "y", "z"]) == log2_units(Fraction(3, 2))
     assert oracle.entropy(["z", "x"]) == log2_units(Fraction(3, 2))
 
@@ -160,8 +168,8 @@ def test_oracle_entropy_matches_counting_tuples(data):
                                     min_size=total, max_size=total))
               for k, n in sizes.items()}
     keys = data.draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=6))
-    oracle = EntropyOracle({k: np.array(v, dtype=np.int64) for k, v in arrays.items()},
-                           sizes, total)
+    oracle = one_scope({k: np.array(v, dtype=np.int64) for k, v in arrays.items()},
+                       sizes, total)
     tuples = Counter(tuple(arrays[k][t] for k in keys) for t in range(total))
     assert oracle.entropy(keys) == entropy_of_counts(tuples.values())
 
@@ -207,7 +215,7 @@ def test_a_linear_table_over_the_cap_is_refused_before_it_is_built(monkeypatch):
         evaluate_code(*wide_inner_code())
 
 
-@pytest.mark.parametrize("table", [[0, 1, 1], [0, 1, 1, 0, 1], [0, 1, 2, 0]])
+@pytest.mark.parametrize("table", [[0, 1, 1], [0, 1, 1, 0, 1], [0, 1, 2, 0], [0, 1, -1, 0]])
 def test_a_table_off_its_feed_domain_or_alphabet_is_refused(table):
     # e_cd reads e_ac and e_bc: four feed tuples into a binary alphabet
     with pytest.raises(StructuralError, match="encoder for e_cd"):
@@ -419,6 +427,54 @@ def test_cone_evaluation_matches_every_source_tuple(case, chunk):
                 cone.add(e.tail)
         assert all(i == 0 for t, i in zip(sess, src)
                    if spec[3][t] not in cone and r not in conn.receivers[t])
+
+
+def reference_scope(spec, key):
+    """The sessions `key` reads: a session itself, and for an edge those
+    originating at its tail or at a node with a path into the tail."""
+    nodes, edges, sess, origin, _ = spec
+    edge = next((e for e in edges if e.id == key), None)
+    if edge is None:
+        return {key}
+    cone = {edge.tail}
+    for e in sorted(edges, key=lambda e: -nodes.index(e.head)):
+        if e.head in cone:
+            cone.add(e.tail)
+    return {s for s in sess if origin[s] in cone}
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_codes(), st.one_of(st.just(1 << 20), st.integers(1, 27)), st.data())
+def test_scoped_oracle_matches_counting_every_source_tuple(case, chunk, data):
+    """H(sel) counted over the sessions that `sel` reads equals H(sel)
+    counted over every source tuple, for keys in any receiver's cone or in
+    none.  The oracle is None only when some scope passes the chunk, a
+    query whose sessions pass it is refused, and no array is longer."""
+    net, conn, code, spec = case
+    sess, edges = spec[2], spec[1]
+    size = {k: a.size for k, a in code.alphabets.items()}
+    every = [reference_values(spec, code, src)
+             for src in itertools.product(*(range(size[s]) for s in sess))]
+    labels = sess + [e.id for e in edges]
+    scope = {k: reference_scope(spec, k) for k in labels}
+
+    def tuples(sessions):
+        return math.prod(size[s] for s in sessions)
+
+    oracle = evaluate_code(net, conn, code, chunk=chunk).oracle
+    if any(tuples(sc) > chunk for sc in scope.values()):
+        assert oracle is None
+        return
+    assert {k: set(oracle.scopes[k]) for k in labels} == scope
+    for _ in range(5):
+        sel = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=5))
+        if tuples(set().union(*(scope[k] for k in sel))) > chunk:
+            with pytest.raises(ResourceError):
+                oracle.entropy(sel)
+        else:
+            counts = Counter(tuple(v[k] for k in sel) for v in every)
+            assert oracle.entropy(sel) == entropy_of_counts(counts.values())
+    assert all(len(a) <= chunk for a in oracle.arrays.values())
 
 
 def test_table_map_round_trip():
