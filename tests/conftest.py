@@ -189,3 +189,41 @@ def wide_inner_code():
         {("r", "X"): TableMap([0, 1])},
     )
     return net, conn, code
+
+
+EDGE_IDS = ["e_sa", "e_sb", "e_ac", "e_bc", "e_cd", "e_ar2", "e_br1", "e_dr1", "e_dr2"]
+
+
+def butterfly():
+    edges = [
+        Edge("e_sa", "s", "a", UNCAPPED), Edge("e_sb", "s", "b", UNCAPPED),
+        Edge("e_ac", "a", "c", UNCAPPED), Edge("e_bc", "b", "c", UNCAPPED),
+        Edge("e_cd", "c", "d", UNCAPPED), Edge("e_ar2", "a", "r2", UNCAPPED),
+        Edge("e_br1", "b", "r1", UNCAPPED), Edge("e_dr1", "d", "r1", UNCAPPED),
+        Edge("e_dr2", "d", "r2", UNCAPPED),
+    ]
+    net = Network(("s", "a", "b", "c", "d", "r1", "r2"), tuple(edges))
+    conn = ConnectionRequirement(
+        ("X", "Y"), {"X": "s", "Y": "s"}, {"X": ("r1", "r2"), "Y": ("r1", "r2")}
+    )
+    return net, conn
+
+
+def xor_code(middle=None):
+    """Binary butterfly code; `middle` overrides the bottleneck encoder."""
+    F2 = Alphabet(q=2, dim=1)
+    alph = {"X": F2, "Y": F2, **{e: F2 for e in EDGE_IDS}}
+    enc = {
+        "e_sa": LinearMap(2, [[1], [0]]), "e_sb": LinearMap(2, [[0], [1]]),
+        "e_ac": LinearMap(2, [[1]]), "e_bc": LinearMap(2, [[1]]),
+        "e_cd": middle or LinearMap(2, [[1], [1]]),
+        "e_ar2": LinearMap(2, [[1]]), "e_br1": LinearMap(2, [[1]]),
+        "e_dr1": LinearMap(2, [[1]]), "e_dr2": LinearMap(2, [[1]]),
+    }
+    # decoder feed order is sorted by edge id: r1 sees (e_br1, e_dr1),
+    # r2 sees (e_ar2, e_dr2)
+    dec = {
+        ("r1", "X"): LinearMap(2, [[1], [1]]), ("r1", "Y"): LinearMap(2, [[1], [0]]),
+        ("r2", "X"): LinearMap(2, [[1], [0]]), ("r2", "Y"): LinearMap(2, [[1], [1]]),
+    }
+    return NetworkCode(alph, enc, dec)

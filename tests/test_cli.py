@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import wide_inner_code
+from conftest import butterfly, wide_inner_code, xor_code
 from entronet.cli import run
 from entronet.construct import build_gdagger
 from entronet.exactlog import log2_units
@@ -18,10 +18,13 @@ from entronet.groupchar import (
     symmetric,
 )
 from entronet.netmodel import (
+    Alphabet,
     ConnectionRequirement,
     Edge,
     Network,
+    NetworkCode,
     RateCapacityTuple,
+    TableMap,
     UNCAPPED,
 )
 from entronet.setfunc import SetFunction
@@ -245,6 +248,61 @@ def test_code_verify_evaluates_the_code_once(tmp_path, capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert report["zero_error"] and not report["admissible"]
     assert len(calls) == 2
+
+
+def failing_butterfly():
+    """The binary butterfly whose decoder for X at r1 reads e_dr1 = X + Y
+    alone: it is wrong whenever Y = 1."""
+    net, conn = butterfly()
+    code = xor_code()
+    code.decoders[("r1", "X")] = TableMap([0, 1, 0, 1])
+    return net, conn, code
+
+
+def failing_fork():
+    """X (three symbols) at s reaches a, b and c; Y at t reaches b alone.
+    Every decoder is wrong somewhere, and a and c see only X while b sees
+    both sessions."""
+    net = Network(("s", "t", "a", "b", "c"), (
+        Edge("e1", "s", "a", UNCAPPED), Edge("e2", "s", "b", UNCAPPED),
+        Edge("e3", "t", "b", UNCAPPED), Edge("e4", "s", "c", UNCAPPED)))
+    conn = ConnectionRequirement(("X", "Y"), {"X": "s", "Y": "t"},
+                                 {"X": ("a", "b", "c"), "Y": ("b",)})
+    uvw, bit = Alphabet(symbols=["u", "v", "w"]), Alphabet(symbols=[0, 1])
+    ident = TableMap([0, 1, 2])
+    code = NetworkCode(
+        {"X": uvw, "Y": bit, "e1": uvw, "e2": uvw, "e3": bit, "e4": uvw},
+        {"e1": ident, "e2": ident, "e3": TableMap([0, 1]), "e4": ident},
+        # b reads (e2, e3): six feed tuples, e2 most significant
+        {("a", "X"): TableMap([0, 2, 1]), ("c", "X"): TableMap([0, 1, 0]),
+         ("b", "X"): TableMap([0, 0, 1, 1, 2, 0]), ("b", "Y"): TableMap([1, 1, 0, 1, 0, 1])},
+    )
+    return net, conn, code
+
+
+def _failing(sources, receiver, session):
+    return {"sources": sources, "receiver": receiver, "session": session}
+
+
+@pytest.mark.parametrize("case, failing", [
+    # F_2 symbols print as 1-tuples
+    (failing_butterfly, [_failing(["(0,)", "(1,)"], "r1", "X"),
+                         _failing(["(1,)", "(1,)"], "r1", "X")]),
+    # the receivers that see X alone come first, in receiver order, then b
+    (failing_fork, [_failing(["v", "0"], "a", "X"), _failing(["w", "0"], "a", "X"),
+                    _failing(["w", "0"], "c", "X"), _failing(["w", "1"], "b", "X"),
+                    _failing(["u", "0"], "b", "Y")]),
+])
+def test_a_failing_code_verify_report_is_unchanged(tmp_path, capsys, case, failing):
+    net, conn, code = case()
+    one = log2_units(1)
+    bundle = {"format": "codebundle/1", "network": net.to_json(), "conn": conn.to_json(),
+              "code": code.to_json(),
+              "tuple": RateCapacityTuple({s: one for s in conn.sessions}, {}).to_json()}
+    assert run(["code", "verify", "--json", write(tmp_path, "bundle.json", bundle)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "format": "report/1", "check": "code", "zero_error": False, "admissible": False,
+        "failing_inputs": failing}
 
 
 def test_code_verify_short_decoder_table_exits_2(tmp_path, capsys):
