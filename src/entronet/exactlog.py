@@ -126,12 +126,6 @@ def factorize(n: int) -> Dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    val = Fraction(man) * (Fraction(2) ** exp)
-    return -val if sign else val
-
-
 class LogScalar:
     """The exact real number ``sum(q_p * log(p))`` over primes p.
 
@@ -236,25 +230,25 @@ class LogScalar:
             return signs.pop()
         prec = 64
         while True:
-            lo, hi = self._bounds(prec)
-            if lo > 0:
+            total = self._interval(prec)
+            if total.a > 0:
                 return 1
-            if hi < 0:
+            if total.b < 0:
                 return -1
             prec *= 2
 
-    def _bounds(self, prec: int) -> Tuple[Fraction, Fraction]:
+    def _interval(self, prec: int):
+        """An mpmath interval holding the value, computed at `prec` bits;
+        its endpoints are exact binary numbers, compared exactly."""
         old = mpmath.iv.prec
         try:
             mpmath.iv.prec = prec
             total = mpmath.iv.mpf(0)
             for p, q in self._terms.items():
                 total += (mpmath.iv.mpf(q.numerator) / q.denominator) * mpmath.iv.log(p)
-            lo = _mpf_to_fraction(total.a)
-            hi = _mpf_to_fraction(total.b)
         finally:
             mpmath.iv.prec = old
-        return lo, hi
+        return total
 
     def to_float(self) -> float:
         # a float even with no terms, where sum() would give the int 0

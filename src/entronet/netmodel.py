@@ -1,5 +1,6 @@
 """Directed acyclic networks, connection requirements, network codes, and
-zero-error evaluation over each receiver's ancestor cone.
+zero-error evaluation that tabulates each variable once, over the sessions
+it reads, and checks each decoder on those tables.
 
 Conventions:
   - An edge's encoder reads, in canonical order, the sessions originating at
@@ -16,9 +17,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +35,16 @@ class StructuralError(ValueError):
 
 class ResourceError(RuntimeError):
     pass
+
+
+_KINDS = {list: "a list", Mapping: "an object", str: "a string"}
+
+
+def _typed(value, kind: type, what: str):
+    """`value`, if it is a `kind`; a StructuralError naming `what` if not."""
+    if not isinstance(value, kind):
+        raise StructuralError(f"{what} is not {_KINDS[kind]}: {value!r:.40}")
+    return value
 
 
 class _Uncapped:
@@ -87,17 +98,6 @@ class Network:
     def in_edges(self, node: str) -> List[Edge]:
         return list(self._in.get(node, ()))
 
-    def ancestors(self, node: str) -> Set[str]:
-        """`node` and every node with a path into it."""
-        seen = {node}
-        todo = [node]
-        while todo:
-            for e in self._in.get(todo.pop(), ()):
-                if e.tail not in seen:
-                    seen.add(e.tail)
-                    todo.append(e.tail)
-        return seen
-
     def edges_topo(self) -> List[Edge]:
         return sorted(self.edges, key=lambda e: (self._topo_pos[e.tail], e.id))
 
@@ -122,16 +122,13 @@ class Network:
             raise StructuralError("a network is an object")
         if obj.get("format", "network/1") != "network/1":
             raise StructuralError(f"unexpected format {obj.get('format')!r}")
-        edges = [
-            Edge(
-                d["id"],
-                d["tail"],
-                d["head"],
-                UNCAPPED if d.get("cap") is None else LogScalar.from_json(d["cap"]),
-            )
-            for d in obj["edges"]
-        ]
-        return cls(obj["nodes"], edges)
+        edges = []
+        for d in _typed(obj["edges"], list, "a network's edges"):
+            _typed(d, Mapping, "an edge")
+            ends = [_typed(d[k], str, f"an edge's {k}") for k in ("id", "tail", "head")]
+            cap = d.get("cap")
+            edges.append(Edge(*ends, UNCAPPED if cap is None else LogScalar.from_json(cap)))
+        return cls(_typed(obj["nodes"], list, "a network's nodes"), edges)
 
 
 def topo_order(net: Network) -> List[str]:
@@ -212,7 +209,14 @@ class ConnectionRequirement:
             raise StructuralError("a connection requirement is an object")
         if obj.get("format", "connection/1") != "connection/1":
             raise StructuralError(f"unexpected format {obj.get('format')!r}")
-        return cls(obj["sessions"], obj["origin"], obj["receivers"])
+        sessions = _typed(obj["sessions"], list, "sessions")
+        origin = _typed(obj["origin"], Mapping, "origin")
+        receivers = _typed(obj["receivers"], Mapping, "receivers")
+        for s in map(str, sessions):  # the labels the constructor keeps
+            _typed(origin[s], str, f"the origin of {s}")
+            for r in _typed(receivers[s], list, f"the receivers of {s}"):
+                _typed(r, str, f"a receiver of {s}")
+        return cls(sessions, origin, receivers)
 
 
 class Alphabet:
@@ -270,8 +274,8 @@ class Alphabet:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Alphabet":
-        if obj["kind"] == "symbols":
-            return cls(symbols=[_dejson_sym(s) for s in obj["symbols"]])
+        if _typed(obj, Mapping, "an alphabet")["kind"] == "symbols":
+            return cls(symbols=[_dejson_sym(s) for s in _typed(obj["symbols"], list, "symbols")])
         return cls(q=obj["q"], dim=obj["dim"])
 
     def __eq__(self, other):
@@ -356,7 +360,7 @@ EncoderMap = Union[TableMap, LinearMap]
 def _map_from_json(obj: Mapping) -> EncoderMap:
     """A table of integers, or an F_q matrix whose rows have one length and
     whose entries lie in 0..q-1; anything else is a StructuralError."""
-    if obj["kind"] == "table":
+    if _typed(obj, Mapping, "a map")["kind"] == "table":
         table = np.asarray(obj["table"])
         if table.ndim != 1 or (table.size and table.dtype.kind not in "iu"):
             raise StructuralError("a table map is a list of integers")
@@ -417,9 +421,14 @@ class NetworkCode:
             raise StructuralError("a network code is an object")
         if obj.get("format", "code/1") != "code/1":
             raise StructuralError(f"unexpected format {obj.get('format')!r}")
-        alph = {k: Alphabet.from_json(v) for k, v in obj["alphabets"].items()}
-        enc = {e: _map_from_json(m) for e, m in obj["encoders"].items()}
-        dec = {(d["receiver"], d["session"]): _map_from_json(d["map"]) for d in obj["decoders"]}
+        alph = {k: Alphabet.from_json(v)
+                for k, v in _typed(obj["alphabets"], Mapping, "alphabets").items()}
+        enc = {e: _map_from_json(m) for e, m in _typed(obj["encoders"], Mapping, "encoders").items()}
+        dec = {}
+        for d in _typed(obj["decoders"], list, "decoders"):
+            _typed(d, Mapping, "a decoder")
+            key = tuple(_typed(d[k], str, f"a decoder's {k}") for k in ("receiver", "session"))
+            dec[key] = _map_from_json(d["map"])
         return cls(alph, enc, dec)
 
 
@@ -459,8 +468,8 @@ class RateCapacityTuple:
         if obj.get("format", "ratecap/1") != "ratecap/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
         return cls(
-            {s: LogScalar.from_json(v) for s, v in obj["rates"].items()},
-            {e: LogScalar.from_json(v) for e, v in obj["caps"].items()},
+            {s: LogScalar.from_json(v) for s, v in _typed(obj["rates"], Mapping, "rates").items()},
+            {e: LogScalar.from_json(v) for e, v in _typed(obj["caps"], Mapping, "caps").items()},
         )
 
 
@@ -475,6 +484,7 @@ def decoder_feeds(net: Network, conn: ConnectionRequirement, node: str) -> List[
 
 _CODE_LIMIT = 1 << 62  # largest radix product a mixed-radix int64 code may reach
 _BINCOUNT_SPAN = 4  # bincount counts a code whose radix product is at most this many times its length
+MAX_QUERY_TUPLES = 1 << 20  # source tuples one EntropyOracle query may count over
 
 
 def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -484,8 +494,9 @@ def _ranks(a: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 class EntropyOracle:
-    """On-demand exact entropies of the session and edge variables, with the
-    sessions independent and uniform.
+    """Exact entropies of the session and edge variables, with the sessions
+    independent and uniform, read off the tables `evaluate_code` checked
+    the code on.
 
     Each variable k is one array over the tuples of its scope `scopes[k]`,
     the sessions it reads, numbered by `flat_index` over the scope in that
@@ -493,15 +504,14 @@ class EntropyOracle:
     scopes alone: counting over every source tuple multiplies each count by
     the product of the alphabet sizes of the sessions outside U, and the
     entropy of a count histogram does not change when every count is
-    scaled by one factor.  No array the oracle allocates is longer than
-    `chunk`; a query whose U has more tuples raises ResourceError."""
+    scaled by one factor.  A query whose U has more than `MAX_QUERY_TUPLES`
+    tuples raises ResourceError, and no array a query allocates is longer."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray], sizes: Mapping[str, int],
-                 scopes: Mapping[str, Sequence[str]], chunk: int):
+                 scopes: Mapping[str, Sequence[str]]):
         self.arrays = dict(arrays)
         self.sizes = dict(sizes)
         self.scopes = {k: tuple(scope) for k, scope in scopes.items()}
-        self.chunk = chunk
         self.ground = GroundSet(sorted(self.scopes))
         self._digits: Dict[Tuple[str, ...], Dict[str, np.ndarray]] = {}
 
@@ -523,6 +533,12 @@ class EntropyOracle:
         flat = flat_index(n, [digits[s] for s in scope], [self.sizes[s] for s in scope])
         return self.arrays[key][flat]
 
+    def index(self, feeds: Sequence[str], union: Tuple[str, ...]) -> np.ndarray:
+        """The flat index of the values of `feeds` on the tuples of `union`,
+        the row each tuple reads of a table over the feeds' domain."""
+        return flat_index(self.tuples(union), [self.over(f, union) for f in feeds],
+                          [self.sizes[f] for f in feeds])
+
     def entropy(self, keys: Sequence[str]) -> LogScalar:
         """H(keys) over the tuples of the union U of their scopes: the
         values of `keys` are numbered by one mixed-radix int64 code, and the
@@ -542,9 +558,9 @@ class EntropyOracle:
             reads = {s for k in keys for s in self.scopes[k]}
             union = tuple(sorted(reads))
         n = self.tuples(union)
-        if n > self.chunk:
+        if n > MAX_QUERY_TUPLES:
             raise ResourceError(
-                f"entropy of {keys} needs {n} source tuples, over the chunk of {self.chunk}"
+                f"entropy of {keys} needs {n} source tuples, over the bound {MAX_QUERY_TUPLES}"
             )
         code, card = None, 1
         for k in keys:
@@ -558,7 +574,7 @@ class EntropyOracle:
                 arr, size = _ranks(arr)
             code = code * size + arr
             card *= size
-        if card <= min(_BINCOUNT_SPAN * n, self.chunk):
+        if card <= min(_BINCOUNT_SPAN * n, MAX_QUERY_TUPLES):
             counts = np.bincount(code)
             counts = counts[counts.nonzero()]
         else:
@@ -582,31 +598,25 @@ class EntropyOracle:
 
 @dataclass
 class EvaluationResult:
-    """Verdict of `evaluate_code`.  `oracle` is built on its first access
-    (also through `induced`): each variable is tabulated once, in
-    topological order, over the tuples of its scope.  It is None when some
-    scope has more tuples than one chunk."""
+    """Verdict of `evaluate_code`, and the oracle over the tables that
+    decided it: each variable tabulated once, over the tuples of its
+    scope."""
 
     zero_error: bool
     failing_inputs: List[tuple]
-    _scoped: Callable[[], Optional[EntropyOracle]] = field(repr=False)
-
-    @cached_property
-    def oracle(self) -> Optional[EntropyOracle]:
-        return self._scoped()
+    oracle: EntropyOracle = field(repr=False)
 
     @property
     def induced(self) -> SetFunction:
-        if self.oracle is None:
-            raise ResourceError("induced entropies unavailable (a scope exceeds one chunk)")
         return self.oracle.to_setfunction()
 
 
 def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
-              alphabets: Mapping[str, Alphabet]) -> np.ndarray:
+              alphabets: Mapping[str, Alphabet], sizes: Mapping[str, int]) -> np.ndarray:
     """Dense table of an encoder or decoder; a TableMap must cover exactly
     its feed domain and write inside the alphabet of `out`, and a LinearMap
-    must map into the vector space that is the alphabet of `out`."""
+    must map into the vector space that is the alphabet of `out`.  `sizes`
+    holds the size of each alphabet."""
     if not isinstance(m, TableMap):
         a = alphabets[out]
         if a.kind != "vector" or a.q != m.q or (m.matrix and m.out_dim != a.dim):
@@ -614,49 +624,41 @@ def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
         return m.to_table([alphabets[f] for f in feeds])
     dom = 1
     for f in feeds:
-        dom *= alphabets[f].size
+        dom *= sizes[f]
     if len(m.table) != dom:
         raise StructuralError(f"{what} has {len(m.table)} entries, expected {dom}")
     # a negative entry reads as at least 2^63 in the unsigned view
-    if len(m.table) and m.table.view(np.uint64).max() >= alphabets[out].size:
+    if len(m.table) and m.table.view(np.uint64).max() >= sizes[out]:
         raise StructuralError(f"{what} writes outside its alphabet")
     return m.table
 
 
-# source tuples one enumeration of evaluate_code may visit, and entries of
-# one linear encoder table
+# source tuples of one demand's union, entries of all scope tables together,
+# and entries of one linear encoder table
 MAX_CONE_TUPLES = 1 << 24
 REPORT_LIMIT = 50  # failing inputs evaluate_code reports
 
 
-def evaluate_code(
-    net: Network,
-    conn: ConnectionRequirement,
-    code: NetworkCode,
-    chunk: int = 1 << 20,
-) -> EvaluationResult:
+def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) -> EvaluationResult:
     """Check every decoder on every source tuple it can see.
 
-    The ancestor cone of a receiver r is r and every node with a path into
-    it.  Only the sessions originating in the cone, and those demanded at r,
-    are enumerated, in chunks of at most `chunk` tuples, and only the edges
-    whose head lies in the cone are propagated, in topological order.
-    Receivers that see the same sessions share one enumeration over the
-    union of their cones.  Sessions are independent and a decoder reads
-    nothing from outside its cone, so this verdict equals that of checking
-    every source tuple.
+    A session's scope is itself, and an edge's scope is the union of its
+    feeds' scopes, in session order: the sessions originating in its tail's
+    ancestor cone.  Each variable is tabulated once, in topological order,
+    over the tuples of its scope, and the result's `oracle` keeps these
+    tables.  A demand (r, s) is checked over the tuples of its union: the
+    sessions that r's decoder feeds read, plus s.  Sessions are independent
+    and the decoder reads nothing outside that union, so this verdict
+    equals that of checking every source tuple.
 
-    `MAX_CONE_TUPLES` caps the source tuples of each shared enumeration,
-    and the entries of each linear encoder table.
-    Each entry of `failing_inputs` is (source tuple over all sessions,
-    receiver, session), at most `REPORT_LIMIT` of them; a session whose
-    origin lies outside the failing receiver's cone, and which that receiver
-    does not decode, is reported at its first symbol.  The result's `oracle`
-    is built when first asked for: a session's scope is itself, an edge's
-    scope is the union of its feeds' scopes (the sessions originating in its
-    tail's ancestor cone), and each variable is tabulated once, in
-    topological order, over the tuples of its scope; it is None if some
-    scope has more than `chunk` tuples."""
+    `MAX_CONE_TUPLES` caps the tuples of each demand's union and the
+    entries of all scope tables together, both checked before any table is
+    built, and the entries of each linear encoder table.  Each entry of
+    `failing_inputs` is (source tuple over all sessions, receiver, session),
+    at most `REPORT_LIMIT` of them; demands that share a union are checked
+    together, in the order of their first appearance among the sorted
+    demands, and a session outside the failing demand's union is reported
+    at its first symbol."""
     conn.validate_against(net)
     for e in net.edges:
         if e.id not in code.encoders:
@@ -669,92 +671,66 @@ def evaluate_code(
 
     sizes = {k: a.size for k, a in code.alphabets.items()}
     sess = list(conn.sessions)
+    # the edges out of a node and the node's decoders read the node's feeds,
+    # and so the sessions those feeds read: the node's scope
+    scopes: Dict[str, Tuple[str, ...]] = {s: (s,) for s in sess}
+    node_feeds: Dict[str, List[str]] = {}
+    node_scope: Dict[str, Tuple[str, ...]] = {}
 
-    # receivers whose cones hold the same sessions share one enumeration,
-    # capped before any table is built
-    demanded: Dict[str, List[str]] = {}
+    def visit(node: str) -> None:
+        node_feeds[node] = decoder_feeds(net, conn, node)
+        reads = {s for f in node_feeds[node] for s in scopes[f]}
+        node_scope[node] = tuple(s for s in sess if s in reads)
+
+    out_edges: Dict[str, List[Edge]] = {}
+    for e in net.edges_topo():
+        out_edges.setdefault(e.tail, []).append(e)
+    for tail, edges in out_edges.items():  # a tail's in-edges come before it
+        visit(tail)
+        for e in edges:
+            scopes[e.id] = node_scope[tail]
+    groups: Dict[Tuple[str, ...], List[Tuple[str, str]]] = {}
     for r, s in conn.demands():
         if (r, s) not in code.decoders:
             raise StructuralError(f"no decoder for session {s} at receiver {r}")
-        demanded.setdefault(r, []).append(s)
-    groups: Dict[Tuple[str, ...], Tuple[Set[str], List[Tuple[str, str]]]] = {}
-    for r, wanted in demanded.items():
-        cone = net.ancestors(r)
-        key = tuple(s for s in sess if conn.origin[s] in cone or s in wanted)
-        space = math.prod(sizes[s] for s in key)
-        if space > MAX_CONE_TUPLES:
-            raise ResourceError(
-                f"source-tuple space of size {space} exceeds the cap {MAX_CONE_TUPLES}"
-            )
-        nodes, checks = groups.setdefault(key, (set(), []))
-        nodes |= cone
-        checks.extend((r, s) for s in wanted)
+        if r not in node_scope:
+            visit(r)
+        scope = node_scope[r]
+        union = scope if s in scope else tuple(t for t in sess if t in scope or t == s)
+        groups.setdefault(union, []).append((r, s))
 
-    # canonicalize every encoder and every demanded decoder to a dense table
-    order = net.edges_topo()
-    tables: Dict[str, np.ndarray] = {}
-    feeds_of: Dict[str, List[str]] = {}
-    for e in order:
-        feeds_of[e.id] = edge_feeds(net, conn, e)
-        tables[e.id] = _tabulate(
-            code.encoders[e.id], f"encoder for {e.id}", feeds_of[e.id], e.id, code.alphabets
-        )
-    dec_feeds: Dict[str, List[str]] = {}
-    dec_tables: Dict[Tuple[str, str], np.ndarray] = {}
-    for r, s in conn.demands():
-        dec_feeds[r] = decoder_feeds(net, conn, r)
-        dec_tables[(r, s)] = _tabulate(
-            code.decoders[(r, s)], f"decoder for session {s} at receiver {r}",
-            dec_feeds[r], s, code.alphabets,
-        )
+    oracle = EntropyOracle({}, sizes, scopes)
+    for union in groups:
+        n = oracle.tuples(union)
+        if n > MAX_CONE_TUPLES:
+            raise ResourceError(f"source-tuple space of size {n} exceeds the cap {MAX_CONE_TUPLES}")
+    entries = sum(m * oracle.tuples(scope) for scope, m in Counter(scopes.values()).items())
+    if entries > MAX_CONE_TUPLES:
+        raise ResourceError(f"scope tables of {entries} entries exceed the cap {MAX_CONE_TUPLES}")
+
+    for s in sess:
+        oracle.arrays[s] = np.arange(sizes[s], dtype=np.int64)
+    for tail, edges in out_edges.items():
+        rows = oracle.index(node_feeds[tail], node_scope[tail])
+        for e in edges:
+            table = _tabulate(code.encoders[e.id], f"encoder for {e.id}", node_feeds[tail], e.id,
+                              code.alphabets, sizes)
+            oracle.arrays[e.id] = table[rows]
 
     failing: List[tuple] = []
-    zero_error = True
-    for cone_sess, (nodes, checks) in groups.items():
-        cone_edges = [e.id for e in order if e.head in nodes]
-        cone_total = math.prod(sizes[s] for s in cone_sess)
-        for start in range(0, cone_total, chunk):
-            stop = min(start + chunk, cone_total)
-            n = stop - start
-            sources = np.arange(start, stop, dtype=np.int64)
-            values = dict(zip(cone_sess, digits_of(sources, [sizes[s] for s in cone_sess])))
-            for eid in cone_edges:
-                feeds = feeds_of[eid]
-                flat = flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
-                values[eid] = tables[eid][flat]
-            for r, s in checks:
-                feeds = dec_feeds[r]
-                flat = flat_index(n, [values[f] for f in feeds], [sizes[f] for f in feeds])
-                bad = np.nonzero(dec_tables[(r, s)][flat] != values[s])[0]
-                if bad.size:
-                    zero_error = False
-                    for b in bad[: max(0, REPORT_LIMIT - len(failing))]:
-                        src = tuple(
-                            code.alphabets[t].symbol(int(values[t][b]) if t in values else 0)
-                            for t in sess
-                        )
-                        failing.append((src, r, s))
-
-    def scoped() -> Optional[EntropyOracle]:
-        # an edge reads the sessions its feeds read: those originating in
-        # its tail's ancestor cone
-        scopes = {s: (s,) for s in sess}
-        for e in order:
-            reads = {s for f in feeds_of[e.id] for s in scopes[f]}
-            scopes[e.id] = tuple(s for s in sess if s in reads)
-        if any(math.prod(sizes[s] for s in scope) > chunk for scope in scopes.values()):
-            return None
-        oracle = EntropyOracle(
-            {s: np.arange(sizes[s], dtype=np.int64) for s in sess}, sizes, scopes, chunk
-        )
-        for e in order:
-            feeds, scope = feeds_of[e.id], scopes[e.id]
-            flat = flat_index(oracle.tuples(scope), [oracle.over(f, scope) for f in feeds],
-                              [sizes[f] for f in feeds])
-            oracle.arrays[e.id] = tables[e.id][flat]
-        return oracle
-
-    return EvaluationResult(zero_error, failing, scoped)
+    for union, checks in groups.items():
+        for r, s in checks:
+            table = _tabulate(code.decoders[(r, s)], f"decoder for session {s} at receiver {r}",
+                              node_feeds[r], s, code.alphabets, sizes)
+            bad = np.flatnonzero(table[oracle.index(node_feeds[r], union)] != oracle.over(s, union))
+            if bad.size:
+                values = {t: oracle.over(t, union) for t in union}
+                for b in bad[: max(0, REPORT_LIMIT - len(failing))]:
+                    src = tuple(code.alphabets[t].symbol(int(values[t][b]) if t in values else 0)
+                                for t in sess)
+                    failing.append((src, r, s))
+    # a failing demand reports at least one input while fewer than REPORT_LIMIT are held
+    return EvaluationResult(not failing, failing, oracle)
 
 
 def check_admissible(

@@ -365,6 +365,45 @@ def test_code_verify_on_a_malformed_alphabet_exits_2(tmp_path, capsys, key, valu
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _an_edge_is_a_list(bundle):
+    bundle["network"]["edges"][0] = ["e1", "s", "m", None]
+
+
+def _sessions_is_a_number(bundle):
+    bundle["conn"]["sessions"] = 5
+
+
+def _rates_is_a_list(bundle):
+    bundle["tuple"]["rates"] = []
+
+
+def _an_alphabet_is_a_list(bundle):
+    bundle["code"]["alphabets"]["e1"] = [2, 1]
+
+
+@pytest.mark.parametrize("command, forge", [
+    ("lp", _an_edge_is_a_list), ("lp", _sessions_is_a_number), ("lp", _rates_is_a_list),
+    ("code", _an_alphabet_is_a_list),
+])
+def test_a_nested_entry_of_the_wrong_type_exits_2(tmp_path, capsys, command, forge):
+    """`lp feasible` on the chain bundle's parts, or `code verify` on the
+    bundle, after one entry inside a document gets the wrong type."""
+    def argv(bundle):
+        if command == "lp":
+            return ["lp", "feasible"] + [write(tmp_path, f"{k}.json", bundle[k])
+                                         for k in ("network", "conn", "tuple")]
+        return ["code", "verify", write(tmp_path, "bundle.json", bundle)]
+
+    bundle = chain_bundle()
+    assert run(argv(bundle)) == 0
+    capsys.readouterr()
+    forge(bundle)
+    assert run(argv(bundle)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["qu", "check"], ["code", "build", "qu", "--n", "1"]])
 @pytest.mark.parametrize("support", [
     {"format": "support/1", "arity": 1, "alphabets": [[1]], "tuples": [[{}]]},

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_IDS, butterfly, wide_inner_code, xor_code
 from entronet.exactlog import entropy_of_counts, log2_units
+from entronet import netmodel
 from entronet.ffield import GF
 from entronet.netmodel import (
     Alphabet,
@@ -74,16 +75,20 @@ def test_induced_entropy_of_xor_code():
     assert h(["X", "Y", "e_cd"]) == one * Fraction(2)  # e_cd = X + Y
 
 
-def test_oracle_is_built_once_and_only_within_one_chunk():
+def test_evaluation_is_refused_when_its_scope_tables_pass_the_cap(monkeypatch):
     net, conn = butterfly()
     res = evaluate_code(net, conn, xor_code())
     # e_cd reads both sessions, so its scope holds 2 * 2 tuples
-    assert res.oracle is res.oracle and res.oracle.scopes["e_cd"] == ("X", "Y")
+    assert res.oracle.scopes["e_cd"] == ("X", "Y")
     assert res.oracle.tuples(res.oracle.scopes["e_cd"]) == len(res.oracle.arrays["e_cd"]) == 4
-    chunked = evaluate_code(net, conn, xor_code(), chunk=2)
-    assert chunked.zero_error and chunked.oracle is None
-    with pytest.raises(ResourceError):
-        chunked.induced
+    # two 2-entry session tables and nine 4-entry edge tables: 40 entries,
+    # while every demand's union holds 4 tuples
+    assert sum(len(a) for a in res.oracle.arrays.values()) == 40
+    monkeypatch.setattr(netmodel, "MAX_CONE_TUPLES", 40)
+    assert evaluate_code(net, conn, xor_code()).zero_error
+    monkeypatch.setattr(netmodel, "MAX_CONE_TUPLES", 39)
+    with pytest.raises(ResourceError, match="scope tables of 40 entries"):
+        evaluate_code(net, conn, xor_code())
 
 
 # three variables over four outcomes whose joint has counts {2, 1, 1}: a
@@ -94,7 +99,7 @@ WIDE_SIZES = {"x": 2**31, "y": 2**34, "z": 2**34}
 
 def one_scope(arrays, sizes, total):
     """An oracle whose variables all read one session t of `total` symbols."""
-    return EntropyOracle(arrays, {**sizes, "t": total}, {k: ("t",) for k in arrays}, total)
+    return EntropyOracle(arrays, {**sizes, "t": total}, {k: ("t",) for k in arrays})
 
 
 def test_oracle_codes_of_wide_alphabets_do_not_wrap():
@@ -362,6 +367,16 @@ def reference_values(spec, code, src):
     return values
 
 
+def reference_cone(spec, node):
+    """`node` and every node with a path into it."""
+    nodes, edges = spec[0], spec[1]
+    cone = {node}
+    for e in sorted(edges, key=lambda e: -nodes.index(e.head)):
+        if e.head in cone:
+            cone.add(e.tail)
+    return cone
+
+
 def reference_wrong(spec, code, src):
     """(receiver, session) pairs decoded wrongly on source tuple `src`."""
     sess = spec[2]
@@ -371,11 +386,16 @@ def reference_wrong(spec, code, src):
 
 
 @settings(max_examples=300, deadline=None)
-@given(random_codes(), st.integers(1, 8))
-def test_cone_evaluation_matches_every_source_tuple(case, chunk):
+@given(random_codes())
+def test_cone_evaluation_matches_every_source_tuple(case):
+    """The verdict and each reported input against every source tuple; and
+    under caps just below and at the largest demand's union (the sessions
+    originating in the receiver's cone, plus the demanded one) and the
+    entries of all scope tables, evaluation is refused exactly when one of
+    them passes the cap, and reports the same inputs when it is not."""
     net, conn, code, spec = case
     sess = spec[2]
-    res = evaluate_code(net, conn, code, chunk=chunk)
+    res = evaluate_code(net, conn, code)
     every = itertools.product(*(range(code.alphabets[s].size) for s in sess))
     assert res.zero_error == (not any(reference_wrong(spec, code, src) for src in every))
     assert bool(res.failing_inputs) == (not res.zero_error)
@@ -384,35 +404,45 @@ def test_cone_evaluation_matches_every_source_tuple(case, chunk):
         assert (r, s) in reference_wrong(spec, code, src)
         # sessions the receiver neither sees nor decodes are reported at
         # their first symbol
-        cone = {r}
-        for e in sorted(spec[1], key=lambda e: -spec[0].index(e.head)):
-            if e.head in cone:
-                cone.add(e.tail)
+        cone = reference_cone(spec, r)
         assert all(i == 0 for t, i in zip(sess, src)
                    if spec[3][t] not in cone and r not in conn.receivers[t])
+
+    def tuples(sessions):
+        return math.prod(code.alphabets[t].size for t in sessions)
+
+    unions = [{t for t in sess if spec[3][t] in reference_cone(spec, r)} | {s}
+              for s in sess for r in conn.receivers[s]]
+    largest = max(tuples(u) for u in unions)
+    entries = sum(tuples(reference_scope(spec, k)) for k in sess + [e.id for e in spec[1]])
+    for bound in {largest - 1, largest, entries - 1, entries}:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(netmodel, "MAX_CONE_TUPLES", bound)
+            if largest > bound or entries > bound:
+                with pytest.raises(ResourceError):
+                    evaluate_code(net, conn, code)
+            else:
+                assert evaluate_code(net, conn, code).failing_inputs == res.failing_inputs
 
 
 def reference_scope(spec, key):
     """The sessions `key` reads: a session itself, and for an edge those
     originating at its tail or at a node with a path into the tail."""
-    nodes, edges, sess, origin, _ = spec
+    _, edges, sess, origin, _ = spec
     edge = next((e for e in edges if e.id == key), None)
     if edge is None:
         return {key}
-    cone = {edge.tail}
-    for e in sorted(edges, key=lambda e: -nodes.index(e.head)):
-        if e.head in cone:
-            cone.add(e.tail)
+    cone = reference_cone(spec, edge.tail)
     return {s for s in sess if origin[s] in cone}
 
 
 @settings(max_examples=300, deadline=None)
 @given(random_codes(), st.one_of(st.just(1 << 20), st.integers(1, 27)), st.data())
-def test_scoped_oracle_matches_counting_every_source_tuple(case, chunk, data):
+def test_scoped_oracle_matches_counting_every_source_tuple(case, bound, data):
     """H(sel) counted over the sessions that `sel` reads equals H(sel)
     counted over every source tuple, for keys in any receiver's cone or in
-    none.  The oracle is None only when some scope passes the chunk, a
-    query whose sessions pass it is refused, and no array is longer."""
+    none.  Each array holds one value per tuple of its scope, and under a
+    query bound of `bound` a query whose sessions pass it is refused."""
     net, conn, code, spec = case
     sess, edges = spec[2], spec[1]
     size = {k: a.size for k, a in code.alphabets.items()}
@@ -424,20 +454,19 @@ def test_scoped_oracle_matches_counting_every_source_tuple(case, chunk, data):
     def tuples(sessions):
         return math.prod(size[s] for s in sessions)
 
-    oracle = evaluate_code(net, conn, code, chunk=chunk).oracle
-    if any(tuples(sc) > chunk for sc in scope.values()):
-        assert oracle is None
-        return
+    oracle = evaluate_code(net, conn, code).oracle
     assert {k: set(oracle.scopes[k]) for k in labels} == scope
-    for _ in range(5):
-        sel = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=5))
-        if tuples(set().union(*(scope[k] for k in sel))) > chunk:
-            with pytest.raises(ResourceError):
-                oracle.entropy(sel)
-        else:
-            counts = Counter(tuple(v[k] for k in sel) for v in every)
-            assert oracle.entropy(sel) == entropy_of_counts(counts.values())
-    assert all(len(a) <= chunk for a in oracle.arrays.values())
+    assert all(len(oracle.arrays[k]) == tuples(scope[k]) for k in labels)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netmodel, "MAX_QUERY_TUPLES", bound)
+        for _ in range(5):
+            sel = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=5))
+            if tuples(set().union(*(scope[k] for k in sel))) > bound:
+                with pytest.raises(ResourceError):
+                    oracle.entropy(sel)
+            else:
+                counts = Counter(tuple(v[k] for k in sel) for v in every)
+                assert oracle.entropy(sel) == entropy_of_counts(counts.values())
 
 
 def test_table_map_round_trip():
