@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EDGE_IDS, butterfly, wide_inner_code, xor_code
-from entronet.exactlog import entropy_of_counts, log2_units
 from entronet import netmodel
+from entronet.exactlog import entropy_of_counts, log2_units
 from entronet.ffield import GF
 from entronet.netmodel import (
     Alphabet,
