@@ -5,7 +5,7 @@ compression primitives."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -162,67 +162,38 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
 
 @dataclass(frozen=True)
 class LinearCompression:
-    """W = a @ W_matrix is a function of T1(a) with
-    T1(a) = W @ rec_from_W + T2(a) @ rec_from_T2, and
-    dim W = dim ker(T2) - dim (ker(T1) ∩ ker(T2))."""
+    """W = a @ W_matrix, the output of T1 at the columns `picks`, with
+    T1(a) = W @ rec_from_W + T2(a) @ rec_from_T2 and
+    dim W = rank [T2 | T1] − rank T2."""
 
     q: int
     W_matrix: Matrix  # domain -> W
-    via_T1: Matrix  # T1-output -> W  (W = T1(a) @ via_T1)
+    picks: List[int]  # the columns of T1 that W carries
     rec_from_W: Matrix  # W -> T1-output component
     rec_from_T2: Matrix  # T2-output -> T1-output component
 
     @property
     def out_dim(self) -> int:
-        return len(self.W_matrix[0]) if self.W_matrix else 0
+        return len(self.picks)
 
 
 def linear_compress(q: int, T1: Matrix, T2: Matrix) -> LinearCompression:
-    """Decompose the domain as (B1∩B2) ⊕ W1 ⊕ W2 ⊕ W0 with B1 = ker T1 =
-    (B1∩B2)⊕W1 and B2 = ker T2 = (B1∩B2)⊕W2; W carries the W2-coordinates."""
-    gf = GF(q)
+    """One elimination of [T2 | T1]: W is T1 at its pivot columns past T2.
+    Every column of the stack is the combination of its pivot columns given
+    by its column of the reduced form, which gives both reconstructions."""
     if len(T1) != len(T2):
         raise ValueError("T1 and T2 must share the domain dimension")
-    d = len(T1)
-    B1 = gf.nullspace(T1)
-    B2 = gf.nullspace(T2)
-    I = gf.intersect(B1, B2) if B1 and B2 else []
-    W1 = gf.extend_basis(I, space=B1) if B1 else []
-    W2 = gf.extend_basis(I, space=B2) if B2 else []
-    W0 = gf.extend_basis([list(r) for r in I] + W1 + W2, dim=d)
-    P = [list(r) for r in I] + W1 + W2 + W0
-    # x = c @ P  =>  c = x @ P^{-1}, where P @ P^{-1} = I
-    Pinv = gf.solve(P, gf.identity(d))
-    if Pinv is None:
-        raise RuntimeError("change-of-basis matrix is singular")  # unreachable
-    ni, n1, n2 = len(I), len(W1), len(W2)
-    Wmat = [[Pinv[r][ni + n1 + c] for c in range(n2)] for r in range(d)]
-    t1cols = len(T1[0]) if T1 else 0
-    via = gf.solve(T1, Wmat)
-    if via is None or gf.matmul(T1, via) != Wmat:
-        raise RuntimeError("W is not expressible through T1")  # unreachable
-    rec_w = gf.matmul(W2, T1) if W2 else []
-    W0proj = [[Pinv[r][ni + n1 + n2 + c] for c in range(len(W0))] for r in range(d)]
-    Q = gf.matmul(W0proj, gf.matmul(W0, T1)) if W0 else gf.zeros(d, t1cols)
-    t2cols = len(T2[0]) if T2 and T2[0] else 0
-    if t2cols == 0:
-        # T2 is the zero map, so B2 is everything and the residual vanishes
-        if any(any(x != 0 for x in row) for row in Q):
-            raise RuntimeError("T2 cannot recover the residual component")  # unreachable
-        rec_t2 = []
-    else:
-        rec_t2 = gf.solve(T2, Q)
-        if rec_t2 is None or gf.matmul(T2, rec_t2) != Q:
-            raise RuntimeError("T2 cannot recover the residual component")  # unreachable
-    return LinearCompression(q, Wmat, via, rec_w, rec_t2)
-
-
-def _hstack(gf: GF, blocks: Sequence[Matrix], rows: int) -> Matrix:
-    out = [[] for _ in range(rows)]
-    for b in blocks:
-        for r in range(rows):
-            out[r].extend(b[r] if b else [])
-    return out
+    gf = GF(q)
+    t1, t2 = (len(T[0]) if T else 0 for T in (T1, T2))
+    R, piv = gf.rref([list(b) + list(a) for a, b in zip(T1, T2)])
+    picks = [c - t2 for c in piv if c >= t2]
+    rec_t2 = gf.zeros(t2, t1)
+    for r, c in enumerate(piv):
+        if c < t2:
+            rec_t2[c] = R[r][t2:]
+    rec_w = [R[r][t2:] for r, c in enumerate(piv) if c >= t2]
+    W = [[row[c] for c in picks] for row in T1]
+    return LinearCompression(q, W, picks, rec_w, rec_t2)
 
 
 def _neg(gf: GF, M: Matrix) -> Matrix:
@@ -230,13 +201,14 @@ def _neg(gf: GF, M: Matrix) -> Matrix:
 
 
 def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
-    """Linear zero-error code: the designated edge maps f_j have kernel V_j;
-    sessions are uniform F_q vectors; compression via linear_compress."""
+    """Linear zero-error code: the designated edge maps f_j have kernel V_j,
+    and sessions are uniform F_q vectors.  G[α] is the α-stack (x ↦ x·f_j
+    for j ∈ α, in element order) at its pivot columns: S[α], W' and the
+    type-2 W carry x·G[α], and every compression is `linear_compress`
+    against it."""
     N = layout.n
     if fam.arity != N:
         raise ValueError(f"family arity {fam.arity} does not match layout N={N}")
-    if fam.intersection_codim(range(N)) != fam.ambient_dim:
-        raise ValueError("subspaces must intersect only at the zero vector")
     gf = fam.gf
     q = fam.q
     n = fam.ambient_dim
@@ -249,23 +221,17 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
     def elems(mask: int) -> List[int]:
         return [j for j in range(1, N + 1) if mask >> (j - 1) & 1]
 
-    F: Dict[int, Matrix] = {}
-    dprime: Dict[int, int] = {}
-    sel: Dict[int, Matrix] = {}  # stack-output -> d' selected coordinates
-    expand: Dict[int, Matrix] = {}  # selected -> full stack
+    width: Dict[int, int] = {}
+    piv: Dict[int, List[int]] = {}
+    G: Dict[int, Matrix] = {}
     for mask in range(1, full + 1):
-        js = elems(mask)
-        Fm = _hstack(gf, [f[j] for j in js], n)
-        F[mask] = Fm
-        R, piv = gf.rref(Fm)
-        dp = len(piv)
-        dprime[mask] = dp
-        width = len(Fm[0]) if Fm[0] is not None else 0
-        S = gf.zeros(width, dp)
-        for c, col in enumerate(piv):
-            S[col][c] = 1
-        sel[mask] = S
-        expand[mask] = [R[r] for r in range(dp)]
+        stack = [[x for j in elems(mask) for x in f[j][r]] for r in range(n)]
+        width[mask] = sum(cdim[j] for j in elems(mask))
+        piv[mask] = gf.rref(stack)[1]
+        G[mask] = [[row[c] for c in piv[mask]] for row in stack]
+    if len(piv[full]) != n:
+        raise ValueError("subspaces must intersect only at the zero vector")
+    comp = {a: linear_compress(q, gf.identity(n), G[a]) for a in range(1, full + 1)}
 
     alphabets: Dict[str, Alphabet] = {}
     encoders: Dict[str, LinearMap] = {}
@@ -273,7 +239,7 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
     sess_full = layout.session_labels[full]
     alphabets[sess_full] = Alphabet(q=q, dim=n)
     for mask in range(1, full):
-        alphabets[layout.session_labels[mask]] = Alphabet(q=q, dim=dprime[mask])
+        alphabets[layout.session_labels[mask]] = Alphabet(q=q, dim=len(piv[mask]))
 
     def set_encoder(eid: str, out_dim: int, matrix: Matrix) -> None:
         alphabets[eid] = Alphabet(q=q, dim=out_dim)
@@ -281,79 +247,57 @@ def linear_code(fam: SubspaceFamily, layout: GDaggerLayout) -> NetworkCode:
 
     for j in range(1, N + 1):
         set_encoder(layout.v_edges[j], cdim[j], f[j])
-    v_order = sorted(layout.v_edges.values())
-    v_elem = {layout.v_edges[j]: j for j in range(1, N + 1)}
-    total_c = sum(cdim[j] for j in range(1, N + 1))
-    v_offset = {}
-    off = 0
-    for eid in v_order:
-        v_offset[v_elem[eid]] = off
-        off += cdim[v_elem[eid]]
+    # fan feeds: every V edge, in edge-id order
+    v_order = sorted(range(1, N + 1), key=layout.v_edges.get)
     for eid, j in layout.fans.items():
-        M = gf.zeros(total_c, cdim[j])
-        for r in range(cdim[j]):
-            M[v_offset[j] + r][r] = 1
-        set_encoder(eid, cdim[j], M)
+        start = sum(cdim[k] for k in v_order[: v_order.index(j)])
+        set_encoder(eid, cdim[j], gf.selection(width[full], range(start, start + cdim[j])))
 
     for sub in layout.subnets:
         a = sub.alpha
-        js = elems(a)
         sess_a = layout.session_labels[a]
-        dp = dprime[a]
+        dp = len(piv[a])
+        ident = gf.identity(dp)
         if sub.kind == 0:
-            set_encoder(sub.role_edges["W"], dp, gf.identity(dp))
+            set_encoder(sub.role_edges["W"], dp, ident)
             (rx,) = sub.receivers
-            decoders[(rx, sess_a)] = LinearMap(q, gf.identity(dp))
+            decoders[(rx, sess_a)] = LinearMap(q, ident)
             continue
-        comp = linear_compress(q, gf.identity(n), F[a])
-        wdim = n - dp
+        c1 = comp[a]
+        # mid and n1 feeds hold the α-stack: fans of V_α in element order
+        stack_sel = gf.selection(width[a], piv[a])
         if sub.kind == 1:
-            set_encoder(sub.role_edges["W"], wdim, comp.W_matrix)
-            # mid feeds: fans of V_α in element order; W' = selected coords
-            set_encoder(sub.role_edges["W'"], dp, sel[a])
+            set_encoder(sub.role_edges["W"], c1.out_dim, c1.W_matrix)
+            set_encoder(sub.role_edges["W'"], dp, stack_sel)
             (rx,) = sub.receivers
-            # rx feeds: W then W'; S_N = w @ rec_W + (w' @ expand) @ rec_T2
-            dec = comp.rec_from_W + gf.matmul(expand[a], comp.rec_from_T2)
-            decoders[(rx, sess_full)] = LinearMap(q, dec)
+            # rx feeds: W then W' = x·G[α]
+            decoders[(rx, sess_full)] = LinearMap(q, c1.rec_from_W + c1.rec_from_T2)
             continue
         # type 2
-        i = sub.i
-        for role in ("Sa>n1", "Sa>rxU"):
-            set_encoder(sub.role_edges[role], dp, gf.identity(dp))
-        # n1 feeds: Sa>n1 (dp) then fans of V_α (stack); W = s + stack@sel
-        Wenc = [row[:] for row in gf.identity(dp)] + [row[:] for row in sel[a]]
-        set_encoder(sub.role_edges["W"], dp, Wenc)
-        for role in ("W>U", "W>L"):
-            set_encoder(sub.role_edges[role], dp, gf.identity(dp))
-        set_encoder(sub.role_edges["W'"], wdim, comp.W_matrix)
-        # n2 feeds: fans of V_{α∪i} in element order; W'' via compression of
-        # the α-stack against f_i, expressed through the feed blocks
-        comp2 = linear_compress(q, F[a], f[i])
-        w2dim = comp2.out_dim
-        order = sorted(set(js) | {i})
-        feed_width = sum(cdim[j] for j in order)
-        M2 = gf.zeros(feed_width, w2dim)
-        row_in_alpha = 0
-        off = 0
-        for j in order:
-            if j != i:
-                for r in range(cdim[j]):
-                    M2[off + r] = comp2.via_T1[row_in_alpha + r][:]
-                row_in_alpha += cdim[j]
+        for role in ("Sa>n1", "Sa>rxU", "W>U", "W>L"):
+            set_encoder(sub.role_edges[role], dp, ident)
+        # n1 feeds: Sa>n1, then the α-stack; W = S_α + x·G[α]
+        set_encoder(sub.role_edges["W"], dp, ident + stack_sel)
+        set_encoder(sub.role_edges["W'"], c1.out_dim, c1.W_matrix)
+        # n2 feeds: fans of V_{α∪i} in element order; W'' is x·G[α] at the
+        # picks of its compression against f_i, each a column of the α-stack
+        c2 = linear_compress(q, G[a], f[sub.i])
+        at, off = [], 0
+        for j in sorted(elems(a) + [sub.i]):
+            if j != sub.i:
+                at += range(off, off + cdim[j])
             off += cdim[j]
-        set_encoder(sub.role_edges["W''"], w2dim, M2)
-        # n3 feeds: W'' then fan of V_i; W* = (stack reconstruction) @ sel
-        rec = gf.matmul(comp2.rec_from_W, sel[a]) + gf.matmul(comp2.rec_from_T2, sel[a])
-        set_encoder(sub.role_edges["W*"], dp, rec)
+        set_encoder(sub.role_edges["W''"], c2.out_dim,
+                    gf.selection(off, [at[piv[a][c]] for c in c2.picks]))
+        # n3 feeds: W'' then the fan of V_i; W* = x·G[α]
+        set_encoder(sub.role_edges["W*"], dp, c2.rec_from_W + c2.rec_from_T2)
         for rx, dem in sub.receivers.items():
             if dem == sess_full:
-                # feeds: Sa>rxU (dp), W' (wdim), W>U (dp)
-                ER = gf.matmul(expand[a], comp.rec_from_T2)
-                dec = _neg(gf, ER) + comp.rec_from_W + ER
-                decoders[(rx, sess_full)] = LinearMap(q, dec)
+                # feeds: Sa>rxU, W', W>U; x·G[α] = W − S_α
+                dec = _neg(gf, c1.rec_from_T2) + c1.rec_from_W + c1.rec_from_T2
             else:
-                # feeds: W* (dp), W>L (dp); S_α = W - W*
-                dec = _neg(gf, gf.identity(dp)) + gf.identity(dp)
-                decoders[(rx, sess_a)] = LinearMap(q, dec)
+                # feeds: W*, W>L; S_α = W − W*
+                dec = _neg(gf, ident) + ident
+            decoders[(rx, dem)] = LinearMap(q, dec)
 
     return NetworkCode(alphabets, encoders, decoders)

@@ -74,6 +74,8 @@ class GF:
         return self
 
     def _init(self, q: int) -> None:
+        if q > 64:
+            raise ValueError(f"GF({q}): fields above q = 64 are not supported")
         fac = factorize(q)
         if len(fac) != 1:
             raise ValueError(f"{q} is not a prime power")
@@ -135,9 +137,6 @@ class GF:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 
@@ -182,6 +181,13 @@ class GF:
 
     def zeros(self, n: int, m: int) -> Matrix:
         return [[0] * m for _ in range(n)]
+
+    def selection(self, n: int, cols: Sequence[int]) -> Matrix:
+        """The n × len(cols) matrix M with x @ M = x at `cols`."""
+        M = self.zeros(n, len(cols))
+        for c, r in enumerate(cols):
+            M[r][c] = 1
+        return M
 
     def rref(self, M: Sequence[Sequence[int]]) -> Tuple[Matrix, List[int]]:
         """Reduced row echelon form; returns (rref matrix, pivot columns)."""

@@ -16,6 +16,25 @@ from .ffield import GF, Matrix
 from .setfunc import GroundSet, SetFunction
 
 
+_KINDS = {list: "a list", int: "an integer"}
+
+
+def _typed(value, kind: type, what: str):
+    """`value`, if it is a `kind` (a bool is not an integer); a ValueError
+    naming `what` if not."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} is not {_KINDS[kind]}: {value!r:.40}")
+    return value
+
+
+def _int_rows(value, what: str) -> list:
+    """`value`, if it is a list of lists of integers; a ValueError if not."""
+    for row in _typed(value, list, what):
+        for x in _typed(row, list, f"a row of {what}"):
+            _typed(x, int, f"an entry of {what}")
+    return value
+
+
 class FiniteGroup:
     """Finite group given by an explicit multiplication table over 0..n-1.
 
@@ -63,12 +82,6 @@ class FiniteGroup:
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
-
-    def inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.table[a][b] == self.identity:
-                return b
-        raise ValueError("no inverse")
 
     def is_subgroup(self, elems: FrozenSet[int]) -> bool:
         if self.identity not in elems:
@@ -125,7 +138,10 @@ class FiniteGroup:
             raise ValueError("a group is an object")
         if obj.get("format", "group/1") != "group/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
-        return cls(obj["table"])
+        table = _int_rows(obj["table"], "a group table")
+        if any(len(row) != len(table) for row in table):
+            raise ValueError("a group table must be square")
+        return cls(table)
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
@@ -207,6 +223,8 @@ class SubgroupFamily:
     def __init__(self, parent: FiniteGroup, members: Sequence[Sequence[int]]):
         mem = tuple(frozenset(m) for m in members)
         for i, sub in enumerate(mem):
+            if not sub <= set(range(parent.order)):
+                raise ValueError(f"member {i} has elements outside the group")
             if not parent.is_subgroup(sub):
                 raise ValueError(f"member {i} is not a subgroup (not closed or missing identity)")
         object.__setattr__(self, "parent", parent)
@@ -229,7 +247,7 @@ class SubgroupFamily:
             raise ValueError("a subgroup family is an object")
         if obj.get("format", "subgroupfamily/1") != "subgroupfamily/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
-        return cls(FiniteGroup.from_json(obj["group"]), obj["members"])
+        return cls(FiniteGroup.from_json(obj["group"]), _int_rows(obj["members"], "members"))
 
 
 @dataclass(frozen=True)
@@ -320,7 +338,11 @@ class SubspaceFamily:
             raise ValueError("a subspace family is an object")
         if obj.get("format", "subspacefamily/1") != "subspacefamily/1":
             raise ValueError(f"unexpected format {obj.get('format')!r}")
-        return cls(obj["q"], obj["ambient_dim"], obj["members"])
+        members = _typed(obj["members"], list, "members")
+        for basis in members:
+            _int_rows(basis, "a member basis")
+        return cls(_typed(obj["q"], int, "q"), _typed(obj["ambient_dim"], int, "ambient_dim"),
+                   members)
 
 
 @dataclass(frozen=True)

@@ -781,18 +781,11 @@ def kernels_of_linear_code(
     sess = list(conn.sessions)
     dims = [code.alphabets[s].dim for s in sess]
     D = sum(dims)
-    offsets = {}
+    global_maps: Dict[str, List[List[int]]] = {}
     off = 0
     for s, d in zip(sess, dims):
-        offsets[s] = off
+        global_maps[s] = gf.selection(D, range(off, off + d))
         off += d
-
-    global_maps: Dict[str, List[List[int]]] = {}
-    for s, d in zip(sess, dims):
-        M = gf.zeros(D, d)
-        for i in range(d):
-            M[offsets[s] + i][i] = 1
-        global_maps[s] = M
     for e in net.edges_topo():
         feeds = edge_feeds(net, conn, e)
         stacked_cols: List[List[List[int]]] = [global_maps[f] for f in feeds]

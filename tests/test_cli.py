@@ -404,6 +404,56 @@ def test_a_nested_entry_of_the_wrong_type_exits_2(tmp_path, capsys, command, for
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("subspace entropy", "q", "x"),
+    ("subspace entropy", "members", 5),
+    ("subspace entropy", "members", [[5], [[0, 1]]]),
+    ("code build linear", "members", 5),
+    ("code build linear", "members", [[5], [[0, 1]]]),
+    *[(command, "members", value) for command in ("group entropy", "group support")
+      for value in (5, [5], [[[0]]], [[0, 9]])],
+    ("group entropy", "table", [1, 2]),
+    ("code build qu", "table", [1, 2]),
+    ("group entropy", "table", [[0], [1, 0]]),
+])
+def test_a_family_entry_of_the_wrong_type_exits_2(tmp_path, capsys, command, key, value):
+    """Each family loader on an honest family, then with one entry inside it
+    replaced: by a value of the wrong type, an element outside the group,
+    or a table row of the wrong length."""
+    words = command.split()
+    if words[0] == "group" or words[-1] == "qu":
+        doc = SubgroupFamily(symmetric(3), ([0, 1], [0, 3, 4])).to_json()
+    else:
+        doc = SubspaceFamily(2, 2, (((1, 0),), ((0, 1),))).to_json()
+
+    def argv():
+        return words + [write(tmp_path, "fam.json", doc)] + (["--n", "2"] if words[0] == "code" else [])
+
+    assert run(argv()) == 0
+    capsys.readouterr()
+    (doc["group"] if key == "table" else doc)[key] = value
+    assert run(argv()) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_field_above_q_64_exits_2(tmp_path, capsys):
+    """A subspace family and a linear code over F_67, refused before any
+    field table is built."""
+    fam = {"format": "subspacefamily/1", "q": 67, "ambient_dim": 1, "members": [[], [[1]]]}
+    fam_path = write(tmp_path, "fam.json", fam)
+    bundle = chain_bundle()
+    code = bundle["code"]
+    for entry in [*code["alphabets"].values(), *code["encoders"].values(), code["decoders"][0]["map"]]:
+        entry["q"] = 67
+    for argv in (["subspace", "entropy", fam_path], ["code", "build", "linear", fam_path, "--n", "2"],
+                 ["code", "verify", write(tmp_path, "bundle.json", bundle)]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", [["qu", "check"], ["code", "build", "qu", "--n", "1"]])
 @pytest.mark.parametrize("support", [
     {"format": "support/1", "arity": 1, "alphabets": [[1]], "tuples": [[{}]]},

@@ -129,3 +129,9 @@ def test_vectors_are_listed_and_decoded_in_index_order(q, dim):
 def test_unsupported_field_size():
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_a_field_above_q_64_is_refused():
+    with pytest.raises(ValueError, match="q = 64"):
+        GF(67)
+    assert 67 not in GF._cache
