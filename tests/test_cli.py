@@ -197,6 +197,23 @@ def test_code_build_qu_bundle_is_unchanged(tmp_path, capsys, case, digest):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("case,digest", zip([
+    (SubspaceFamily(2, 2, (((1, 0),), ((0, 1),), ((1, 1),))), 3),
+    (SubspaceFamily(3, 2, (((1, 2),), ((0, 1),))), 2),
+    (SubspaceFamily(4, 3, (((1, 0, 0), (0, 1, 0)), ((0, 0, 1),), ((1, 2, 3),))), 3),
+], [
+    "eb9e38d0711915d4fad56f98da815f92541a701ac6e139899cfe60f84348a9e8",
+    "eea4b0dfc3f453bfb74d4d6447ce55115ab5352530ab23cee001bcf9326f3668",
+    "a7bedcdb18579f252cb5fc0d93a18698b4f4a146d59a6e66ffbd874c104b352d",
+]))
+def test_code_build_linear_bundle_is_unchanged(tmp_path, capsys, case, digest):
+    """The bundle's SHA-256, as built when h came from `entropy_from_subspaces`."""
+    fam, n = case
+    assert run(["code", "build", "linear", write(tmp_path, "fam.json", fam.to_json()),
+                "--n", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_code_build_qu_projects_the_support_once(tmp_path, capsys, monkeypatch):
     import entronet.groupchar as groupchar
 
