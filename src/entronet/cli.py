@@ -11,7 +11,7 @@ import sys
 
 from .construct import build_gdagger, capacitated_network, rate_capacity
 from .codegen import linear_code, quasi_uniform_code
-from .exactlog import ZERO, LogScalar
+from .exactlog import ZERO
 from .groupchar import (
     SubgroupFamily,
     SubspaceFamily,
@@ -36,11 +36,11 @@ from .netmodel import (
     Network,
     NetworkCode,
     RateCapacityTuple,
-    ResourceError,
     alphabets_meet_tuple,
     evaluate_code,
     to_dot,
 )
+from .schema import ResourceError, document
 from .setfunc import SetFunction, check_ingleton, check_polymatroid, check_zhang_yeung
 
 
@@ -49,15 +49,13 @@ class UsageError(Exception):
 
 
 def _read(path: str) -> dict:
+    text = _read_text(path)
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise UsageError(f"file not found: {path}")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise UsageError(f"{path}: JSON nested too deeply")
 
 
 def _read_text(path: str) -> str:
@@ -68,6 +66,8 @@ def _read_text(path: str) -> str:
             return fh.read()
     except FileNotFoundError:
         raise UsageError(f"file not found: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}")
 
 
 def _emit(report: dict, as_json: bool, lines) -> None:
@@ -145,8 +145,11 @@ def cmd_construct(args) -> int:
         report = {"format": "gdagger/1", "n": args.n, "network": net.to_json(),
                   "conn": layout.conn.to_json()}
     if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(net, layout.conn))
+        try:
+            with open(args.dot, "w") as fh:
+                fh.write(to_dot(net, layout.conn))
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.dot}: {exc.strerror}")
     lines = [f"fixed network for N={args.n}: {len(net.nodes)} nodes, {len(net.edges)} edges, "
              f"{len(layout.conn.sessions)} sessions"]
     if args.dot:
@@ -158,23 +161,19 @@ def cmd_construct(args) -> int:
 def cmd_code_build(args) -> int:
     obj = _read(args.input)
     layout = build_gdagger(args.n)
-    if args.kind == "qu":
-        if isinstance(obj, dict) and obj.get("format") == "subgroupfamily/1":
-            s = coset_support(SubgroupFamily.from_json(obj))
-        else:
-            s = SupportSet.from_json(obj)
-        # raises ValueError on a support that is not quasi-uniform; on one
-        # that is, each session alphabet is the support's projection onto
-        # its α, so h(α) = log |A_{S_α}|
-        code = quasi_uniform_code(s, layout)
-        h = SetFunction([str(i + 1) for i in range(args.n)], [ZERO] + [
-            LogScalar.log_int(code.alphabets[layout.session_labels[mask]].size)
-            for mask in range(1, 1 << args.n)
-        ])
+    if args.kind == "linear":
+        code = linear_code(SubspaceFamily.from_json(obj), layout)
+    elif document(obj, ("support/1", "subgroupfamily/1"), "a support") == "support/1":
+        code = quasi_uniform_code(SupportSet.from_json(obj), layout)
     else:
-        fam = SubspaceFamily.from_json(obj)
-        h = entropy_from_subspaces(fam)
-        code = linear_code(fam, layout)
+        code = quasi_uniform_code(coset_support(SubgroupFamily.from_json(obj)), layout)
+    # h(α) = log |A_{S_α}|: the session alphabet of a linear code is F_q^n
+    # modulo the intersection of the V_i, i ∈ α, and that of a quasi-uniform
+    # code (`quasi_uniform_code` refuses any other support) is the support's
+    # projection onto α
+    h = SetFunction([str(i + 1) for i in range(args.n)], [ZERO] + [
+        code.alphabets[layout.session_labels[mask]].log_size() for mask in range(1, 1 << args.n)
+    ])
     tup = rate_capacity(h, layout)
     net = capacitated_network(layout, tup)
     bundle = {
@@ -192,8 +191,7 @@ def cmd_code_build(args) -> int:
 def cmd_code_verify(args) -> int:
     if args.conn is None:
         bundle = _read(args.net)
-        if not isinstance(bundle, dict) or bundle.get("format") != "codebundle/1":
-            raise UsageError("single-file verify expects a codebundle/1 document")
+        document(bundle, "codebundle/1", "a code bundle")
         net = Network.from_json(bundle["network"])
         conn = ConnectionRequirement.from_json(bundle["conn"])
         code = NetworkCode.from_json(bundle["code"])

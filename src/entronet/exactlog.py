@@ -11,12 +11,15 @@ nonzero value is decided by interval evaluation at increasing precision.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 import mpmath
 import numpy as np
+
+from .schema import StructuralError, typed
 
 RationalLike = Union[int, Fraction]
 
@@ -292,13 +295,24 @@ class LogScalar:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LogScalar":
-        if not isinstance(obj, Mapping):
-            raise ValueError(f"a log scalar is an object of prime: rational, got {obj!r:.40}")
+        """The value `to_json` wrote: prime keys, each with a rational written
+        as an integer or as integer/integer, with an optional sign.  Any
+        other text, an exponent or a decimal point among them, is a
+        StructuralError, so a coefficient costs no more than its digits."""
+        terms = {}
+        items = typed(obj, Mapping, "a log scalar").items()
         try:
-            return cls({int(p): Fraction(q) for p, q in obj.items()})
-        except (TypeError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a log scalar: {obj!r:.40}") from exc
+            for p, q in items:
+                if type(q) is not str or not _RATIONAL(q):
+                    raise ValueError(f"coefficient {q!r:.40} is not n or n/d")
+                num, _, den = q.partition("/")
+                terms[int(p)] = Fraction(int(num), int(den)) if den else Fraction(int(num))
+            return cls(terms)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise StructuralError(f"not a log scalar: {obj!r:.40}: {exc}") from None
 
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?").fullmatch
 
 ZERO = LogScalar.zero()
 

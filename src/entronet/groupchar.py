@@ -4,7 +4,6 @@ subgroup families, finite-field subspace families, and explicit supports."""
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
@@ -13,33 +12,14 @@ import numpy as np
 
 from .exactlog import ZERO, LogScalar
 from .ffield import GF, Matrix
+from .schema import (MAX_CONE_TUPLES, ResourceError, StructuralError, document, int_rows,
+                     sym_from_json, typed)
 from .setfunc import GroundSet, SetFunction
 
 
-_KINDS = {list: "a list", int: "an integer"}
-
-
-def _typed(value, kind: type, what: str):
-    """`value`, if it is a `kind` (a bool is not an integer); a ValueError
-    naming `what` if not."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"{what} is not {_KINDS[kind]}: {value!r:.40}")
-    return value
-
-
-def _int_rows(value, what: str) -> list:
-    """`value`, if it is a list of lists of integers; a ValueError if not."""
-    for row in _typed(value, list, what):
-        for x in _typed(row, list, f"a row of {what}"):
-            _typed(x, int, f"an entry of {what}")
-    return value
-
-
 class FiniteGroup:
-    """Finite group given by an explicit multiplication table over 0..n-1.
-
-    Associativity is fully verified up to order 64 and random-sampled above.
-    """
+    """Finite group given by an explicit multiplication table over 0..n-1,
+    validated exactly at every order (`_validate`)."""
 
     __slots__ = ("order", "table", "identity")
 
@@ -53,32 +33,42 @@ class FiniteGroup:
                 ident = e
                 break
         if ident is None:
-            raise ValueError("no identity element")
+            raise StructuralError("no identity element")
         self.identity = ident
         if validate:
             self._validate()
 
     def _validate(self) -> None:
+        """Rows and columns are permutations, so every element has inverses,
+        and the table is associative by Light's test: the elements g with
+        (xg)y = x(gy) for all x, y are closed under the product, so the
+        table is associative once every element of a generating set passes,
+        at one n×n comparison each.  Each generator is the first element
+        not yet reached by right products of the earlier ones.  Generators
+        that pass generate a group, so each one at least doubles the
+        elements reached: there are at most log2(n) + 1 of them."""
         n = self.order
-        for row in self.table:
-            if sorted(row) != list(range(n)):
-                raise ValueError("multiplication table rows must be permutations")
-        for j in range(n):
-            col = sorted(self.table[i][j] for i in range(n))
-            if col != list(range(n)):
-                raise ValueError("multiplication table columns must be permutations")
-        for x in range(n):
-            if all(self.table[x][y] != self.identity for y in range(n)):
-                raise ValueError(f"element {x} has no inverse")
-        if n <= 64:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(0)
-            triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(20000))
-        t = self.table
-        for a, b, c in triples:
-            if t[t[a][b]][c] != t[a][t[b][c]]:
-                raise ValueError(f"associativity fails at ({a},{b},{c})")
+        t = np.array(self.table)
+        perm = np.arange(n)
+        if t.dtype.kind != "i" or (np.sort(t, axis=1) != perm).any():
+            raise StructuralError("multiplication table rows must be permutations")
+        if (np.sort(t, axis=0) != perm[:, None]).any():
+            raise StructuralError("multiplication table columns must be permutations")
+        reached = np.zeros(n, dtype=bool)
+        reached[self.identity] = True
+        gens: List[int] = []
+        while not reached.all():
+            g = int(np.argmin(reached))
+            bad = np.argwhere(t[t[:, g]] != t[:, t[g]])
+            if bad.size:
+                x, y = bad[0].tolist()
+                raise StructuralError(f"associativity fails at ({x},{g},{y})")
+            gens.append(g)
+            frontier = np.flatnonzero(reached)
+            while frontier.size:
+                products = np.unique(t[np.ix_(frontier, gens)])
+                frontier = products[~reached[products]]
+                reached[frontier] = True
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -134,13 +124,10 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "FiniteGroup":
-        if not isinstance(obj, Mapping):
-            raise ValueError("a group is an object")
-        if obj.get("format", "group/1") != "group/1":
-            raise ValueError(f"unexpected format {obj.get('format')!r}")
-        table = _int_rows(obj["table"], "a group table")
+        document(obj, "group/1", "a group")
+        table = int_rows(obj.get("table"), "a group table")
         if any(len(row) != len(table) for row in table):
-            raise ValueError("a group table must be square")
+            raise StructuralError("a group table must be square")
         return cls(table)
 
     def __repr__(self) -> str:
@@ -224,9 +211,9 @@ class SubgroupFamily:
         mem = tuple(frozenset(m) for m in members)
         for i, sub in enumerate(mem):
             if not sub <= set(range(parent.order)):
-                raise ValueError(f"member {i} has elements outside the group")
+                raise StructuralError(f"member {i} has elements outside the group")
             if not parent.is_subgroup(sub):
-                raise ValueError(f"member {i} is not a subgroup (not closed or missing identity)")
+                raise StructuralError(f"member {i} is not a subgroup (not closed or missing identity)")
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "members", mem)
 
@@ -243,11 +230,8 @@ class SubgroupFamily:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SubgroupFamily":
-        if not isinstance(obj, Mapping):
-            raise ValueError("a subgroup family is an object")
-        if obj.get("format", "subgroupfamily/1") != "subgroupfamily/1":
-            raise ValueError(f"unexpected format {obj.get('format')!r}")
-        return cls(FiniteGroup.from_json(obj["group"]), _int_rows(obj["members"], "members"))
+        document(obj, "subgroupfamily/1", "a subgroup family")
+        return cls(FiniteGroup.from_json(obj.get("group")), int_rows(obj.get("members"), "members"))
 
 
 @dataclass(frozen=True)
@@ -258,14 +242,20 @@ class SubspaceFamily:
 
     def __init__(self, q: int, ambient_dim: int, members: Sequence[Sequence[Sequence[int]]]):
         gf = GF(q)  # validates that q is a prime power
+        if ambient_dim < 0:
+            raise StructuralError(f"ambient dimension {ambient_dim} is negative")
+        # an empty member's annihilator is the ambient_dim × ambient_dim identity
+        if ambient_dim * ambient_dim > MAX_CONE_TUPLES:
+            raise ResourceError(f"ambient dimension {ambient_dim} needs annihilators of "
+                                f"{ambient_dim}^2 entries, over the cap {MAX_CONE_TUPLES}")
         mem = []
         for i, basis in enumerate(members):
             rows = [tuple(int(x) for x in r) for r in basis]
             for r in rows:
                 if len(r) != ambient_dim or any(not 0 <= x < q for x in r):
-                    raise ValueError(f"member {i}: bad basis vector {r}")
+                    raise StructuralError(f"member {i}: bad basis vector {r}")
             if rows and gf.rank([list(r) for r in rows]) != len(rows):
-                raise ValueError(f"member {i}: basis is rank-deficient")
+                raise StructuralError(f"member {i}: basis is rank-deficient")
             mem.append(tuple(rows))
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -334,14 +324,11 @@ class SubspaceFamily:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SubspaceFamily":
-        if not isinstance(obj, Mapping):
-            raise ValueError("a subspace family is an object")
-        if obj.get("format", "subspacefamily/1") != "subspacefamily/1":
-            raise ValueError(f"unexpected format {obj.get('format')!r}")
-        members = _typed(obj["members"], list, "members")
+        document(obj, "subspacefamily/1", "a subspace family")
+        members = typed(obj.get("members"), list, "members")
         for basis in members:
-            _int_rows(basis, "a member basis")
-        return cls(_typed(obj["q"], int, "q"), _typed(obj["ambient_dim"], int, "ambient_dim"),
+            int_rows(basis, "a member basis")
+        return cls(typed(obj.get("q"), int, "q"), typed(obj.get("ambient_dim"), int, "ambient_dim"),
                    members)
 
 
@@ -357,17 +344,17 @@ class SupportSet:
             alph = tuple(tuple(a) for a in alphabets)
             members = [set(a) for a in alph]
         except TypeError as exc:
-            raise ValueError(f"support symbols must be hashable: {exc}") from None
+            raise StructuralError(f"support symbols must be hashable: {exc}") from None
         if not tups:
-            raise ValueError("support must be nonempty")
+            raise StructuralError("support must be nonempty")
         if len(alph) != arity:
-            raise ValueError("need one alphabet per coordinate")
+            raise StructuralError("need one alphabet per coordinate")
         for t in tups:
             if len(t) != arity:
-                raise ValueError(f"tuple {t} has wrong arity")
+                raise StructuralError(f"tuple {t} has wrong arity")
             for x, a in zip(t, members):
                 if x not in a:
-                    raise ValueError(f"symbol {x!r} missing from its coordinate alphabet")
+                    raise StructuralError(f"symbol {x!r} missing from its coordinate alphabet")
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "alphabets", alph)
         object.__setattr__(self, "tuples", tups)
@@ -382,23 +369,13 @@ class SupportSet:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SupportSet":
-        if not isinstance(obj, Mapping):
-            raise ValueError("a support is an object")
-        if obj.get("format", "support/1") != "support/1":
-            raise ValueError(f"unexpected format {obj.get('format')!r}")
-        for key in ("alphabets", "tuples"):
-            if not isinstance(obj[key], list) or not all(isinstance(x, list) for x in obj[key]):
-                raise ValueError(f"a support's {key} are a list of lists")
-        alph = [[_dejson_sym(x) for x in a] for a in obj["alphabets"]]
-        tups = [tuple(_dejson_sym(x) for x in t) for t in obj["tuples"]]
-        return cls(obj["arity"], alph, tups)
+        document(obj, "support/1", "a support")
 
+        def rows(key: str) -> list:
+            return [sym_from_json(typed(x, list, f"an entry of a support's {key}"))
+                    for x in typed(obj.get(key), list, f"a support's {key}")]
 
-def _dejson_sym(x):
-    # JSON round-trips tuples as lists; normalize back
-    if isinstance(x, list):
-        return tuple(_dejson_sym(y) for y in x)
-    return x
+        return cls(typed(obj.get("arity"), int, "a support's arity"), rows("alphabets"), rows("tuples"))
 
 
 def _default_ground(n: int) -> GroundSet:

@@ -21,11 +21,11 @@ from .netmodel import (
     ConnectionRequirement,
     Network,
     RateCapacityTuple,
-    ResourceError,
     UNCAPPED,
     decoder_feeds,
     edge_feeds,
 )
+from .schema import ResourceError, document, typed
 from .setfunc import (
     ELEMENTAL_WEIGHTS,
     GroundSet,
@@ -804,9 +804,10 @@ class LocalWitness:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "LocalWitness":
-        if not isinstance(obj, Mapping) or not isinstance(obj.get("vars"), Mapping):
-            raise ValueError("a local witness is an object with a function and vars")
-        return cls(SetFunction.from_json(obj.get("function")), dict(obj["vars"]))
+        typed(obj, Mapping, "a local witness")
+        var_map = typed(obj.get("vars"), Mapping, "a local witness's vars")
+        return cls(SetFunction.from_json(obj.get("function")),
+                   {k: typed(v, str, f"the element of {k}") for k, v in var_map.items()})
 
 
 @dataclass(frozen=True)
@@ -823,11 +824,10 @@ class WitnessCertificate:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "WitnessCertificate":
-        if not isinstance(obj, Mapping) or obj.get("format") != "witness/1":
-            raise ValueError("expected format witness/1")
-        if not isinstance(obj.get("n"), int) or not isinstance(obj.get("locals"), Mapping):
-            raise ValueError("a witness certificate needs an integer n and a locals object")
-        return cls(obj["n"], {k: LocalWitness.from_json(v) for k, v in obj["locals"].items()})
+        document(obj, "witness/1", "a witness certificate")
+        return cls(typed(obj.get("n"), int, "a witness certificate's n"), {
+            k: LocalWitness.from_json(v)
+            for k, v in typed(obj.get("locals"), Mapping, "a witness certificate's locals").items()})
 
 
 def _single(label: str, value: LogScalar) -> SetFunction:

@@ -25,26 +25,10 @@ import numpy as np
 
 from .exactlog import ZERO, LogScalar, entropy_of_histogram
 from .ffield import GF, digits_of, flat_index
-from .groupchar import SubspaceFamily, _dejson_sym
+from .groupchar import SubspaceFamily
+from .schema import (MAX_CONE_TUPLES, ResourceError, StructuralError, document, int_rows,
+                     sym_from_json, sym_to_json, typed)
 from .setfunc import GroundSet, SetFunction
-
-
-class StructuralError(ValueError):
-    pass
-
-
-class ResourceError(RuntimeError):
-    pass
-
-
-_KINDS = {list: "a list", Mapping: "an object", str: "a string"}
-
-
-def _typed(value, kind: type, what: str):
-    """`value`, if it is a `kind`; a StructuralError naming `what` if not."""
-    if not isinstance(value, kind):
-        raise StructuralError(f"{what} is not {_KINDS[kind]}: {value!r:.40}")
-    return value
 
 
 class _Uncapped:
@@ -118,17 +102,14 @@ class Network:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Network":
-        if not isinstance(obj, Mapping):
-            raise StructuralError("a network is an object")
-        if obj.get("format", "network/1") != "network/1":
-            raise StructuralError(f"unexpected format {obj.get('format')!r}")
+        document(obj, "network/1", "a network")
         edges = []
-        for d in _typed(obj["edges"], list, "a network's edges"):
-            _typed(d, Mapping, "an edge")
-            ends = [_typed(d[k], str, f"an edge's {k}") for k in ("id", "tail", "head")]
+        for d in typed(obj.get("edges"), list, "a network's edges"):
+            typed(d, Mapping, "an edge")
+            ends = [typed(d.get(k), str, f"an edge's {k}") for k in ("id", "tail", "head")]
             cap = d.get("cap")
             edges.append(Edge(*ends, UNCAPPED if cap is None else LogScalar.from_json(cap)))
-        return cls(_typed(obj["nodes"], list, "a network's nodes"), edges)
+        return cls(typed(obj.get("nodes"), list, "a network's nodes"), edges)
 
 
 def topo_order(net: Network) -> List[str]:
@@ -205,17 +186,14 @@ class ConnectionRequirement:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "ConnectionRequirement":
-        if not isinstance(obj, Mapping):
-            raise StructuralError("a connection requirement is an object")
-        if obj.get("format", "connection/1") != "connection/1":
-            raise StructuralError(f"unexpected format {obj.get('format')!r}")
-        sessions = _typed(obj["sessions"], list, "sessions")
-        origin = _typed(obj["origin"], Mapping, "origin")
-        receivers = _typed(obj["receivers"], Mapping, "receivers")
+        document(obj, "connection/1", "a connection requirement")
+        sessions = typed(obj.get("sessions"), list, "sessions")
+        origin = typed(obj.get("origin"), Mapping, "origin")
+        receivers = typed(obj.get("receivers"), Mapping, "receivers")
         for s in map(str, sessions):  # the labels the constructor keeps
-            _typed(origin[s], str, f"the origin of {s}")
-            for r in _typed(receivers[s], list, f"the receivers of {s}"):
-                _typed(r, str, f"a receiver of {s}")
+            typed(origin.get(s), str, f"the origin of {s}")
+            for r in typed(receivers.get(s), list, f"the receivers of {s}"):
+                typed(r, str, f"a receiver of {s}")
         return cls(sessions, origin, receivers)
 
 
@@ -265,18 +243,20 @@ class Alphabet:
         return tuple(digits_of(idx, [self.q] * self.dim))
 
     def log_size(self) -> LogScalar:
+        if self.kind == "vector":
+            return LogScalar.log_int(self.q) * self.dim
         return LogScalar.log_int(self.size)
 
     def to_json(self) -> dict:
         if self.kind == "symbols":
-            return {"kind": "symbols", "symbols": [_sym_json(s) for s in self.symbols]}
+            return {"kind": "symbols", "symbols": [sym_to_json(s) for s in self.symbols]}
         return {"kind": "vector", "q": self.q, "dim": self.dim}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "Alphabet":
-        if _typed(obj, Mapping, "an alphabet")["kind"] == "symbols":
-            return cls(symbols=[_dejson_sym(s) for s in _typed(obj["symbols"], list, "symbols")])
-        return cls(q=obj["q"], dim=obj["dim"])
+        if typed(obj, Mapping, "an alphabet").get("kind") == "symbols":
+            return cls(symbols=sym_from_json(typed(obj.get("symbols"), list, "symbols")))
+        return cls(q=obj.get("q"), dim=obj.get("dim"))
 
     def __eq__(self, other):
         return (
@@ -286,12 +266,6 @@ class Alphabet:
             and self.q == other.q
             and self.dim == other.dim
         )
-
-
-def _sym_json(s):
-    if isinstance(s, tuple):
-        return list(_sym_json(x) for x in s)
-    return s
 
 
 class TableMap:
@@ -360,21 +334,24 @@ EncoderMap = Union[TableMap, LinearMap]
 def _map_from_json(obj: Mapping) -> EncoderMap:
     """A table of integers, or an F_q matrix whose rows have one length and
     whose entries lie in 0..q-1; anything else is a StructuralError."""
-    if _typed(obj, Mapping, "a map")["kind"] == "table":
-        table = np.asarray(obj["table"])
-        if table.ndim != 1 or (table.size and table.dtype.kind not in "iu"):
+    kind = typed(obj, Mapping, "a map").get("kind")
+    if kind == "table":
+        try:
+            table = np.asarray(typed(obj.get("table"), list, "a table map"))
+        except ValueError:  # a ragged nesting of lists
+            table = None
+        if table is None or table.ndim != 1 or (table.size and table.dtype.kind not in "iu"):
             raise StructuralError("a table map is a list of integers")
         return TableMap(table)
-    if obj["kind"] == "linear":
-        q, matrix = obj["q"], obj["matrix"]
-        if not (isinstance(matrix, list) and all(isinstance(r, list) for r in matrix)
-                and len({len(r) for r in matrix}) <= 1):
+    if kind == "linear":
+        q = typed(obj.get("q"), int, "a linear map's q")
+        matrix = int_rows(obj.get("matrix"), "a linear map's matrix")
+        if len({len(r) for r in matrix}) > 1:
             raise StructuralError("a linear map's matrix is a list of rows of one length")
-        if type(q) is not int or any(type(c) is not int or not 0 <= c < q
-                                     for r in matrix for c in r):
+        if any(not 0 <= c < q for r in matrix for c in r):
             raise StructuralError(f"a linear map over F_{q} has integer entries in 0..q-1")
         return LinearMap(q, matrix)
-    raise StructuralError(f"unknown map kind {obj['kind']!r}")
+    raise StructuralError(f"unknown map kind {kind!r:.40}")
 
 
 class NetworkCode:
@@ -417,18 +394,15 @@ class NetworkCode:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "NetworkCode":
-        if not isinstance(obj, Mapping):
-            raise StructuralError("a network code is an object")
-        if obj.get("format", "code/1") != "code/1":
-            raise StructuralError(f"unexpected format {obj.get('format')!r}")
+        document(obj, "code/1", "a network code")
         alph = {k: Alphabet.from_json(v)
-                for k, v in _typed(obj["alphabets"], Mapping, "alphabets").items()}
-        enc = {e: _map_from_json(m) for e, m in _typed(obj["encoders"], Mapping, "encoders").items()}
+                for k, v in typed(obj.get("alphabets"), Mapping, "alphabets").items()}
+        enc = {e: _map_from_json(m) for e, m in typed(obj.get("encoders"), Mapping, "encoders").items()}
         dec = {}
-        for d in _typed(obj["decoders"], list, "decoders"):
-            _typed(d, Mapping, "a decoder")
-            key = tuple(_typed(d[k], str, f"a decoder's {k}") for k in ("receiver", "session"))
-            dec[key] = _map_from_json(d["map"])
+        for d in typed(obj.get("decoders"), list, "decoders"):
+            typed(d, Mapping, "a decoder")
+            key = tuple(typed(d.get(k), str, f"a decoder's {k}") for k in ("receiver", "session"))
+            dec[key] = _map_from_json(d.get("map"))
         return cls(alph, enc, dec)
 
 
@@ -463,13 +437,10 @@ class RateCapacityTuple:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "RateCapacityTuple":
-        if not isinstance(obj, Mapping):
-            raise ValueError("a rate-capacity tuple is an object")
-        if obj.get("format", "ratecap/1") != "ratecap/1":
-            raise ValueError(f"unexpected format {obj.get('format')!r}")
+        document(obj, "ratecap/1", "a rate-capacity tuple")
         return cls(
-            {s: LogScalar.from_json(v) for s, v in _typed(obj["rates"], Mapping, "rates").items()},
-            {e: LogScalar.from_json(v) for e, v in _typed(obj["caps"], Mapping, "caps").items()},
+            {s: LogScalar.from_json(v) for s, v in typed(obj.get("rates"), Mapping, "rates").items()},
+            {e: LogScalar.from_json(v) for e, v in typed(obj.get("caps"), Mapping, "caps").items()},
         )
 
 
@@ -633,9 +604,6 @@ def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
     return m.table
 
 
-# source tuples of one demand's union, entries of all scope tables together,
-# and entries of one linear encoder table
-MAX_CONE_TUPLES = 1 << 24
 REPORT_LIMIT = 50  # failing inputs evaluate_code reports
 
 
@@ -653,7 +621,10 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
 
     `MAX_CONE_TUPLES` caps the tuples of each demand's union and the
     entries of all scope tables together, both checked before any table is
-    built, and the entries of each linear encoder table.  Each entry of
+    built, and the entries of each linear encoder table.  Only the alphabets
+    of sessions and edges are sized, and one of more than `_CODE_LIMIT`
+    symbols raises ResourceError, decided from q and dim for a vector
+    alphabet.  Each entry of
     `failing_inputs` is (source tuple over all sessions, receiver, session),
     at most `REPORT_LIMIT` of them; demands that share a union are checked
     together, in the order of their first appearance among the sorted
@@ -669,8 +640,16 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
         if s not in code.alphabets:
             raise StructuralError(f"no alphabet for session {s}")
 
-    sizes = {k: a.size for k, a in code.alphabets.items()}
     sess = list(conn.sessions)
+    sizes = {}
+    for k in sess + [e.id for e in net.edges]:
+        a = code.alphabets[k]
+        # an alphabet is a radix of the int64 codes, so at most _CODE_LIMIT;
+        # q ** dim >= 2 ** (dim * (bit_length(q) - 1)), so no larger power is taken
+        if (a.kind == "vector" and a.dim * (a.q.bit_length() - 1) >= _CODE_LIMIT.bit_length()
+                or a.size > _CODE_LIMIT):
+            raise ResourceError(f"the alphabet of {k} has more than 2^62 symbols")
+        sizes[k] = a.size
     # the edges out of a node and the node's decoders read the node's feeds,
     # and so the sessions those feeds read: the node's scope
     scopes: Dict[str, Tuple[str, ...]] = {s: (s,) for s in sess}

@@ -23,6 +23,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .exactlog import ZERO, IntegerForm, LogScalar, integer_form, negative_rows
+from .schema import StructuralError, document, typed
 
 SubsetLike = Union[int, Iterable[str]]
 
@@ -35,9 +36,9 @@ class GroundSet:
     def __init__(self, labels: Sequence[str]):
         labels = tuple(str(x) for x in labels)
         if len(labels) < 1:
-            raise ValueError("ground set must have at least one element")
+            raise StructuralError("ground set must have at least one element")
         if len(set(labels)) != len(labels):
-            raise ValueError("ground labels must be distinct")
+            raise StructuralError("ground labels must be distinct")
         self.labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
 
@@ -91,12 +92,12 @@ class SetFunction:
             ground = GroundSet(ground)
         values = list(values)
         if len(values) != 1 << len(ground):
-            raise ValueError(
+            raise StructuralError(
                 f"expected {1 << len(ground)} values for ground of size {len(ground)}, "
                 f"got {len(values)}"
             )
         if not values[0].is_zero():
-            raise ValueError("value at the empty set must be zero")
+            raise StructuralError("value at the empty set must be zero")
         self.ground = ground
         self.values = values
         self._form = None
@@ -198,28 +199,24 @@ class SetFunction:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SetFunction":
-        if not isinstance(obj, Mapping):
-            raise ValueError("a set function is an object")
-        if obj.get("format", "setfunction/1") != "setfunction/1":
-            raise ValueError(f"unexpected format {obj.get('format')!r}")
-        if not isinstance(obj.get("ground"), list) or not isinstance(obj.get("values"), Mapping):
-            raise ValueError("a set function needs a ground list and a values object")
-        ground = GroundSet(obj["ground"])
+        document(obj, "setfunction/1", "a set function")
+        ground = GroundSet(typed(obj.get("ground"), list, "a set function's ground"))
+        given = typed(obj.get("values"), Mapping, "a set function's values")
         # one value per nonempty subset: the document bounds the allocation
-        if len(obj["values"]) < ground.full_mask:
-            raise ValueError(
-                f"{len(obj['values'])} values for {ground.full_mask} nonempty subsets"
-            )
+        if len(given) < ground.full_mask:
+            raise StructuralError(f"{len(given)} values for {ground.full_mask} nonempty subsets")
         values = [ZERO] * (1 << len(ground))
         seen = {0}
-        for key, val in obj["values"].items():
-            labels = [] if key == "" else key.split(",")
-            m = ground.mask(labels)
+        for key, val in given.items():
+            try:
+                m = ground.mask([] if key == "" else key.split(","))
+            except KeyError as exc:
+                raise StructuralError(f"a set function's values: {exc.args[0]}") from None
             values[m] = LogScalar.from_json(val)
             seen.add(m)
         missing = [m for m in range(1 << len(ground)) if m not in seen]
         if missing:
-            raise ValueError(
+            raise StructuralError(
                 f"missing values for subsets {[','.join(ground.subset(m)) for m in missing[:5]]}"
             )
         return cls(ground, values)
