@@ -64,8 +64,6 @@ def _read_text(path: str) -> str:
             return sys.stdin.read()
         with open(path) as fh:
             return fh.read()
-    except FileNotFoundError:
-        raise UsageError(f"file not found: {path}")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}")
 
@@ -78,15 +76,8 @@ def _emit(report: dict, as_json: bool, lines) -> None:
             print(line)
 
 
-def _setfunction(path: str) -> SetFunction:
-    try:
-        return SetFunction.from_json(_read(path))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"{path}: not a valid set function: {exc}")
-
-
 def cmd_check(args) -> int:
-    f = _setfunction(args.file)
+    f = SetFunction.from_json(_read(args.file))
     checker = {"poly": check_polymatroid, "ingleton": check_ingleton, "zy": check_zhang_yeung}[args.kind]
     rep = checker(f)
     report = {"format": "report/1", "check": args.kind, "ok": rep.ok, "violations": rep.to_json()}
@@ -136,7 +127,7 @@ def cmd_construct(args) -> int:
     layout = build_gdagger(args.n)
     net = layout.network
     if args.h:
-        h = _setfunction(args.h)
+        h = SetFunction.from_json(_read(args.h))
         tup = rate_capacity(h, layout)
         net = capacitated_network(layout, tup)
         report = {"format": "gdagger/1", "n": args.n, "network": net.to_json(),
@@ -167,10 +158,8 @@ def cmd_code_build(args) -> int:
         code = quasi_uniform_code(SupportSet.from_json(obj), layout)
     else:
         code = quasi_uniform_code(coset_support(SubgroupFamily.from_json(obj)), layout)
-    # h(α) = log |A_{S_α}|: the session alphabet of a linear code is F_q^n
-    # modulo the intersection of the V_i, i ∈ α, and that of a quasi-uniform
-    # code (`quasi_uniform_code` refuses any other support) is the support's
-    # projection onto α
+    # h(α) = log |A_{S_α}|: F_q^n modulo ∩_{i∈α} V_i for a linear code, and
+    # the support's projection onto α for a quasi-uniform one
     h = SetFunction([str(i + 1) for i in range(args.n)], [ZERO] + [
         code.alphabets[layout.session_labels[mask]].log_size() for mask in range(1, 1 << args.n)
     ])
@@ -192,10 +181,10 @@ def cmd_code_verify(args) -> int:
     if args.conn is None:
         bundle = _read(args.net)
         document(bundle, "codebundle/1", "a code bundle")
-        net = Network.from_json(bundle["network"])
-        conn = ConnectionRequirement.from_json(bundle["conn"])
-        code = NetworkCode.from_json(bundle["code"])
-        tup = RateCapacityTuple.from_json(bundle["tuple"])
+        net = Network.from_json(bundle.get("network"))
+        conn = ConnectionRequirement.from_json(bundle.get("conn"))
+        code = NetworkCode.from_json(bundle.get("code"))
+        tup = RateCapacityTuple.from_json(bundle.get("tuple"))
     else:
         net = Network.from_json(_read(args.net))
         conn = ConnectionRequirement.from_json(_read(args.conn))
@@ -247,7 +236,7 @@ def cmd_lp_implies(args) -> int:
 
 
 def cmd_witness_build(args) -> int:
-    h = _setfunction(args.file)
+    h = SetFunction.from_json(_read(args.file))
     layout = build_gdagger(args.n)
     cert = build_witness(h, layout)
     print(json.dumps(cert.to_json(), indent=None if args.json else 2, sort_keys=True))
@@ -372,10 +361,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ResourceError, ValueError, KeyError) as exc:
+    except (UsageError, ResourceError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -295,10 +295,8 @@ class LogScalar:
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LogScalar":
-        """The value `to_json` wrote: prime keys, each with a rational written
-        as an integer or as integer/integer, with an optional sign.  Any
-        other text, an exponent or a decimal point among them, is a
-        StructuralError, so a coefficient costs no more than its digits."""
+        """What `to_json` writes: prime keys, each with an integer or n/d, with
+        an optional sign.  Other text, such as an exponent, is refused."""
         terms = {}
         items = typed(obj, Mapping, "a log scalar").items()
         try:

@@ -39,14 +39,11 @@ class FiniteGroup:
             self._validate()
 
     def _validate(self) -> None:
-        """Rows and columns are permutations, so every element has inverses,
-        and the table is associative by Light's test: the elements g with
-        (xg)y = x(gy) for all x, y are closed under the product, so the
-        table is associative once every element of a generating set passes,
-        at one n×n comparison each.  Each generator is the first element
-        not yet reached by right products of the earlier ones.  Generators
-        that pass generate a group, so each one at least doubles the
-        elements reached: there are at most log2(n) + 1 of them."""
+        """Rows and columns are permutations, and Light's test: the g with
+        (xg)y = x(gy) for all x, y are closed under the product, so one n×n
+        comparison per generator decides associativity.  Each generator is
+        the first element not reached by right products of the earlier ones;
+        those that pass generate a group, so there are at most log2(n) + 1."""
         n = self.order
         t = np.array(self.table)
         perm = np.arange(n)
@@ -246,8 +243,7 @@ class SubspaceFamily:
             raise StructuralError(f"ambient dimension {ambient_dim} is negative")
         # an empty member's annihilator is the ambient_dim × ambient_dim identity
         if ambient_dim * ambient_dim > MAX_CONE_TUPLES:
-            raise ResourceError(f"ambient dimension {ambient_dim} needs annihilators of "
-                                f"{ambient_dim}^2 entries, over the cap {MAX_CONE_TUPLES}")
+            raise ResourceError(f"ambient_dim {ambient_dim}: annihilators past {MAX_CONE_TUPLES}")
         mem = []
         for i, basis in enumerate(members):
             rows = [tuple(int(x) for x in r) for r in basis]
@@ -339,12 +335,9 @@ class SupportSet:
     tuples: FrozenSet[tuple]
 
     def __init__(self, arity: int, alphabets: Sequence[Sequence[object]], tuples):
-        try:
-            tups = frozenset(tuple(t) for t in tuples)
-            alph = tuple(tuple(a) for a in alphabets)
-            members = [set(a) for a in alph]
-        except TypeError as exc:
-            raise StructuralError(f"support symbols must be hashable: {exc}") from None
+        tups = frozenset(tuple(t) for t in tuples)
+        alph = tuple(tuple(a) for a in alphabets)
+        members = [set(a) for a in alph]
         if not tups:
             raise StructuralError("support must be nonempty")
         if len(alph) != arity:

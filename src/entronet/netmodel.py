@@ -214,10 +214,8 @@ class Alphabet:
             self.dim = None
             self._index = {s: i for i, s in enumerate(self.symbols)}
         else:
-            if q is None or dim is None:
-                raise StructuralError("vector alphabet needs q and dim")
-            if not all(isinstance(x, int) and not isinstance(x, bool) for x in (q, dim)):
-                raise StructuralError(f"vector alphabet needs integer q and dim, got {q!r}, {dim!r}")
+            typed(q, int, "a vector alphabet's q")
+            typed(dim, int, "a vector alphabet's dim")
             if q < 2 or dim < 0:
                 raise StructuralError(f"vector alphabet needs q >= 2 and dim >= 0, got {q}, {dim}")
             self.kind = "vector"
@@ -228,9 +226,14 @@ class Alphabet:
 
     @property
     def size(self) -> int:
+        """The number of symbols; past `_CODE_LIMIT`, a ResourceError decided
+        for F_q^dim by q^dim >= 2^(dim·(bit_length(q) − 1)) before the power."""
         if self.kind == "symbols":
             return len(self.symbols)
-        return self.q ** self.dim
+        if (self.dim * (self.q.bit_length() - 1) >= _CODE_LIMIT.bit_length()
+                or (size := self.q ** self.dim) > _CODE_LIMIT):
+            raise ResourceError(f"the alphabet F_{self.q}^{self.dim} has more than 2^62 symbols")
+        return size
 
     def index(self, symbol) -> int:
         if self.kind == "symbols":
@@ -243,8 +246,6 @@ class Alphabet:
         return tuple(digits_of(idx, [self.q] * self.dim))
 
     def log_size(self) -> LogScalar:
-        if self.kind == "vector":
-            return LogScalar.log_int(self.q) * self.dim
         return LogScalar.log_int(self.size)
 
     def to_json(self) -> dict:
@@ -336,12 +337,9 @@ def _map_from_json(obj: Mapping) -> EncoderMap:
     whose entries lie in 0..q-1; anything else is a StructuralError."""
     kind = typed(obj, Mapping, "a map").get("kind")
     if kind == "table":
-        try:
-            table = np.asarray(typed(obj.get("table"), list, "a table map"))
-        except ValueError:  # a ragged nesting of lists
-            table = None
-        if table is None or table.ndim != 1 or (table.size and table.dtype.kind not in "iu"):
-            raise StructuralError("a table map is a list of integers")
+        table = typed(obj.get("table"), list, "a table map")
+        if any(type(x) is not int or not 0 <= x < 1 << 63 for x in table):
+            raise StructuralError("a table map is a list of integers in 0..2^63-1")
         return TableMap(table)
     if kind == "linear":
         q = typed(obj.get("q"), int, "a linear map's q")
@@ -622,9 +620,7 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
     `MAX_CONE_TUPLES` caps the tuples of each demand's union and the
     entries of all scope tables together, both checked before any table is
     built, and the entries of each linear encoder table.  Only the alphabets
-    of sessions and edges are sized, and one of more than `_CODE_LIMIT`
-    symbols raises ResourceError, decided from q and dim for a vector
-    alphabet.  Each entry of
+    of sessions and edges are sized (`Alphabet.size`).  Each entry of
     `failing_inputs` is (source tuple over all sessions, receiver, session),
     at most `REPORT_LIMIT` of them; demands that share a union are checked
     together, in the order of their first appearance among the sorted
@@ -641,15 +637,7 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
             raise StructuralError(f"no alphabet for session {s}")
 
     sess = list(conn.sessions)
-    sizes = {}
-    for k in sess + [e.id for e in net.edges]:
-        a = code.alphabets[k]
-        # an alphabet is a radix of the int64 codes, so at most _CODE_LIMIT;
-        # q ** dim >= 2 ** (dim * (bit_length(q) - 1)), so no larger power is taken
-        if (a.kind == "vector" and a.dim * (a.q.bit_length() - 1) >= _CODE_LIMIT.bit_length()
-                or a.size > _CODE_LIMIT):
-            raise ResourceError(f"the alphabet of {k} has more than 2^62 symbols")
-        sizes[k] = a.size
+    sizes = {k: code.alphabets[k].size for k in sess + [e.id for e in net.edges]}
     # the edges out of a node and the node's decoders read the node's feeds,
     # and so the sessions those feeds read: the node's scope
     scopes: Dict[str, Tuple[str, ...]] = {s: (s,) for s in sess}

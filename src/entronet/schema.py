@@ -1,11 +1,6 @@
-"""The checks a JSON document passes before a loader builds from it.
-
-Every loader (`from_json`) raises `StructuralError` on a malformed document
-and `ResourceError` on one whose sizes pass `MAX_CONE_TUPLES`.  A size is
-compared with its bound before anything is allocated from it; the bound
-comes from the document's own length or from `MAX_CONE_TUPLES`."""
-
-from __future__ import annotations
+"""The checks a JSON document passes before a loader (`from_json`) builds
+from it: `StructuralError` for a malformed document, and `ResourceError`
+for a size past its bound, raised before anything of that size is built."""
 
 from typing import Mapping, Tuple, Union
 

@@ -1,22 +1,29 @@
+import copy
+import functools
 import hashlib
 import io
 import json
+import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import butterfly, wide_inner_code, xor_code
 from entronet.cli import run
-from entronet.construct import build_gdagger
+from entronet.construct import build_gdagger, rate_capacity
 from entronet.exactlog import log2_units
 from entronet.groupchar import (
     SubgroupFamily,
     SubspaceFamily,
     SupportSet,
     builtin_function,
+    coset_support,
     cyclic,
     direct_product,
     symmetric,
 )
+from entronet.lpbound import build_witness
 from entronet.netmodel import (
     Alphabet,
     ConnectionRequirement,
@@ -658,3 +665,143 @@ def test_code_verify_refuses_a_linear_table_over_the_cap(tmp_path, capsys):
               "tuple": RateCapacityTuple({"X": one}, {"e1": one, "e2": one}).to_json()}
     assert run(["code", "verify", write(tmp_path, "bundle.json", bundle)]) == 2
     assert "linear map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "poly", "DIR"],
+    ["lp", "implies", "DIR", "--n", "3"],
+    ["construct", "gdagger", "--n", "2", "--dot", "DIR/missing/g.dot"],
+    ["check", "poly", "DEEP"],
+])
+def test_an_unreadable_input_or_unwritable_output_exits_2(tmp_path, capsys, argv):
+    """A directory given as an input, a --dot path in a missing directory,
+    and JSON nested past the parser's recursion limit."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run([a.replace("DIR", str(tmp_path)).replace("DEEP", str(deep)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def _huge_alphabet(bundle, key):
+    bundle["code"]["alphabets"][key] = {"kind": "vector", "q": 3, "dim": 10**9}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["check", "poly"], {"format": "setfunction/1", "ground": ["1"],
+                         "values": {"1": {"2": "1e10000000"}}}),
+    (["subspace", "entropy"], {"q": 2, "ambient_dim": 4097, "members": [[], []]}),
+    (["subspace", "entropy"], {"q": 2, "ambient_dim": 10**5, "members": [[], []]}),
+    (["code", "verify"], "e1"),
+    (["code", "verify"], "U"),
+])
+def test_a_document_over_a_size_bound_exits_2_at_once(tmp_path, capsys, argv, doc):
+    """A coefficient of ten million decimal digits, annihilators past
+    MAX_CONE_TUPLES entries, and an edge or session alphabet of 3^(10^9)
+    symbols: each refused before anything of that size is built."""
+    if isinstance(doc, str):
+        bundle = chain_bundle()
+        _huge_alphabet(bundle, doc)
+        doc = bundle
+    path = write(tmp_path, "doc.json", doc)
+    start = time.perf_counter()
+    assert run(argv + [path]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_an_alphabet_no_session_or_edge_uses_is_not_sized(tmp_path, capsys):
+    bundle = chain_bundle()
+    _huge_alphabet(bundle, "unused")
+    assert run(["code", "verify", write(tmp_path, "bundle.json", bundle)]) == 0
+
+
+@functools.lru_cache(maxsize=None)
+def honest_documents():
+    """Each subcommand that reads a document, as (argv with one DOCi per
+    input, the honest inputs): JSON objects, and the text of `lp implies`."""
+    h = SetFunction.from_log2("12", {"1": 1, "2": 2, "12": 2}).to_json()
+    layout = build_gdagger(2)
+    f = SetFunction.from_json(h)
+    cert = build_witness(f, layout).to_json()
+    tup = rate_capacity(f, layout).to_json()
+    groups = SubgroupFamily(symmetric(3), ([0, 1], [0, 3, 4])).to_json()
+    subspaces = SubspaceFamily(2, 2, (((1, 0),), ((0, 1),), ((1, 1),))).to_json()
+    support = coset_support(SubgroupFamily.from_json(groups)).to_json()
+    bundle = chain_bundle()
+    net, conn, code = failing_fork()  # alphabets of symbols
+    fork = {"format": "codebundle/1", "network": net.to_json(), "conn": conn.to_json(),
+            "code": code.to_json(), "tuple": RateCapacityTuple({}, {}).to_json()}
+    return [
+        (["check", "poly", "DOC0"], [h]),
+        (["check", "zy", "DOC0"], [builtin_function("zy").to_json()]),
+        (["group", "entropy", "DOC0"], [groups]),
+        (["group", "support", "DOC0"], [groups]),
+        (["subspace", "entropy", "DOC0"], [subspaces]),
+        (["qu", "check", "DOC0"], [support]),
+        (["construct", "gdagger", "--n", "2", "--h", "DOC0"], [h]),
+        (["code", "build", "qu", "DOC0", "--n", "2"], [groups]),
+        (["code", "build", "qu", "DOC0", "--n", "2"], [support]),
+        (["code", "build", "linear", "DOC0", "--n", "3"], [subspaces]),
+        (["code", "verify", "DOC0"], [bundle]),
+        (["code", "verify", "DOC0"], [fork]),
+        (["code", "verify", "DOC0", "DOC1", "DOC2", "DOC3"],
+         [bundle[k] for k in ("network", "conn", "code", "tuple")]),
+        (["lp", "feasible", "DOC0", "DOC1", "DOC2"],
+         [bundle[k] for k in ("network", "conn", "tuple")]),
+        (["lp", "implies", "DOC0", "--n", "3"], ["I(1;2|3) + H(1) >= 0\n"]),
+        (["witness", "build", "DOC0", "--n", "2"], [h]),
+        (["witness", "verify", "DOC0", "DOC1"], [cert, tup]),
+    ]
+
+
+def _paths(doc, path=()):
+    """The path of every entry inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+WRONG_TYPES = [None, True, 0, -1, 2.5, 10**30, "x", "", [], [0], [[0]], {}, {"2": "1"}]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_document_exits_0_1_or_2_without_a_traceback(tmp_path, capsys, data):
+    """One input of one subcommand, mutated once: a key dropped, an entry or
+    the whole document replaced by a value of another type, or a slice of
+    the `lp implies` text replaced."""
+    argv, docs = data.draw(st.sampled_from(honest_documents()))
+    i = data.draw(st.integers(0, len(docs) - 1))
+    doc = copy.deepcopy(docs[i])
+    if isinstance(doc, str):
+        a = data.draw(st.integers(0, len(doc)))
+        b = data.draw(st.integers(a, len(doc)))
+        doc = doc[:a] + data.draw(st.sampled_from(["", "(", ";", "|", ",", "H", "1/0", "9" * 40])) + doc[b:]
+    else:
+        paths = list(_paths(doc))
+        path = data.draw(st.sampled_from([()] + paths))
+        value = data.draw(st.sampled_from(WRONG_TYPES + ["DROP"]))
+        if not path:
+            doc = value
+        else:
+            parent = functools.reduce(lambda d, k: d[k], path[:-1], doc)
+            if value == "DROP" and isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = None if value == "DROP" else value
+    inputs = [doc if j == i else d for j, d in enumerate(docs)]
+    paths = []
+    for j, d in enumerate(inputs):
+        p = tmp_path / f"doc{j}.json"
+        p.write_text(d if isinstance(d, str) else json.dumps(d))
+        paths.append(str(p))
+    code = run([paths[int(a[3:])] if a.startswith("DOC") else a for a in argv])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1

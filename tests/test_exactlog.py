@@ -19,6 +19,7 @@ from entronet.exactlog import (
     log2_units,
     negative_rows,
 )
+from entronet.schema import StructuralError
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -72,6 +73,23 @@ def test_total_order_consistent(x, y):
 @given(scalars)
 def test_json_round_trip(x):
     assert LogScalar.from_json(x.to_json()) == x
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("0", Fraction(0)),
+])
+def test_from_json_reads_an_integer_or_a_ratio(text, value):
+    assert LogScalar.from_json({"2": text}) == LogScalar({2: value})
+
+
+@pytest.mark.parametrize("coefficient", [
+    "1e10000000", "0.5", " 1", "1_000", "1/0", "1/-2", "", "٣", 1, 0.5, None, ["1"],
+])
+def test_from_json_refuses_any_other_coefficient(coefficient):
+    """Only the text `to_json` writes: an exponent, a decimal point, a
+    number that is not a string, or a zero denominator is refused."""
+    with pytest.raises(StructuralError):
+        LogScalar.from_json({"2": coefficient})
 
 
 def test_log_identities():

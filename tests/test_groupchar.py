@@ -32,6 +32,7 @@ from entronet.groupchar import (
     support_projections,
     symmetric,
 )
+from entronet.schema import StructuralError
 from entronet.setfunc import check_ingleton, check_polymatroid
 
 
@@ -40,6 +41,70 @@ def test_constructors_are_groups():
                     ("Q8", quaternion()), ("C2xC3", direct_product(cyclic(2), cyclic(3)))]:
         # FiniteGroup validates closure/associativity/identity/inverses on build
         assert FiniteGroup(g.table).order == g.order, name
+
+
+def perturbed_cyclic(n: int):
+    """The table of C_n with n/2 added (mod n) at rows {1, 1 + n/2} and
+    columns {2, 2 + n/2}: still a Latin square with an identity, but
+    (1·1)·1 = 3 while 1·(1·1) = 3 + n/2."""
+    table = [list(row) for row in cyclic(n).table]
+    h = n // 2
+    for r in (1, 1 + h):
+        for c in (2, 2 + h):
+            table[r][c] = (table[r][c] + h) % n
+    return table
+
+
+def test_a_non_associative_latin_square_above_order_64_is_refused():
+    with pytest.raises(StructuralError, match="associativity fails"):
+        FiniteGroup(perturbed_cyclic(1000))
+
+
+def test_every_catalog_group_and_s5_validate():
+    for name, g in group_catalog() + [("S5", symmetric(5))]:
+        assert FiniteGroup([list(row) for row in g.table]).table == g.table, name
+
+
+def reduced_latin_squares(n: int):
+    """Every n×n Latin square over 0..n-1 whose first row and column are
+    0..n-1: every table with identity 0 whose rows and columns are
+    permutations."""
+    table = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+
+    def fill(cell):
+        if cell == n * n:
+            yield [list(row) for row in table]
+            return
+        r, c = divmod(cell, n)
+        if table[r][c] is not None:
+            yield from fill(cell + 1)
+            return
+        used = set(table[r]) | {table[i][c] for i in range(n)}
+        for x in range(n):
+            if x not in used:
+                table[r][c] = x
+                yield from fill(cell + 1)
+                table[r][c] = None
+
+    return list(fill(0))
+
+
+@pytest.mark.parametrize("n, step", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 10)])
+def test_validation_accepts_exactly_the_associative_latin_squares(n, step):
+    """Against the check of every triple, on every reduced Latin square of
+    order at most 5 (1, 1, 1, 4 and 56 squares, of which 1, 1, 1, 4 and 6
+    are associative) and every tenth of the 9,408 of order 6 (80 are
+    associative).  In 280 of order 6, element 1, the first generator,
+    passes Light's test and a later one fails."""
+    for table in reduced_latin_squares(n)[::step]:
+        associative = all(table[table[a][b]][c] == table[a][table[b][c]]
+                          for a, b, c in itertools.product(range(n), repeat=3))
+        try:
+            FiniteGroup(table)
+            accepted = True
+        except StructuralError:
+            accepted = False
+        assert accepted == associative, table
 
 
 def test_subgroup_counts_of_known_groups():
