@@ -52,17 +52,18 @@ def int_rows(value, what: str) -> list:
 
 
 def sym_to_json(s):
-    """A symbol as JSON: a tuple becomes a list, at every depth."""
-    if isinstance(s, tuple):
-        return [sym_to_json(x) for x in s]
-    return s
+    """A symbol as JSON: a tuple becomes a list, at every depth, one frame per
+    level (`map`), so that any symbol `sym_from_json` read can be written."""
+    return list(map(sym_to_json, s)) if isinstance(s, tuple) else s
 
 
 def sym_from_json(x):
-    """A symbol from JSON: a list becomes a tuple, at every depth, and an
-    object, which could not be hashed, is a StructuralError."""
-    if isinstance(x, list):
-        return tuple(sym_from_json(y) for y in x)
+    """A symbol from JSON: a list becomes a tuple, at every depth.  An
+    object, which could not be hashed, and lists nested past the recursion
+    limit are a StructuralError."""
     if isinstance(x, Mapping):
         raise StructuralError(f"a symbol is a number, a string or a list, got {x!r:.40}")
-    return x
+    try:
+        return tuple(map(sym_from_json, x)) if isinstance(x, list) else x
+    except RecursionError:
+        raise StructuralError("a symbol nests too deeply") from None
