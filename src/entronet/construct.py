@@ -35,6 +35,7 @@ from .netmodel import (
     Network,
     RateCapacityTuple,
 )
+from .schema import check_arity
 from .setfunc import SetFunction
 
 
@@ -73,6 +74,7 @@ def session_label(mask: int, n: int) -> str:
 def build_gdagger(N: int) -> GDaggerLayout:
     if N < 1:
         raise ValueError("N must be at least 1")
+    check_arity(N, "a G†(N) layout")
     full = (1 << N) - 1
     nodes: List[str] = []
     edges: List[Edge] = []

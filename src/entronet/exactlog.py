@@ -16,7 +16,6 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
-import mpmath
 import numpy as np
 
 from .schema import StructuralError, typed
@@ -166,7 +165,7 @@ class LogScalar:
     @classmethod
     def log_int(cls, n: int) -> "LogScalar":
         """log(n) for a positive integer n."""
-        return cls(factorize(n))
+        return cls._trusted({p: Fraction(e) for p, e in factorize(n).items()})
 
     @classmethod
     def log_fraction(cls, num: int, den: int = 1) -> "LogScalar":
@@ -242,7 +241,10 @@ class LogScalar:
 
     def _interval(self, prec: int):
         """An mpmath interval holding the value, computed at `prec` bits;
-        its endpoints are exact binary numbers, compared exactly."""
+        its endpoints are exact binary numbers, compared exactly.  mpmath is
+        imported here, on the first interval, not with the module."""
+        import mpmath
+
         old = mpmath.iv.prec
         try:
             mpmath.iv.prec = prec

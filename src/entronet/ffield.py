@@ -5,6 +5,15 @@ powers they encode polynomial coefficients base p, with multiplication
 modulo a fixed Conway polynomial.  Vectors are tuples/lists of elements;
 matrices are lists of rows; maps act on row vectors as ``y = x @ M``.
 
+One echelon routine, `GF.echelon`, reduces every matrix: `rref`, `rank`,
+`row_basis`, `nullspace` and `solve` are built on it.  It works on packed
+rows (`GF.pack`).  Over GF(2) a row of width w is one Python int whose bit
+w−1−c holds column c, so the first column is the most significant bit and
+the int is the row's `vec_index`; a row operation is one XOR and a pivot is
+a leading bit, found by `int.bit_length`, in the style of M4RI (Albrecht &
+Bard, ACM TOMS 2010).  Over other q a packed row is a tuple of elements,
+eliminated through the field's add and mul tables.
+
 Every tuple space of the package is numbered one way, by `flat_index` and
 its inverse `digits_of`: the mixed-radix index with the FIRST coordinate
 most significant.  That numbers the vectors of F_q^dim (`GF.vec_index`),
@@ -14,13 +23,14 @@ that `evaluate_code` enumerates.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .exactlog import factorize
 
 Matrix = List[List[int]]
+Row = Union[int, Tuple[int, ...]]  # a packed vector: `GF.pack`
 
 
 def flat_index(n: int, digits: Sequence, sizes: Sequence[int]):
@@ -133,6 +143,7 @@ class GF:
                     break
             else:
                 raise ValueError(f"GF({q}): element {a} has no inverse (bad polynomial)")
+        self._add_array = np.array(self.add_table, dtype=np.int64)
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -152,12 +163,6 @@ class GF:
         return f"GF({self.q})"
 
     # -- vector/matrix helpers ----------------------------------------------
-
-    def vec_add(self, u: Sequence[int], v: Sequence[int]) -> List[int]:
-        return [self.add(a, b) for a, b in zip(u, v)]
-
-    def vec_scale(self, c: int, v: Sequence[int]) -> List[int]:
-        return [self.mul(c, a) for a in v]
 
     def matmul(self, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
         cols = len(B[0]) if B else 0
@@ -189,74 +194,166 @@ class GF:
             M[r][c] = 1
         return M
 
-    def rref(self, M: Sequence[Sequence[int]]) -> Tuple[Matrix, List[int]]:
-        """Reduced row echelon form; returns (rref matrix, pivot columns)."""
-        A = [list(r) for r in M]
-        rows = len(A)
-        cols = len(A[0]) if rows else 0
+    # -- packed rows and the one echelon routine ------------------------------
+
+    def pack(self, v: Sequence[int]) -> Row:
+        """The packed form of a vector: over GF(2) an int whose bit
+        len(v)−1−c holds v[c], so its index `vec_index(v)`; a tuple otherwise."""
+        if self.q != 2:
+            return tuple(v)
+        x = 0
+        for b in v:
+            x = x << 1 | b
+        return x
+
+    def unpack(self, r: Row, width: int) -> List[int]:
+        """The vector of length `width` that `pack` turned into `r`."""
+        if self.q != 2:
+            return list(r)
+        return [r >> s & 1 for s in range(width - 1, -1, -1)]
+
+    def combine(self, vectors: Sequence[Row], M: Sequence[Sequence[int]], width: int) -> List[Row]:
+        """Packed Σ_i M[i][j]·vectors[i] for each column j of M, where the
+        vectors have length `width`: the columns of V @ M when `vectors` are
+        the packed columns of V."""
+        out = []
+        if self.q == 2:
+            for col in zip(*M):
+                x = 0
+                for v, c in zip(vectors, col):
+                    if c:
+                        x ^= v
+                out.append(x)
+            return out
+        add, mul = self.add_table, self.mul_table
+        for col in zip(*M):
+            acc = [0] * width
+            for v, c in zip(vectors, col):
+                if c:
+                    m = mul[c]
+                    acc = [add[x][m[y]] for x, y in zip(acc, v)]
+            out.append(tuple(acc))
+        return out
+
+    def echelon(self, rows: Sequence[Row], width: int,
+                reduced: bool = True) -> Tuple[List[Row], List[int]]:
+        """The nonzero rows of the echelon form of packed `rows` of length
+        `width`, in pivot order, and their pivot columns; reduced (each
+        pivot 1 and alone in its column) unless `reduced` is False, when
+        only the pivots are exact.
+
+        Over GF(2) each pivot is found by `int.bit_length` and cleared by
+        XOR: a row is reduced by the kept row that leads at its leading bit
+        until it leads at a new bit or vanishes, and back substitution from
+        the last pivot up makes the form reduced.  Over other q the rows are
+        lists eliminated column by column through the add and mul tables."""
+        if self.q == 2:
+            lead: Dict[int, int] = {}  # bit length of a leading bit -> its row
+            for r in rows:
+                while r:
+                    t = r.bit_length()
+                    p = lead.get(t)
+                    if p is None:
+                        lead[t] = r
+                        break
+                    r ^= p
+            order = sorted(lead, reverse=True)
+            R = [lead[t] for t in order]
+            if reduced:
+                for i in range(len(R) - 1, 0, -1):
+                    bit, ri = 1 << order[i] - 1, R[i]
+                    for j in range(i):
+                        if R[j] & bit:
+                            R[j] ^= ri
+            return R, [width - t for t in order]
+        inv, neg, add, mul = self.inv_table, self.neg_table, self.add_table, self.mul_table
+        A = [list(r) for r in rows]
+        n = len(A)
         pivots: List[int] = []
-        r = 0
-        for c in range(cols):
-            pr = next((i for i in range(r, rows) if A[i][c]), None)
+        for c in range(width):
+            r = len(pivots)
+            pr = next((i for i in range(r, n) if A[i][c]), None)
             if pr is None:
                 continue
             A[r], A[pr] = A[pr], A[r]
-            inv = self.inv(A[r][c])
-            A[r] = self.vec_scale(inv, A[r])
-            for i in range(rows):
-                if i != r and A[i][c]:
-                    f = self.neg(A[i][c])
-                    A[i] = self.vec_add(A[i], self.vec_scale(f, A[r]))
+            row = A[r]
+            if row[c] != 1:
+                m = mul[inv[row[c]]]
+                row = A[r] = [m[x] for x in row]
+            for i in range(0 if reduced else r + 1, n):
+                a = A[i][c]
+                if a and i != r:
+                    m = mul[neg[a]]
+                    A[i] = [add[x][m[y]] for x, y in zip(A[i], row)]
             pivots.append(c)
-            r += 1
-            if r == rows:
+            if r + 1 == n:
                 break
-        return A[:r] + A[r:], pivots
+        return A[:len(pivots)], pivots
+
+    def perp(self, rows: Sequence[Row], width: int) -> List[Row]:
+        """Packed basis of the vectors x of length `width` with r·x = 0 for
+        every packed row r: one vector per free column fc of the reduced
+        form, 1 at fc and −R[k][fc] at the k-th pivot column."""
+        R, piv = self.echelon(rows, width)
+        pivots = set(piv)
+        free = [c for c in range(width) if c not in pivots]
+        out: List[Row] = []
+        if self.q == 2:
+            for fc in free:
+                bit = 1 << width - 1 - fc
+                v = bit
+                for r, pc in zip(R, piv):
+                    if r & bit:
+                        v |= 1 << width - 1 - pc
+                out.append(v)
+            return out
+        neg = self.neg_table
+        for fc in free:
+            v = [0] * width
+            v[fc] = 1
+            for r, pc in zip(R, piv):
+                v[pc] = neg[r[fc]]
+            out.append(tuple(v))
+        return out
+
+    # -- matrix routines on the echelon routine -------------------------------
+
+    def rref(self, M: Sequence[Sequence[int]]) -> Tuple[Matrix, List[int]]:
+        """Reduced row echelon form, zero rows last; returns (rref matrix,
+        pivot columns)."""
+        width = len(M[0]) if M else 0
+        R, piv = self.echelon([self.pack(r) for r in M], width)
+        rows = [self.unpack(r, width) for r in R]
+        return rows + self.zeros(len(M) - len(R), width), piv
 
     def rank(self, M: Sequence[Sequence[int]]) -> int:
         if not M:
             return 0
-        return len(self.rref(M)[1])
+        return len(self.echelon([self.pack(r) for r in M], len(M[0]), reduced=False)[1])
 
     def row_basis(self, M: Sequence[Sequence[int]]) -> Matrix:
         if not M:
             return []
-        R, piv = self.rref(M)
-        return [R[i] for i in range(len(piv))]
+        width = len(M[0])
+        return [self.unpack(r, width) for r in self.echelon([self.pack(r) for r in M], width)[0]]
 
     def nullspace(self, M: Sequence[Sequence[int]]) -> Matrix:
-        """Basis rows of {x : x @ M = 0} for an n×m matrix M."""
+        """Basis rows of {x : x @ M = 0} for an n×m matrix M: `perp` of its
+        columns."""
         n = len(M)
-        if n == 0:
-            return []
-        # x @ M = 0  <=>  M^T x^T = 0: standard nullspace of the transpose
-        MT = [[M[i][j] for i in range(n)] for j in range(len(M[0]))] if M[0] else []
-        if not MT:
-            return self.identity(n)
-        R, piv = self.rref(MT)
-        free = [c for c in range(n) if c not in piv]
-        basis = []
-        for fc in free:
-            v = [0] * n
-            v[fc] = 1
-            for r, pc in enumerate(piv):
-                v[pc] = self.neg(R[r][fc])
-            basis.append(v)
-        return basis
+        return [self.unpack(v, n) for v in self.perp([self.pack(c) for c in zip(*M)], n)]
 
     def solve(self, A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Optional[Matrix]:
         """Find X with A @ X = B (A: n×m, B: n×k, X: m×k), or None."""
         n = len(A)
         m = len(A[0]) if n else 0
         k = len(B[0]) if B else 0
-        aug = [list(A[i]) + list(B[i]) for i in range(n)]
-        R, piv = self.rref(aug)
+        R, piv = self.echelon([self.pack(list(A[i]) + list(B[i])) for i in range(n)], m + k)
         X = self.zeros(m, k)
-        for r, pc in enumerate(piv):
+        for r, pc in zip(R, piv):
             if pc >= m:
                 return None  # inconsistent row
-            X[pc] = R[r][m:]
-        # rows of R beyond pivots are zero by construction
+            X[pc] = self.unpack(r, m + k)[m:]
         return X
 
     def represent(self, B: Sequence[Sequence[int]], V: Sequence[Sequence[int]]) -> Optional[Matrix]:
@@ -307,47 +404,41 @@ class GF:
         """Basis of rowspace(A) ∩ rowspace(B)."""
         if not A or not B:
             return []
-        # x = u @ A = w @ B: solve [A; -B] left-kernel and project
-        n = len(A[0])
-        stacked = [list(r) for r in A] + [self.vec_scale(self.neg(1), list(r)) for r in B]
-        ker = self.nullspace_left_of_rows(stacked)
-        out = []
-        for coeff in ker:
-            u = coeff[: len(A)]
-            vec = [0] * n
-            for c, row in zip(u, A):
-                if c:
-                    vec = self.vec_add(vec, self.vec_scale(c, row))
-            out.append(vec)
-        return self.row_basis(out)
+        # x = u @ A = w @ B: the left kernel of [A; -B], projected through A
+        neg = self.neg_table
+        ker = self.nullspace_left_of_rows([list(r) for r in A] + [[neg[x] for x in r] for r in B])
+        return self.row_basis(self.matmul([c[: len(A)] for c in ker], A))
 
     def nullspace_left_of_rows(self, rows: Sequence[Sequence[int]]) -> Matrix:
         """Basis of {c : c @ rows = 0} (coefficient combinations giving zero)."""
         return self.nullspace(rows)
 
-    def all_vectors(self, dim: int):
-        """All q^dim row vectors, in mixed-radix index order (last coord fastest)."""
-        for idx in range(self.q ** dim):
-            yield tuple(digits_of(idx, [self.q] * dim))
-
     def image_table(self, M: Sequence[Sequence[int]]) -> np.ndarray:
         """Index of x @ M for every x in F_q^len(M), both in `vec_index`
-        order (first coordinate most significant)."""
-        q = self.q
-        in_dim = len(M)
-        total = q ** in_dim
-        digits = digits_of(np.arange(total, dtype=np.int64), [q] * in_dim)
-        add = np.array(self.add_table, dtype=np.int64)
-        mul = np.array(self.mul_table, dtype=np.int64)
-        out = []
-        for j in range(len(M[0]) if M else 0):
-            acc = np.zeros(total, dtype=np.int64)
-            for i in range(in_dim):
-                c = M[i][j]
-                if c:
-                    acc = add[acc, mul[digits[i], c]]
-            out.append(acc)
-        return flat_index(total, out, [q] * len(out))
+        order (first coordinate most significant), built by doubling: the
+        table over the last k rows is extended to the row before them by one
+        block per value c of its coordinate, the table plus c times that
+        row.  In characteristic 2 field addition is XOR of the element codes,
+        so of whole indices; otherwise each output column is extended by
+        gathers through the field's add table."""
+        width = len(M[0]) if M else 0
+        if self.p == 2:
+            muls = self.mul_table[1:]
+            table = [0]
+            for row in reversed(M):
+                blocks = [self.vec_index([m[x] for x in row]) for m in muls]
+                if len(table) < 256:  # a list is doubled faster than an array this small
+                    table += [x ^ b for b in blocks for x in table]
+                else:
+                    table = np.asarray(table, dtype=np.int64)
+                    table = np.concatenate([table] + [table ^ b for b in blocks])
+            return np.asarray(table, dtype=np.int64)
+        q, mul, add = self.q, self.mul_table, self._add_array
+        cols = [np.zeros(1, dtype=np.int64)] * width
+        for row in reversed(M):
+            cols = [np.concatenate([add[mul[c][x]][col] for c in range(q)]) if x
+                    else np.tile(col, q) for col, x in zip(cols, row)]
+        return flat_index(q ** len(M), cols, [q] * width)
 
     def vec_index(self, v: Sequence[int]) -> int:
         idx = 0

@@ -11,9 +11,9 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from .exactlog import ZERO, LogScalar
-from .ffield import GF, Matrix
-from .schema import (MAX_CONE_TUPLES, ResourceError, StructuralError, document, int_rows,
-                     sym_from_json, typed)
+from .ffield import GF, Matrix, Row
+from .schema import (MAX_CONE_TUPLES, ResourceError, StructuralError, check_arity, document,
+                     int_rows, sym_from_json, typed)
 from .setfunc import GroundSet, SetFunction
 
 
@@ -260,11 +260,12 @@ class SubspaceFamily:
 
     @classmethod
     def _trusted(
-        cls, q: int, ambient_dim: int, members: Sequence[Matrix], annihilators: Dict[int, Matrix]
+        cls, q: int, ambient_dim: int, members: Sequence[Matrix], annihilators: Dict[int, List[Row]]
     ) -> "SubspaceFamily":
         """A family from full-rank bases over a field already built, without
-        re-validating them; `annihilators` maps member indices to known
-        annihilators (matrices whose left kernel is that member)."""
+        re-validating them; `annihilators` maps member indices to the packed
+        columns (`GF.pack`) of known annihilators, matrices whose left
+        kernel is that member."""
         out = object.__new__(cls)
         object.__setattr__(out, "q", q)
         object.__setattr__(out, "ambient_dim", ambient_dim)
@@ -280,28 +281,30 @@ class SubspaceFamily:
     def gf(self) -> GF:
         return GF(self.q)
 
-    def _annihilator(self, i: int) -> Matrix:
-        # computed once per member and kept with the family; shared, so the
-        # public accessor hands out copies
-        K = self._annihilators.get(i)
-        if K is None:
-            n = self.ambient_dim
-            perp = self.gf.nullspace([[row[c] for row in self.members[i]] for c in range(n)])
-            K = self._annihilators[i] = [[v[r] for v in perp] for r in range(n)]
-        return K
+    def _columns(self, i: int) -> List[Row]:
+        # the packed columns of member i's annihilator, computed once per
+        # member and kept with the family
+        cols = self._annihilators.get(i)
+        if cols is None:
+            gf = self.gf
+            cols = self._annihilators[i] = gf.perp([gf.pack(r) for r in self.members[i]],
+                                                   self.ambient_dim)
+        return cols
 
     def annihilator(self, i: int) -> Matrix:
         """An ambient_dim × (ambient_dim − dim V_i) matrix whose left kernel
         is member V_i: the transpose of a basis of its orthogonal complement,
         unless the family was built with one.  A fresh copy on each call."""
-        return [list(r) for r in self._annihilator(i)]
+        n = self.ambient_dim
+        cols = [self.gf.unpack(c, n) for c in self._columns(i)]
+        return [[c[r] for c in cols] for r in range(n)]
 
     def intersection_codim(self, indices: Sequence[int]) -> int:
         """ambient_dim − dim of the intersection of the indexed members: the
-        rank of their annihilators side by side, whose left kernel is that
-        intersection."""
-        blocks = [self._annihilator(i) for i in indices]
-        return self.gf.rank([[x for K in blocks for x in K[r]] for r in range(self.ambient_dim)])
+        rank of the union of their annihilators' columns, whose orthogonal
+        complement is that intersection."""
+        rows = [c for i in indices for c in self._columns(i)]
+        return len(self.gf.echelon(rows, self.ambient_dim, reduced=False)[1])
 
     def entropy_at(self, indices: Sequence[int]) -> LogScalar:
         """(ambient_dim - dim of the indexed intersection) * log q, from one
@@ -377,6 +380,7 @@ def _default_ground(n: int) -> GroundSet:
 
 def entropy_from_subgroups(fam: SubgroupFamily) -> SetFunction:
     """f(α) = log(|G| / |∩_{i∈α} G_i|)."""
+    check_arity(fam.arity, "a subgroup family")
     order = fam.parent.order
     n = fam.arity
     ground = _default_ground(n)
@@ -391,6 +395,7 @@ def entropy_from_subgroups(fam: SubgroupFamily) -> SetFunction:
 
 
 def entropy_from_subspaces(fam: SubspaceFamily) -> SetFunction:
+    check_arity(fam.arity, "a subspace family")
     ground = _default_ground(fam.arity)
     values = [ZERO]
     for mask in range(1, 1 << fam.arity):
@@ -439,6 +444,7 @@ def support_projections(s: SupportSet):
     The α-projections are numbered from those of α without its last
     coordinate c, by the key (projection index) * len(syms[c]) + R[:, c],
     which stays below |support| * len(syms[c]) at any arity."""
+    check_arity(s.arity, "a support")
     n = s.arity
     syms = []
     for c, alpha in enumerate(s.alphabets):

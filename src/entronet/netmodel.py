@@ -24,7 +24,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exactlog import ZERO, LogScalar, entropy_of_histogram
-from .ffield import GF, digits_of, flat_index
+from .ffield import GF, Matrix, digits_of, flat_index
 from .groupchar import SubspaceFamily
 from .schema import (MAX_CONE_TUPLES, ResourceError, StructuralError, document, int_rows,
                      sym_from_json, sym_to_json, typed)
@@ -288,13 +288,16 @@ class TableMap:
 
 
 class LinearMap:
-    """F_q matrix acting on the concatenated feed vector: y = x @ M."""
+    """F_q matrix acting on the concatenated feed vector: y = x @ M.  The
+    matrix is kept as immutable rows, and its table once `to_table` has
+    built it."""
 
-    __slots__ = ("q", "matrix")
+    __slots__ = ("q", "matrix", "_table")
 
     def __init__(self, q: int, matrix: Sequence[Sequence[int]]):
         self.q = q
-        self.matrix = [list(r) for r in matrix]
+        self.matrix = tuple(tuple(r) for r in matrix)
+        self._table: Optional[np.ndarray] = None
 
     @property
     def in_dim(self) -> int:
@@ -305,7 +308,9 @@ class LinearMap:
         return len(self.matrix[0]) if self.matrix else 0
 
     def to_table(self, feed_alphabets: Sequence[Alphabet]) -> np.ndarray:
-        """Dense output-index table over the flat feed domain (vectorized)."""
+        """Dense output-index table over the flat feed domain, read-only:
+        built once (`GF.image_table`), with the feeds and the cap checked on
+        every call."""
         dims = []
         for a in feed_alphabets:
             if a.kind != "vector" or a.q != self.q:
@@ -323,10 +328,13 @@ class LinearMap:
             )
         # each vector alphabet indexes base q, first coordinate first, so the
         # flat feed index is the index of the concatenated feed vector
-        return GF(self.q).image_table(self.matrix)
+        if self._table is None:
+            self._table = GF(self.q).image_table(self.matrix)
+            self._table.flags.writeable = False
+        return self._table
 
     def to_json(self) -> dict:
-        return {"kind": "linear", "q": self.q, "matrix": self.matrix}
+        return {"kind": "linear", "q": self.q, "matrix": [list(r) for r in self.matrix]}
 
 
 EncoderMap = Union[TableMap, LinearMap]
@@ -733,43 +741,46 @@ def kernels_of_linear_code(
     net: Network, conn: ConnectionRequirement, code: NetworkCode
 ) -> SubspaceFamily:
     """Compose local encoder matrices along topological order to get global
-    maps from the stacked source space, and return their kernels, indexed by
-    sessions (sorted) then edges (sorted).
+    maps from the stacked source space F_q^D, and return their kernels,
+    indexed by sessions (sorted) then edges (sorted).
 
-    Each kernel is `gf.nullspace` of its global map M, a full-rank basis, so
-    the family is built without re-validating it.  M has that kernel as its
-    left kernel, so when its columns are independent it is kept as the
-    member's annihilator, and `entropy_at` on the family is one rank of
-    stacked global maps."""
+    A global map M is kept as its columns, packed (`GF.pack`): a session's
+    are unit vectors, and an edge's column j is the combination of its
+    feeds' columns that column j of the local matrix selects.  Each kernel
+    is `GF.perp` of those columns, one per distinct global map, a full-rank
+    basis, so the family is built without re-validating it.  When the
+    columns are independent they are kept as the member's annihilator, and
+    `entropy_at` on the family is one rank of the union of such columns."""
     q = code.is_linear()
     if q is None:
         raise ValueError("code is not linear over a common field")
     gf = GF(q)
     sess = list(conn.sessions)
-    dims = [code.alphabets[s].dim for s in sess]
-    D = sum(dims)
-    global_maps: Dict[str, List[List[int]]] = {}
+    D = sum(code.alphabets[s].dim for s in sess)
+    unit = gf.identity(D)
+    cols: Dict[str, list] = {}
     off = 0
-    for s, d in zip(sess, dims):
-        global_maps[s] = gf.selection(D, range(off, off + d))
+    for s in sess:
+        d = code.alphabets[s].dim
+        cols[s] = [gf.pack(r) for r in unit[off:off + d]]
         off += d
     for e in net.edges_topo():
-        feeds = edge_feeds(net, conn, e)
-        stacked_cols: List[List[List[int]]] = [global_maps[f] for f in feeds]
-        # hstack the feed global maps, then apply the local matrix
-        hcols = [
-            [x for M in stacked_cols for x in M[row]] for row in range(D)
-        ]
-        enc = code.encoders[e.id]
-        global_maps[e.id] = gf.matmul(hcols, enc.matrix)
+        feed = [c for f in edge_feeds(net, conn, e) for c in cols[f]]
+        cols[e.id] = gf.combine(feed, code.encoders[e.id].matrix, D)
 
-    maps = [global_maps[s] for s in sess]
-    maps += [global_maps[e.id] for e in sorted(net.edges, key=lambda e: e.id)]
-    members = [gf.nullspace(M) for M in maps]
-    # a map with independent columns is an annihilator of its kernel
-    independent = {
-        i: M for i, M in enumerate(maps) if len(members[i]) + (len(M[0]) if M else 0) == D
-    }
+    keys = sess + sorted(e.id for e in net.edges)
+    kernels: Dict[tuple, Matrix] = {}
+    members: List[Matrix] = []
+    independent: Dict[int, list] = {}
+    for i, k in enumerate(keys):
+        key = tuple(cols[k])
+        basis = kernels.get(key)
+        if basis is None:
+            basis = kernels[key] = [gf.unpack(v, D) for v in gf.perp(cols[k], D)]
+        members.append(basis)
+        # a map with independent columns is an annihilator of its kernel
+        if len(basis) + len(cols[k]) == D:
+            independent[i] = cols[k]
     return SubspaceFamily._trusted(q, D, members, independent)
 
 

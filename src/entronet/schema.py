@@ -17,10 +17,20 @@ class ResourceError(RuntimeError):
 # entries of one linear encoder table, and entries of one subspace annihilator
 MAX_CONE_TUPLES = 1 << 24
 
+# the arity N of a family, support or G†(N) layout: the work on one grows
+# as 2^N, over every nonempty subset of its N coordinates
+MAX_ARITY = 10
+
 # formats whose documents must carry their tag; the others may leave it out
 _TAGGED = frozenset({"witness/1", "codebundle/1"})
 
 _KINDS = {list: "a list", Mapping: "an object", str: "a string", int: "an integer"}
+
+
+def check_arity(n: int, what: str) -> None:
+    """A ResourceError if `what` has an arity n over `MAX_ARITY`."""
+    if n > MAX_ARITY:
+        raise ResourceError(f"{what} has arity {n}, over the cap {MAX_ARITY}")
 
 
 def typed(value, kind: type, what: str):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from entronet.exactlog import LogScalar
-from entronet.ffield import GF
+from entronet.ffield import GF, digits_of
 from entronet.groupchar import (
     SubgroupFamily,
     SupportSet,
@@ -111,11 +111,52 @@ def chained_intersection(fam, indices):
     return cur
 
 
+def all_vectors(q, dim):
+    """All q^dim row vectors of F_q^dim, in `GF.vec_index` order (last
+    coordinate fastest)."""
+    for idx in range(q ** dim):
+        yield tuple(digits_of(idx, [q] * dim))
+
+
+def vec_add(gf, u, v):
+    return [gf.add(a, b) for a, b in zip(u, v)]
+
+
+def vec_scale(gf, c, v):
+    return [gf.mul(c, a) for a in v]
+
+
+def reference_rref(gf, M):
+    """The list-based Gauss-Jordan elimination that `GF.rref` replaced, kept
+    as the reference for the echelon routine: (rref matrix, pivot columns)."""
+    A = [list(r) for r in M]
+    rows = len(A)
+    cols = len(A[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if A[i][c]), None)
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        inv = gf.inv(A[r][c])
+        A[r] = vec_scale(gf, inv, A[r])
+        for i in range(rows):
+            if i != r and A[i][c]:
+                f = gf.neg(A[i][c])
+                A[i] = vec_add(gf, A[i], vec_scale(gf, f, A[r]))
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A[:r] + A[r:], pivots
+
+
 def all_subspaces(q, n):
     """Every subspace of F_q^n as a canonical (rref) row-basis tuple."""
     g = GF(q)
     seen = {(): None}
-    nz = [v for v in g.all_vectors(n) if any(v)]
+    nz = [v for v in all_vectors(q, n) if any(v)]
     for r in range(1, n + 1):
         for combo in itertools.combinations(nz, r):
             R = g.rref([list(c) for c in combo])[0]

@@ -712,6 +712,24 @@ def test_a_document_over_a_size_bound_exits_2_at_once(tmp_path, capsys, argv, do
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, doc", [
+    (["subspace", "entropy"], {"q": 2, "ambient_dim": 1, "members": [[]] * 30}),
+    (["qu", "check"], {"format": "support/1", "arity": 30, "alphabets": [[0]] * 30,
+                       "tuples": [[0] * 30]}),
+    (["group", "entropy"], {"format": "subgroupfamily/1", "group": {"table": [[0]]},
+                            "members": [[0]] * 30}),
+    (["construct", "gdagger", "--n", "40"], None),
+])
+def test_an_arity_over_the_cap_exits_2_at_once(tmp_path, capsys, argv, doc):
+    """A family, support or layout of arity 30 or 40, whose work grows as
+    2^N, is refused before any loop over its subsets."""
+    start = time.perf_counter()
+    assert run(argv + ([write(tmp_path, "doc.json", doc)] if doc else [])) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and "over the cap 10" in err and "Traceback" not in err
+
+
 def test_an_alphabet_no_session_or_edge_uses_is_not_sized(tmp_path, capsys):
     bundle = chain_bundle()
     _huge_alphabet(bundle, "unused")

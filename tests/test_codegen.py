@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_subspaces, chained_intersection, reference_quasi_uniform_check, supports
+from conftest import (all_subspaces, all_vectors, chained_intersection, reference_quasi_uniform_check,
+                      supports)
 from entronet.codegen import _side_info, linear_code, linear_compress, quasi_uniform_code
 from entronet.construct import build_gdagger, capacitated_network, rate_capacity
 from entronet.exactlog import ZERO, LogScalar
@@ -160,6 +161,22 @@ def test_every_linear_code_is_zero_error_and_tight(fam):
         assert code.alphabets[key].log_size() == bound
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(zero_meet_families(), st.randoms(use_true_random=False))
+def test_kernel_entropies_match_the_oracle_on_random_subsets(fam, rng):
+    """The kernels that `kernels_of_linear_code` composes column by column
+    give the entropies the oracle counts off the code's tables."""
+    lay = _layouts.setdefault(fam.arity, build_gdagger(fam.arity))
+    code = linear_code(fam, lay)
+    net = capacitated_network(lay, rate_capacity(entropy_from_subspaces(fam), lay))
+    ev = evaluate_code(net, lay.conn, code)
+    ker = kernels_of_linear_code(net, lay.conn, code)
+    labels = sorted(lay.conn.sessions) + sorted(e.id for e in net.edges)
+    for sel in [[lab] for lab in rng.sample(labels, 6)] + [
+            rng.sample(labels, rng.randint(2, 6)) for _ in range(6)]:
+        assert ev.oracle.entropy(sel) == ker.entropy_at([labels.index(k) for k in sel])
+
+
 def test_linear_code_rejects_nontrivial_intersection():
     fam = SubspaceFamily(2, 2, (((1, 0),), ((1, 0),)))
     with pytest.raises(ValueError):
@@ -235,7 +252,7 @@ def test_linear_compress_reconstruction_identity(q):
         T1 = [[rng.randrange(q) for _ in range(t1)] for _ in range(d)]
         T2 = [[rng.randrange(q) for _ in range(t2)] for _ in range(d)]
         comp = linear_compress(q, T1, T2)
-        for x in gf.all_vectors(d):
+        for x in all_vectors(q, d):
             w = gf.apply(x, comp.W_matrix) if comp.out_dim else []
             y1 = gf.apply(x, T1) if t1 else []
             y2 = gf.apply(x, T2) if t2 else []

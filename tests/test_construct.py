@@ -9,9 +9,11 @@ from entronet.construct import (
     capacitated_network,
     rate_capacity,
 )
-from entronet.exactlog import log2_units
-from entronet.groupchar import builtin_function
+from entronet.exactlog import ZERO, log2_units
+from entronet.groupchar import (SubgroupFamily, SubspaceFamily, SupportSet, builtin_function, cyclic,
+                                entropy_from_subgroups, entropy_from_subspaces, quasi_uniform_check)
 from entronet.netmodel import UNCAPPED
+from entronet.schema import MAX_ARITY, ResourceError
 from entronet.setfunc import SetFunction
 
 
@@ -102,3 +104,19 @@ def test_layout_names_its_fans_and_relays(n):
             assert net.edge(sub.role_edges["Sa>rxU"]).tail == origin
             assert net.edge(sub.role_edges["Sa>n1"]).head == net.edge(sub.role_edges["W"]).tail
             assert net.edge(sub.role_edges["Sa>rxU"]).head == net.edge(sub.role_edges["W'"]).head
+
+
+def test_the_arity_cap_admits_n_5_and_refuses_past_max_arity():
+    assert len(build_gdagger(5).conn.sessions) == 31
+    build_gdagger(MAX_ARITY)
+    with pytest.raises(ResourceError, match="over the cap"):
+        build_gdagger(MAX_ARITY + 1)
+    # a family or support past the cap is refused before its 2^N subsets
+    wide = MAX_ARITY + 1
+    assert entropy_from_subspaces(SubspaceFamily(2, 1, [[[1]]] * MAX_ARITY)).values[-1] == ZERO
+    with pytest.raises(ResourceError):
+        entropy_from_subspaces(SubspaceFamily(2, 1, [[[1]]] * wide))
+    with pytest.raises(ResourceError):
+        entropy_from_subgroups(SubgroupFamily(cyclic(2), [[0]] * wide))
+    with pytest.raises(ResourceError):
+        quasi_uniform_check(SupportSet(wide, [[0]] * wide, [(0,) * wide]))

@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     all_subspaces,
+    all_vectors,
     chained_intersection,
     group_catalog,
     reference_quasi_uniform_check,
     supports,
+    vec_add,
+    vec_scale,
 )
 from entronet.exactlog import LogScalar, log2_units
 from entronet.ffield import GF
@@ -185,16 +188,16 @@ def reference_coset_support(fam):
     F_q^n, elements in vector index order."""
     if isinstance(fam, SubspaceFamily):
         gf, n = fam.gf, fam.ambient_dim
-        vecs = list(gf.all_vectors(n))
+        vecs = list(all_vectors(fam.q, n))
         index = {v: i for i, v in enumerate(vecs)}
-        table = [[index[tuple(gf.vec_add(u, v))] for v in vecs] for u in vecs]
+        table = [[index[tuple(vec_add(gf, u, v))] for v in vecs] for u in vecs]
         members = []
         for basis in fam.members:
             span = set()
-            for coeffs in gf.all_vectors(len(basis)):
+            for coeffs in all_vectors(fam.q, len(basis)):
                 vec = [0] * n
                 for c, row in zip(coeffs, basis):
-                    vec = gf.vec_add(vec, gf.vec_scale(c, row))
+                    vec = vec_add(gf, vec, vec_scale(gf, c, row))
                 span.add(index[tuple(vec)])
             members.append(span)
         fam = SubgroupFamily(FiniteGroup(table, validate=False), members)
