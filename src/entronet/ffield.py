@@ -419,20 +419,19 @@ class GF:
         table over the last k rows is extended to the row before them by one
         block per value c of its coordinate, the table plus c times that
         row.  In characteristic 2 field addition is XOR of the element codes,
-        so of whole indices; otherwise each output column is extended by
+        so of whole indices, and each block is written in place into the one
+        array of the final size; otherwise each output column is extended by
         gathers through the field's add table."""
         width = len(M[0]) if M else 0
         if self.p == 2:
-            muls = self.mul_table[1:]
-            table = [0]
+            table = np.zeros(self.q ** len(M), dtype=np.int64)
+            n = 1
             for row in reversed(M):
-                blocks = [self.vec_index([m[x] for x in row]) for m in muls]
-                if len(table) < 256:  # a list is doubled faster than an array this small
-                    table += [x ^ b for b in blocks for x in table]
-                else:
-                    table = np.asarray(table, dtype=np.int64)
-                    table = np.concatenate([table] + [table ^ b for b in blocks])
-            return np.asarray(table, dtype=np.int64)
+                for c, m in enumerate(self.mul_table[1:], 1):
+                    np.bitwise_xor(table[:n], self.vec_index([m[x] for x in row]),
+                                   out=table[c * n:(c + 1) * n])
+                n *= self.q
+            return table
         q, mul, add = self.q, self.mul_table, self._add_array
         cols = [np.zeros(1, dtype=np.int64)] * width
         for row in reversed(M):

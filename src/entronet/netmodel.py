@@ -625,9 +625,9 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
     and the decoder reads nothing outside that union, so this verdict
     equals that of checking every source tuple.
 
-    `MAX_CONE_TUPLES` caps the tuples of each demand's union and the
-    entries of all scope tables together, both checked before any table is
-    built, and the entries of each linear encoder table.  Only the alphabets
+    `MAX_CONE_TUPLES` caps the tuples of each demand's union, the entries
+    of all scope tables together and those of all linear map tables
+    together, each checked before any table is built.  Only the alphabets
     of sessions and edges are sized (`Alphabet.size`).  Each entry of
     `failing_inputs` is (source tuple over all sessions, receiver, session),
     at most `REPORT_LIMIT` of them; demands that share a union are checked
@@ -682,6 +682,12 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
     entries = sum(m * oracle.tuples(scope) for scope, m in Counter(scopes.values()).items())
     if entries > MAX_CONE_TUPLES:
         raise ResourceError(f"scope tables of {entries} entries exceed the cap {MAX_CONE_TUPLES}")
+    # each LinearMap keeps its table, so their entries are capped together
+    linear = {id(m): m for m in itertools.chain(code.encoders.values(), code.decoders.values())
+              if isinstance(m, LinearMap)}
+    entries = sum(m.q ** m.in_dim for m in linear.values())
+    if entries > MAX_CONE_TUPLES:
+        raise ResourceError(f"linear map tables of {entries} entries exceed the cap {MAX_CONE_TUPLES}")
 
     for s in sess:
         oracle.arrays[s] = np.arange(sizes[s], dtype=np.int64)

@@ -14,7 +14,8 @@ class ResourceError(RuntimeError):
 
 
 # source tuples of one demand's union, entries of all scope tables together,
-# entries of one linear encoder table, and entries of one subspace annihilator
+# entries of all linear map tables of one code together (each map keeps its
+# table), and entries of one subspace annihilator
 MAX_CONE_TUPLES = 1 << 24
 
 # the arity N of a family, support or G†(N) layout: the work on one grows

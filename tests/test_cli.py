@@ -688,6 +688,19 @@ def _huge_alphabet(bundle, key):
     bundle["code"]["alphabets"][key] = {"kind": "vector", "q": 3, "dim": 10**9}
 
 
+def _wide_linear_maps(bundle):
+    """The chain over F_2^24 past the session: e2 and the decoder each read
+    24 coordinates, so each table has 2^24 entries, inside the cap alone but
+    not together, while every scope holds the session's two symbols."""
+    code = bundle["code"]
+    code["alphabets"].update(e1={"kind": "vector", "q": 2, "dim": 24},
+                             e2={"kind": "vector", "q": 2, "dim": 24})
+    ident = [[int(i == j) for j in range(24)] for i in range(24)]
+    code["encoders"]["e1"] = {"kind": "linear", "q": 2, "matrix": [ident[0]]}
+    code["encoders"]["e2"] = {"kind": "linear", "q": 2, "matrix": ident}
+    code["decoders"][0]["map"] = {"kind": "linear", "q": 2, "matrix": [r[:1] for r in ident]}
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["check", "poly"], {"format": "setfunction/1", "ground": ["1"],
                          "values": {"1": {"2": "1e10000000"}}}),
@@ -695,14 +708,19 @@ def _huge_alphabet(bundle, key):
     (["subspace", "entropy"], {"q": 2, "ambient_dim": 10**5, "members": [[], []]}),
     (["code", "verify"], "e1"),
     (["code", "verify"], "U"),
+    (["code", "verify"], "linear"),
 ])
 def test_a_document_over_a_size_bound_exits_2_at_once(tmp_path, capsys, argv, doc):
     """A coefficient of ten million decimal digits, annihilators past
-    MAX_CONE_TUPLES entries, and an edge or session alphabet of 3^(10^9)
-    symbols: each refused before anything of that size is built."""
+    MAX_CONE_TUPLES entries, an edge or session alphabet of 3^(10^9)
+    symbols, and linear maps whose kept tables pass MAX_CONE_TUPLES
+    together: each refused before anything of that size is built."""
     if isinstance(doc, str):
         bundle = chain_bundle()
-        _huge_alphabet(bundle, doc)
+        if doc == "linear":
+            _wide_linear_maps(bundle)
+        else:
+            _huge_alphabet(bundle, doc)
         doc = bundle
     path = write(tmp_path, "doc.json", doc)
     start = time.perf_counter()
