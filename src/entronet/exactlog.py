@@ -4,8 +4,15 @@ All entropies and capacities in this package are numbers of the form
 ``sum(q_p * log(p))`` with rational coefficients ``q_p`` over finitely many
 primes ``p``.  Because logarithms of distinct primes are linearly independent
 over the rationals, such a number is zero exactly when all coefficients are
-zero, and equality is decidable by comparing coefficient maps.  The sign of a
-nonzero value is decided by interval evaluation at increasing precision.
+zero, and equality is decidable by comparing coefficient maps.
+
+The sign is decided on integers too.  Scaled by the lcm of its denominators,
+a value is ``sum(a_p * log(p))`` with integer ``a_p``, and by unique
+factorization its sign is that of ``prod(p**a_p, a_p > 0) - prod(p**-a_p,
+a_p < 0)``: one comparison of two integers (:func:`power_sign`).  Above
+SIGN_BIT_CAP bits in the two products that comparison costs more than
+interval evaluation at increasing precision, which decides the sign
+instead; mpmath is imported on that fallback only.
 """
 
 from __future__ import annotations
@@ -226,34 +233,14 @@ class LogScalar:
         if not self._terms:
             return 0
         # fast path: all mass on a single prime (or all coefficients share
-        # the sign) avoids interval evaluation entirely
+        # the sign) needs no product
         signs = {1 if q > 0 else -1 for q in self._terms.values()}
         if len(signs) == 1:
             return signs.pop()
-        prec = 64
-        while True:
-            total = self._interval(prec)
-            if total.a > 0:
-                return 1
-            if total.b < 0:
-                return -1
-            prec *= 2
-
-    def _interval(self, prec: int):
-        """An mpmath interval holding the value, computed at `prec` bits;
-        its endpoints are exact binary numbers, compared exactly.  mpmath is
-        imported here, on the first interval, not with the module."""
-        import mpmath
-
-        old = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            total = mpmath.iv.mpf(0)
-            for p, q in self._terms.items():
-                total += (mpmath.iv.mpf(q.numerator) / q.denominator) * mpmath.iv.log(p)
-        finally:
-            mpmath.iv.prec = old
-        return total
+        den = math.lcm(*(q.denominator for q in self._terms.values()))
+        return power_sign(
+            tuple(self._terms), [q.numerator * (den // q.denominator) for q in self._terms.values()]
+        )
 
     def to_float(self) -> float:
         # a float even with no terms, where sum() would give the int 0
@@ -310,6 +297,71 @@ class LogScalar:
             return cls(terms)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"not a log scalar: {obj!r:.40}: {exc}") from None
+
+
+# bits in the two products of power_sign above which it evaluates intervals:
+# near here one interval at 64 bits and one such product take about as long
+SIGN_BIT_CAP = 1 << 15
+
+
+def power_sign(bases: Sequence[int], row: Sequence[int]) -> int:
+    """The sign of ``sum(row[i] * log(bases[i]))`` for Python integers
+    ``row[i]`` and positive integers ``bases[i]``: the sign of the product
+    of ``bases[i]**row[i]`` over the positive entries minus that of
+    ``bases[i]**-row[i]`` over the negative ones, while the two together
+    have at most SIGN_BIT_CAP bits; above that, interval evaluation."""
+    if sum(abs(a) * b.bit_length() for b, a in zip(bases, row)) > SIGN_BIT_CAP:
+        return _interval_sign(bases, row)
+    pos = neg = 1
+    for b, a in zip(bases, row):
+        if a > 0:
+            pos *= b**a
+        elif a < 0:
+            neg *= b**-a
+    return (pos > neg) - (pos < neg)
+
+
+def _interval_sign(bases: Sequence[int], row: Sequence[int]) -> int:
+    """The sign of ``sum(row[i] * log(bases[i]))`` by mpmath intervals at
+    64 bits of precision, then 128, and so on, until an interval excludes
+    zero; their endpoints are exact binary numbers, compared exactly.  The
+    bases are factorized first, so a sum that is zero, such as log 4 - 2 log
+    2, is found to be; a nonzero sum over primes is never zero.  mpmath is
+    imported here, on the first interval, not with the module."""
+    terms: Dict[int, int] = {}
+    for b, a in zip(bases, row):
+        for p, e in factorize(b).items():
+            terms[p] = terms.get(p, 0) + e * a
+    terms = {p: a for p, a in terms.items() if a}
+    if not terms:
+        return 0
+    import mpmath
+
+    prec = 64
+    old = mpmath.iv.prec
+    try:
+        while True:
+            mpmath.iv.prec = prec
+            total = mpmath.iv.mpf(0)
+            for p, a in terms.items():
+                total += a * mpmath.iv.log(p)
+            if total.a > 0:
+                return 1
+            if total.b < 0:
+                return -1
+            prec *= 2
+    finally:
+        mpmath.iv.prec = old
+
+
+def log_int_sign(n: int, x: LogScalar) -> int:
+    """The sign of ``log(n) - x`` for a positive integer n, which is not
+    factorized: with d the lcm of x's denominators, the sign of n^d against
+    the prime powers of d·x (:func:`power_sign`)."""
+    d = math.lcm(*(q.denominator for q in x._terms.values()))
+    return power_sign(
+        (n, *x._terms), [d, *(-q.numerator * (d // q.denominator) for q in x._terms.values())]
+    )
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?").fullmatch
@@ -389,20 +441,44 @@ def combine(form: IntegerForm, index: np.ndarray, weights: Sequence[int]) -> np.
     return np.asarray(weights, dtype=mat.dtype) @ mat[index]
 
 
+def weighted_rows(form: IntegerForm, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row r is ``sum_t weights[r, t] * form.mat[index[r, t]]``, for two
+    integer arrays of one shape: :func:`combine` with a weight per entry.
+    int64 when no partial sum can overflow, Python ints otherwise."""
+    weight = int(np.abs(weights).sum(axis=1).max(initial=0))
+    mat = _widened(form.mat, form.bound * weight)
+    return (weights.astype(mat.dtype)[:, None, :] @ mat[index])[:, 0, :]
+
+
+def stacked(forms: Sequence[IntegerForm]) -> IntegerForm:
+    """The rows of each of `forms` in turn, as one form over the union of
+    their primes and the lcm of their denominators."""
+    primes = tuple(sorted({p for F in forms for p in F.primes}))
+    den = math.lcm(*(F.den for F in forms))
+    return IntegerForm.of(primes, den, np.concatenate([F.lifted(primes, den) for F in forms]))
+
+
+def row_signs(primes: Sequence[int], rows: np.ndarray) -> np.ndarray:
+    """The sign, -1, 0 or +1, of the value of each integer row over
+    `primes` and a positive denominator.  A row with entries of one sign
+    has that sign; only a row with both goes to :func:`power_sign`."""
+    pos = (rows > 0).any(axis=1)
+    neg = (rows < 0).any(axis=1)
+    out = pos.astype(np.int64) - neg
+    for r in np.flatnonzero(pos & neg).tolist():
+        out[r] = power_sign(primes, rows[r].tolist())
+    return out
+
+
 def negative_mask(form: IntegerForm, index: np.ndarray, weights: Sequence[int]) -> np.ndarray:
     """Whether each row r of ``index`` (an integer array with one column per
     term) has a negative combination ``sum_t weights[t] * value[index[r, t]]``,
     the values being those whose integer form is `form`.
 
-    Every row is gathered from the form's matrix at once (:func:`combine`).
-    A row with no negative entry holds; a row with negative and no positive
-    entries is negative; only a row with both goes to :meth:`LogScalar.sign`.
+    Every row is gathered from the form's matrix at once (:func:`combine`)
+    and its sign read by :func:`row_signs`.
     """
-    rows = combine(form, index, weights)
-    neg = (rows < 0).any(axis=1)
-    for r in np.flatnonzero(neg & (rows > 0).any(axis=1)).tolist():
-        neg[r] = form.scalar(rows[r]).sign() < 0
-    return neg
+    return row_signs(form.primes, combine(form, index, weights)) < 0
 
 
 def negative_rows(

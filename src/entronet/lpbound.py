@@ -16,7 +16,17 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .construct import GDaggerLayout
-from .exactlog import ZERO, IntegerForm, LogScalar, combine, integer_form, negative_mask
+from .exactlog import (
+    ZERO,
+    IntegerForm,
+    LogScalar,
+    combine,
+    integer_form,
+    negative_mask,
+    row_signs,
+    stacked,
+    weighted_rows,
+)
 from .netmodel import (
     ConnectionRequirement,
     Network,
@@ -86,11 +96,10 @@ def functional_extension(
     if name is None:
         name = "J(" + ",".join(f.ground.subset(amask)) + ")"
     ground = _extended_ground(f, name)
-    upper = (np.arange(1 << len(f.ground)) | amask).tolist()
-    values = f.values + [f.values[m] for m in upper]
+    upper = np.arange(1 << len(f.ground)) | amask
     F = f.form
     form = IntegerForm.of(F.primes, F.den, np.concatenate([F.mat, F.mat[upper]]))
-    return _check(SetFunction.derived(ground, values, form), "functional_extension")
+    return _check(SetFunction.derived(ground, form), "functional_extension")
 
 
 def _adjoin(f: SetFunction, name: str, amask: int, zp: int, zm: int, op: str) -> SetFunction:
@@ -105,13 +114,9 @@ def _adjoin(f: SetFunction, name: str, amask: int, zp: int, zm: int, op: str) ->
     index = np.stack([b | amask, b, np.full(n, zp), np.full(n, zm)], axis=1)
     F = f.form
     lower = negative_mask(F, index, (1, -1, -1, 1))
-    z = f.values[zp] - f.values[zm] if zm else f.values[zp]
-    values = f.values + [
-        f.values[m | amask] if low else f.values[m] + z for m, low in enumerate(lower.tolist())
-    ]
     rows = np.where(lower[:, None], F.mat[index[:, 0]], combine(F, index[:, 1:], (1, 1, -1)))
     form = IntegerForm.of(F.primes, F.den, np.concatenate([F.mat, rows]))
-    return _check(SetFunction.derived(ground, values, form), op)
+    return _check(SetFunction.derived(ground, form), op)
 
 
 def sum_extension(
@@ -119,12 +124,14 @@ def sum_extension(
 ) -> SetFunction:
     """Adjoin Z = X ⊕ Y with g(Z) = f(X), requiring f(X) = f(Y) and X ⊥ Y;
     g({Z} ∪ B) = min(f(B ∪ {X,Y}), f(B) + g(Z)).  g's integer form is
-    derived from f's: z's row is f's row X."""
+    derived from f's: z's row is f's row X.  Both requirements are
+    equalities of rows of f's form."""
     xm = f.ground.mask([X])
     ym = f.ground.mask([Y])
-    if f.values[xm] != f.values[ym]:
+    F = f.form
+    if not np.array_equal(F.mat[xm], F.mat[ym]):
         raise ExtensionError("sum extension requires equal singleton values")
-    if f.values[xm | ym] != f.values[xm] + f.values[ym]:
+    if combine(F, np.array([[xm | ym, xm, ym]]), (1, -1, -1)).any():
         raise ExtensionError("sum extension requires the two elements independent")
     if name is None:
         name = f"({X}+{Y})"
@@ -160,14 +167,10 @@ def independent_adhesion(f: SetFunction, fstar: SetFunction) -> SetFunction:
     k = len(f.ground)
     m = np.arange(1 << len(ground))
     low, high = m & ((1 << k) - 1), m >> k
-    values = [f.values[a] + fstar.values[b] for a, b in zip(low.tolist(), high.tolist())]
-    F, G = f.form, fstar.form
-    primes = tuple(sorted(set(F.primes) | set(G.primes)))
-    den = math.lcm(F.den, G.den)
-    both = IntegerForm.of(primes, den, np.concatenate([F.lifted(primes, den), G.lifted(primes, den)]))
-    index = np.stack([low, len(F.mat) + high], axis=1)
-    form = IntegerForm.of(primes, den, combine(both, index, (1, 1)))
-    return _check(SetFunction.derived(ground, values, form), "independent_adhesion")
+    both = stacked([f.form, fstar.form])
+    index = np.stack([low, (1 << k) + high], axis=1)
+    form = IntegerForm.of(both.primes, both.den, combine(both, index, (1, 1)))
+    return _check(SetFunction.derived(ground, form), "independent_adhesion")
 
 
 # ---------------------------------------------------------------------------
@@ -928,22 +931,25 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
     return WitnessCertificate(N, locals_)
 
 
-def _violates(lhs: LogScalar, rhs: LogScalar, sense: str) -> bool:
-    """Whether `lhs sense rhs` fails."""
-    if sense == "=":
-        return lhs != rhs
-    return (lhs - rhs).sign() == (1 if sense == "<=" else -1)
-
-
 def _check_consistency(
-    cert: WitnessCertificate, bits: Mapping[str, Mapping[str, int]], fail
+    cert: WitnessCertificate,
+    bits: Mapping[str, Mapping[str, int]],
+    stack: IntegerForm,
+    offset: Mapping[str, int],
+    fail,
 ) -> None:
     """Fail for each pair of locals that disagree on some set of the network
     variables both of them map (`bits[tag]` maps each variable to its bit in
     that local's ground set).  A set of shared variables maps to a pair of
     label sets, one per local; each distinct pair is compared once, and the
-    first disagreement of a pair of locals is reported."""
+    first disagreement of a pair of locals is reported.  The values compared
+    are rows of `stack`, the locals' forms over common primes and
+    denominator (row `offset[tag] + mask` is the value at `mask` in local
+    `tag`), all of them at once."""
     tags = sorted(cert.locals_)
+    checks: List[Tuple[str, str, List[Tuple[str, ...]]]] = []
+    rows_a: List[int] = []
+    rows_b: List[int] = []
     for x, ta in enumerate(tags):
         for tb in tags[x + 1 :]:
             ba, bb = bits[ta], bits[tb]
@@ -955,11 +961,16 @@ def _check_consistency(
             for (ma, mb), v in atoms.items():
                 for (ua, ub), vs in list(unions.items()):
                     unions.setdefault((ua | ma, ub | mb), vs + (v,))
-            fa, fb = cert.locals_[ta].func, cert.locals_[tb].func
-            for (ua, ub), vs in unions.items():
-                if fa.values[ua] != fb.values[ub]:
-                    fail(f"locals {ta} and {tb} disagree on {list(vs)}")
-                    break
+            checks.append((ta, tb, list(unions.values())))
+            rows_a += [offset[ta] + ua for ua, _ in unions]
+            rows_b += [offset[tb] + ub for _, ub in unions]
+    differ = (stack.mat[rows_a] != stack.mat[rows_b]).any(axis=1).tolist()
+    start = 0
+    for ta, tb, shared in checks:
+        bad = differ[start : start + len(shared)]
+        if True in bad:
+            fail(f"locals {ta} and {tb} disagree on {list(shared[bad.index(True)])}")
+        start += len(shared)
 
 
 def verify_connection_constraints(
@@ -972,7 +983,15 @@ def verify_connection_constraints(
     functional dependence, source independence, rate lower bounds, capacity
     upper bounds) inside whichever local function covers its variables.
     Fails as well when the certificate is for another N, a local function
-    is not a polymatroid, or two locals disagree on shared variables."""
+    is not a polymatroid, or two locals disagree on shared variables.
+
+    Everything is checked on integers.  The locals' forms, and a form of
+    the clauses' right-hand sides, are stacked as one form over common
+    primes and denominator (:func:`~entronet.exactlog.stacked`).  Each
+    clause is then one weighted sum of the rows of that stack it names,
+    all of them in one integer product, and holds by the sign of its row.
+    A clause no local covers raises CoverageError once the clauses before
+    it are checked."""
     net, conn = layout.network, layout.conn
     ok = True
 
@@ -991,12 +1010,16 @@ def verify_connection_constraints(
             v = rep.instances[0]
             fail(f"local {tag}: not a polymatroid ({v.family} at {v.subsets})")
 
-    # each local's network variables as bits of its ground set
+    # each local's network variables as bits of its ground set, and the row
+    # of the stack at which its form starts
     bits = {
         tag: {v: lw.func.ground.mask([lab]) for v, lab in lw.var_map.items()}
         for tag, lw in cert.locals_.items()
     }
-    _check_consistency(cert, bits, fail)
+    offset: Dict[str, int] = {}
+    total = 0
+    for tag, lw in cert.locals_.items():
+        offset[tag], total = total, total + (1 << len(lw.func.ground))
 
     # the locals that map each variable, in certificate order
     mapping: Dict[str, List[str]] = {}
@@ -1004,25 +1027,52 @@ def verify_connection_constraints(
         for v in b:
             mapping.setdefault(v, []).append(tag)
 
-    def find_local(varnames: Sequence[str]) -> Tuple[List[LogScalar], Mapping[str, int]]:
+    def find_local(varnames: Sequence[str]) -> str:
         """The first local, in certificate order, that maps every variable:
         the first among those that map the rarest one."""
         tags = min((mapping.get(v, []) for v in varnames), key=len, default=list(bits))
         for tag in tags:
             if all(v in bits[tag] for v in varnames):
-                return cert.locals_[tag].func.values, bits[tag]
+                return tag
         raise CoverageError(f"no local function covers variables {list(varnames)}")
 
+    # clause r is Σ c·g(B) − rhs: weight c at the stack row of B in the
+    # local find_local picks, and −1 at the row of rhs after the locals
+    clauses: List[Tuple[str, str]] = []
+    clause_terms: List[List[Tuple[int, int]]] = []
+    rhs_values: List[LogScalar] = []
+    uncovered = None
     for message, terms, rhs, sense in connection_clauses(net, conn, tup):
-        values, b = find_local(list(dict.fromkeys(v for _, subset in terms for v in subset)))
-        # Σ c·g(B) `sense` rhs, with the negative terms moved to the right
-        sides: Tuple[List[LogScalar], List[LogScalar]] = ([], [rhs] if rhs else [])
+        try:
+            tag = find_local(list(dict.fromkeys(v for _, subset in terms for v in subset)))
+        except CoverageError as exc:
+            uncovered = exc
+            break
+        b = bits[tag]
+        row_terms = []
         for c, subset in terms:
             mask = 0
             for v in subset:
                 mask |= b[v]
-            sides[c < 0].append(values[mask] if abs(c) == 1 else values[mask] * abs(c))
-        lhs, rhs = (sum(side[1:], side[0]) if side else ZERO for side in sides)
-        if _violates(lhs, rhs, sense):
-            fail(message)
+            row_terms.append((offset[tag] + mask, c))
+        if rhs:
+            row_terms.append((total + len(rhs_values), -1))
+            rhs_values.append(rhs)
+        clauses.append((message, sense))
+        clause_terms.append(row_terms)
+
+    stack = stacked([lw.func.form for lw in cert.locals_.values()] + [integer_form(rhs_values)])
+    _check_consistency(cert, bits, stack, offset, fail)
+    if clauses:
+        # one row per clause, padded with weight 0 at row 0
+        width = max(map(len, clause_terms))
+        pads = [[(0, 0)] * (width - len(t)) for t in clause_terms]
+        index = np.array([[i for i, _ in t + pad] for t, pad in zip(clause_terms, pads)])
+        weights = np.array([[c for _, c in t + pad] for t, pad in zip(clause_terms, pads)])
+        signs = row_signs(stack.primes, weighted_rows(stack, index, weights))
+        for (message, sense), sign in zip(clauses, signs.tolist()):
+            if sign and (sense == "=" or sign == (1 if sense == "<=" else -1)):
+                fail(message)
+    if uncovered is not None:
+        raise uncovered
     return ok

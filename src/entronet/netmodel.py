@@ -23,7 +23,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .exactlog import ZERO, LogScalar, entropy_of_histogram
+from .exactlog import ZERO, LogScalar, entropy_of_histogram, log_int_sign
 from .ffield import GF, Matrix, digits_of, flat_index
 from .groupchar import SubspaceFamily
 from .schema import (MAX_CONE_TUPLES, ResourceError, StructuralError, document, int_rows,
@@ -729,16 +729,19 @@ def alphabets_meet_tuple(
     net: Network, conn: ConnectionRequirement, code: NetworkCode, tup: RateCapacityTuple
 ) -> bool:
     """log|A_e| <= ω_e on capacitated edges and log|A_s| >= λ_s: the part of
-    admissibility that does not need the code evaluated."""
+    admissibility that does not need the code evaluated.  Each comparison
+    is one of integers, |A|^d against a product of prime powers, for d the
+    denominator of the capacity or rate
+    (:func:`~entronet.exactlog.log_int_sign`)."""
     for e in net.edges:
         cap = tup.cap(e.id)
         if cap is UNCAPPED:
             continue
-        if (code.alphabets[e.id].log_size() - cap).sign() > 0:
+        if log_int_sign(code.alphabets[e.id].size, cap) > 0:
             return False
     for s in conn.sessions:
         lam = tup.rates.get(s, ZERO)
-        if (code.alphabets[s].log_size() - lam).sign() < 0:
+        if log_int_sign(code.alphabets[s].size, lam) < 0:
             return False
     return True
 

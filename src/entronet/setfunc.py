@@ -81,11 +81,12 @@ class SetFunction:
     `values` is never mutated in place: every operation builds a new set
     function.  So `form`, the values' exact integer form
     (:func:`~entronet.exactlog.integer_form`), is computed on first use and
-    kept; an extension that derives its form from its parent's sets it
-    with :meth:`derived`.
+    kept.  An extension that derives its form from its parent's builds the
+    set function from the form alone (:meth:`derived`); its `values` are
+    then read off the form on first use.
     """
 
-    __slots__ = ("ground", "values", "_form")
+    __slots__ = ("ground", "_values", "_form")
 
     def __init__(self, ground: Union[GroundSet, Sequence[str]], values: Sequence[LogScalar]):
         if not isinstance(ground, GroundSet):
@@ -99,24 +100,31 @@ class SetFunction:
         if not values[0].is_zero():
             raise StructuralError("value at the empty set must be zero")
         self.ground = ground
-        self.values = values
+        self._values = values
         self._form = None
 
     @classmethod
-    def derived(
-        cls, ground: GroundSet, values: Sequence[LogScalar], form: IntegerForm
-    ) -> "SetFunction":
-        """A set function whose integer form is already known; `form` must
-        equal ``integer_form(values)``."""
-        f = cls(ground, values)
+    def derived(cls, ground: GroundSet, form: IntegerForm) -> "SetFunction":
+        """The set function whose integer form is `form`, one row per subset
+        mask and a zero row at the empty set."""
+        f = object.__new__(cls)
+        f.ground = ground
+        f._values = None
         f._form = form
         return f
+
+    @property
+    def values(self) -> List[LogScalar]:
+        """The value at each subset mask, in mask order."""
+        if self._values is None:
+            self._values = [self._form.scalar(row) for row in self._form.mat]
+        return self._values
 
     @property
     def form(self) -> IntegerForm:
         """The integer form of `values`, one row per subset mask."""
         if self._form is None:
-            self._form = integer_form(self.values)
+            self._form = integer_form(self._values)
         return self._form
 
     @classmethod

@@ -268,3 +268,72 @@ def xor_code(middle=None):
         ("r2", "X"): LinearMap(2, [[1], [0]]), ("r2", "Y"): LinearMap(2, [[1], [1]]),
     }
     return NetworkCode(alph, enc, dec)
+
+
+def reference_verify(cert, layout, tup, failures=None) -> bool:
+    """`verify_connection_constraints` as it was when it compared LogScalar
+    values: every consistency pair value by value, and every clause as a sum
+    of LogScalars per side, compared by `==` or by the sign of the
+    difference.  The reference for the verifier on integer forms."""
+    from entronet.lpbound import CoverageError, check_polymatroid, connection_clauses
+
+    net, conn = layout.network, layout.conn
+    ok = True
+
+    def fail(msg):
+        nonlocal ok
+        ok = False
+        if failures is not None:
+            failures.append(msg)
+
+    if cert.n != layout.n:
+        fail(f"certificate is for N={cert.n}, the layout has N={layout.n}")
+        return False
+    for tag, lw in sorted(cert.locals_.items()):
+        rep = check_polymatroid(lw.func)
+        if not rep.ok:
+            v = rep.instances[0]
+            fail(f"local {tag}: not a polymatroid ({v.family} at {v.subsets})")
+    bits = {
+        tag: {v: lw.func.ground.mask([lab]) for v, lab in lw.var_map.items()}
+        for tag, lw in cert.locals_.items()
+    }
+    tags = sorted(cert.locals_)
+    for x, ta in enumerate(tags):
+        for tb in tags[x + 1:]:
+            ba, bb = bits[ta], bits[tb]
+            atoms = {}
+            for v in sorted(ba.keys() & bb.keys()):
+                atoms.setdefault((ba[v], bb[v]), v)
+            unions = {(0, 0): ()}
+            for (ma, mb), v in atoms.items():
+                for (ua, ub), vs in list(unions.items()):
+                    unions.setdefault((ua | ma, ub | mb), vs + (v,))
+            fa, fb = cert.locals_[ta].func, cert.locals_[tb].func
+            for (ua, ub), vs in unions.items():
+                if fa.values[ua] != fb.values[ub]:
+                    fail(f"locals {ta} and {tb} disagree on {list(vs)}")
+                    break
+
+    def find_local(varnames):
+        for tag in cert.locals_:
+            if all(v in bits[tag] for v in varnames):
+                return cert.locals_[tag].func.values, bits[tag]
+        raise CoverageError(f"no local function covers variables {list(varnames)}")
+
+    for message, terms, rhs, sense in connection_clauses(net, conn, tup):
+        values, b = find_local(list(dict.fromkeys(v for _, subset in terms for v in subset)))
+        sides = ([], [rhs] if rhs else [])
+        for c, subset in terms:
+            mask = 0
+            for v in subset:
+                mask |= b[v]
+            sides[c < 0].append(values[mask] * abs(c))
+        lhs, rhs = (sum(side[1:], side[0]) if side else ZERO for side in sides)
+        if sense == "=":
+            bad = lhs != rhs
+        else:
+            bad = (lhs - rhs).sign() == (1 if sense == "<=" else -1)
+        if bad:
+            fail(message)
+    return ok

@@ -8,16 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entronet import exactlog
 from entronet.exactlog import (
     PRIME_TEST_LIMIT,
+    SIGN_BIT_CAP,
     ZERO,
     LogScalar,
+    _interval_sign,
     entropy_of_counts,
     factorize,
     integer_form,
     is_prime,
     log2_units,
+    negative_mask,
     negative_rows,
+    power_sign,
 )
 from entronet.schema import StructuralError
 
@@ -240,6 +245,82 @@ def test_entropy_of_counts_refuses_a_non_positive_count(bad):
     for fn in (entropy_of_counts, entropy_of_counts_per_count):
         with pytest.raises(ValueError, match="positive"):
             fn(bad)
+
+
+def product_sign(bases, row):
+    """The sign of sum(row[i] * log(bases[i])) by the two products, at any
+    size."""
+    pos = math.prod(b**a for b, a in zip(bases, row) if a > 0)
+    neg = math.prod(b**-a for b, a in zip(bases, row) if a < 0)
+    return (pos > neg) - (pos < neg)
+
+
+SIGN_PRIMES = [p for p in range(2, 62) if is_prime(p)]
+# small coefficients, and ones that pass the bit cap on their own
+sign_coefficients = st.one_of(st.integers(-40, 40), st.integers(-2 * SIGN_BIT_CAP, 2 * SIGN_BIT_CAP))
+sign_rows = st.dictionaries(st.sampled_from(SIGN_PRIMES), sign_coefficients, min_size=1, max_size=6)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sign_rows)
+def test_integer_sign_equals_the_interval_sign(terms):
+    """Below the bit cap power_sign compares products, above it evaluates
+    intervals: either way it is the sign of the products, and so is the
+    interval sign at every size."""
+    bases, row = tuple(terms), list(terms.values())
+    want = product_sign(bases, row)
+    assert power_sign(bases, row) == want
+    assert _interval_sign(bases, row) == want
+
+
+def test_power_sign_takes_the_interval_path_only_past_the_bit_cap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(exactlog, "_interval_sign", lambda b, r: calls.append(r) or 7)
+    # 2^a against 3^a: 2 and 3 are 2 bits long, so the products count 4a bits
+    below = [SIGN_BIT_CAP // 4, -(SIGN_BIT_CAP // 4)]
+    above = [SIGN_BIT_CAP // 4 + 1, -(SIGN_BIT_CAP // 4 + 1)]
+    assert power_sign((2, 3), below) == -1 and calls == []
+    assert power_sign((2, 3), above) == 7 and calls == [above]
+
+
+@pytest.mark.parametrize("bases, row, sign", [
+    ((4, 2), (SIGN_BIT_CAP, -2 * SIGN_BIT_CAP), 0),  # log 4 = 2 log 2, past the cap
+    ((4, 2), (1, -2), 0),
+    ((12, 2, 3), (1, -2, -1), 0),
+    ((6, 2), (SIGN_BIT_CAP, -2 * SIGN_BIT_CAP), 1),
+    ((2,), (0,), 0),
+    ((), (), 0),
+])
+def test_power_sign_on_composite_bases(bases, row, sign):
+    assert power_sign(bases, row) == sign
+    assert _interval_sign(bases, row) == sign
+
+
+def test_logscalar_sign_scales_its_fractions_to_integers():
+    # 2^(1/3) > 3^(1/5): 2^5 = 32 > 27 = 3^3
+    assert LogScalar({2: Fraction(1, 3), 3: Fraction(-1, 5)}).sign() == 1
+    assert LogScalar({2: Fraction(-1, 3), 3: Fraction(1, 5)}).sign() == -1
+    assert LogScalar({2: Fraction(-3, 2), 3: 1}).sign() == 1  # 9 > 8
+    # past the cap the interval path decides, scaled the same way
+    assert LogScalar({2: Fraction(SIGN_BIT_CAP, 3), 3: -Fraction(SIGN_BIT_CAP, 5)}).sign() == 1
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@pytest.mark.parametrize("scale", [1, 2**64])
+@given(st.lists(scalars, min_size=1, max_size=8), st.data())
+def test_negative_mask_matches_the_per_row_sign(scale, values, data):
+    """On an int64 form, and on the same values scaled past int64 into an
+    object-dtype form."""
+    values = [v * scale for v in values]
+    form = integer_form(values)
+    assert (form.mat.dtype == object) == (form.bound > INT64_MAX)
+    weights = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+    rows = st.lists(st.integers(0, len(values) - 1), min_size=len(weights),
+                    max_size=len(weights))
+    index = np.array(data.draw(st.lists(rows, min_size=1, max_size=12)))
+    want = [sum((values[i] * w for i, w in zip(row, weights)), ZERO).sign() < 0
+            for row in index.tolist()]
+    assert negative_mask(form, index, weights).tolist() == want
 
 
 INT64_MAX = int(np.iinfo(np.int64).max)

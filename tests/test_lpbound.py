@@ -1,9 +1,14 @@
+import functools
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturb_non_polymatroid, random_integer_polymatroid
+from conftest import perturb_non_polymatroid, random_integer_polymatroid, reference_verify
 from entronet.construct import build_gdagger, rate_capacity
 from entronet.exactlog import ZERO, LogScalar, integer_form, log2_units, negative_rows
 from entronet.groupchar import builtin_function
@@ -642,6 +647,110 @@ def test_verify_rejects_a_doubled_independence_local(witness_n2):
     assert all("disagree" in f for f in failures)
 
 
+@functools.lru_cache(maxsize=None)
+def honest_witness(n, seed):
+    """The layout, certificate and tuple of a mixed-prime polymatroid."""
+    lay = build_gdagger(n)
+    h = mixed_polymatroid(seed, n)
+    return lay, build_witness(h, lay), rate_capacity(h, lay)
+
+
+def verify_outcome(verify, cert, lay, tup):
+    """What a verifier returns or raises, with the failures it records."""
+    failures = []
+    try:
+        result = verify(cert, lay, tup, failures)
+    except CoverageError as exc:
+        result = f"CoverageError: {exc}"
+    return result, failures
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 3),
+       st.sampled_from(["none", "value", "vars", "drop", "rate", "capacity", "independence"]),
+       st.data())
+def test_verify_on_forms_matches_the_logscalar_reference(n, seed, how, data):
+    """Honest certificates, and certificates forged by changing one local
+    value, retargeting or dropping one `vars` entry, perturbing a rate or a
+    capacity, or doubling the independence local: the same verdict and the
+    same failures, in the same order, as the per-clause LogScalar verifier."""
+    lay, cert, tup = honest_witness(n, seed)
+    locals_ = dict(cert.locals_)
+    if how in ("value", "vars", "drop"):
+        tag = data.draw(st.sampled_from(sorted(locals_)))
+        lw = locals_[tag]
+        if how == "value":
+            values = list(lw.func.values)
+            m = data.draw(st.integers(1, len(values) - 1))
+            values[m] = values[m] + data.draw(st.sampled_from(
+                [log2_units(1), log2_units(-1), LogScalar({3: Fraction(1, 2)}),
+                 LogScalar({2: 1, 3: -1})]))
+            locals_[tag] = LocalWitness(SetFunction(lw.func.ground, values), lw.var_map)
+        else:
+            var = data.draw(st.sampled_from(sorted(lw.var_map)))
+            var_map = dict(lw.var_map)
+            if how == "vars":
+                var_map[var] = data.draw(st.sampled_from(lw.func.ground.labels))
+            else:
+                del var_map[var]
+            locals_[tag] = LocalWitness(lw.func, var_map)
+    elif how == "independence":
+        lw = locals_["independence"]
+        locals_["independence"] = LocalWitness(lw.func.scale(2), lw.var_map)
+    elif how in ("rate", "capacity"):
+        entries = dict(tup.rates if how == "rate" else tup.caps)
+        key = data.draw(st.sampled_from(sorted(entries)))
+        entries[key] = entries[key] + data.draw(st.sampled_from(
+            [log2_units(Fraction(1, 3)), LogScalar({3: 1, 2: -1}), LogScalar({5: Fraction(1, 7)})]))
+        if data.draw(st.booleans()):
+            entries[key] = entries[key] * Fraction(1, 2)
+        tup = (RateCapacityTuple(entries, tup.caps) if how == "rate"
+               else RateCapacityTuple(tup.rates, entries))
+    forged = WitnessCertificate(cert.n, locals_)
+    got = verify_outcome(verify_connection_constraints, forged, lay, tup)
+    assert got == verify_outcome(reference_verify, forged, lay, tup)
+    if how == "none":
+        assert got == (True, [])
+
+
+MIXED_N4 = """
+import json, random, sys, time
+from conftest import random_integer_polymatroid
+from entronet.construct import build_gdagger, rate_capacity
+from entronet.exactlog import LogScalar
+from entronet.lpbound import build_witness, verify_connection_constraints
+
+lay = build_gdagger(4)
+out = []
+for seed in range(3):
+    rng = random.Random(seed)
+    h = (random_integer_polymatroid(rng, 4, LogScalar({2: 1}))
+         + random_integer_polymatroid(rng, 4, LogScalar({2: -1, 3: 1})))
+    start = time.perf_counter()
+    cert = build_witness(h, lay)
+    built = time.perf_counter()
+    ok = verify_connection_constraints(cert, lay, rate_capacity(h, lay))
+    out.append([ok, built - start, time.perf_counter() - built])
+print(json.dumps({"runs": out, "mpmath": "mpmath" in sys.modules}))
+"""
+
+
+def test_mixed_prime_witness_at_n4_builds_and_verifies_without_intervals():
+    """h = x·log 2 + y·log(3/2) at N=4, for three seeded pairs of integer
+    polymatroids x, y: every sign is an integer comparison.  It runs in a
+    fresh interpreter, since other tests import mpmath."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", MIXED_N4], cwd=tests, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    for ok, build_s, verify_s in report["runs"]:
+        assert ok
+        assert build_s + verify_s < 2.0, report
+    assert not report["mpmath"]
+
+
 # --- the exact procedures against the implementations they replaced ----------
 
 
@@ -1044,23 +1153,32 @@ def assert_form_is_derived_exactly(g):
 @given(st.integers(0, 10**6), st.integers(2, 3), st.sampled_from(
     ["functional", "sum", "sw", "adhesion"]), st.data())
 def test_every_extension_derives_the_integer_form_of_its_values(seed, n, op, data):
+    """The form, and the values read off it, equal the values built one by
+    one with LogScalar arithmetic."""
     f = mixed_polymatroid(seed, n)
     labels = list(f.ground.labels)
     if op == "functional":
-        g = functional_extension(f, data.draw(st.integers(0, (1 << n) - 1)), name="Z")
+        amask = data.draw(st.integers(0, (1 << n) - 1))
+        g = functional_extension(f, amask, name="Z")
+        eager = f.values + [f.values[m | amask] for m in range(1 << n)]
     elif op == "sum":
         x = data.draw(st.sampled_from(labels))
         fp = independent_adhesion(f, SetFunction(["Y"], f.restrict([x]).values))
         assert_form_is_derived_exactly(fp)
         g = sum_extension(fp, x, "Y", name="Z")
+        eager = adjoined_by_min(fp, fp.ground.mask([x, "Y"]), fp([x]))
     elif op == "sw":
         xm = data.draw(st.integers(1, (1 << n) - 1))
-        g = sw_extension(f, xm, data.draw(st.integers(0, (1 << n) - 1)), name="Z")
+        ym = data.draw(st.integers(0, (1 << n) - 1))
+        g = sw_extension(f, xm, ym, name="Z")
+        eager = adjoined_by_min(f, xm, f.values[xm | ym] - f.values[ym])
     else:
         # a second function over other primes and denominators
         other = mixed_polymatroid(seed + 1, data.draw(st.integers(1, 2))).scale(Fraction(5, 7))
         other = SetFunction([f"o{x}" for x in other.ground.labels], other.values)
         g = independent_adhesion(f, other)
+        eager = [a + b for b in other.values for a in f.values]
+    assert g.values == eager
     assert_form_is_derived_exactly(g)
 
 

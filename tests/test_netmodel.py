@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import EDGE_IDS, butterfly, wide_inner_code, xor_code
 from entronet import netmodel
-from entronet.exactlog import entropy_of_counts, log2_units
+from entronet.exactlog import SIGN_BIT_CAP, ZERO, LogScalar, entropy_of_counts, log2_units
 from entronet.ffield import GF
 from entronet.netmodel import (
     Alphabet,
@@ -26,6 +26,7 @@ from entronet.netmodel import (
     StructuralError,
     TableMap,
     UNCAPPED,
+    alphabets_meet_tuple,
     check_admissible,
     evaluate_code,
     kernels_of_linear_code,
@@ -499,3 +500,65 @@ def test_to_dot_renders_all_parts():
     for node in net.nodes:
         assert f'"{node}"' in dot
     assert "e_cd" in dot
+
+
+def reference_alphabets_meet_tuple(net, conn, code, tup):
+    """The LogScalar formulation: log|A| minus the capacity or rate, its
+    sign decided by comparing the two products at any size."""
+    def sign(x):
+        den = math.lcm(*(q.denominator for q in x.terms.values()))
+        pos = neg = 1
+        for p, q in x.terms.items():
+            a = q.numerator * (den // q.denominator)
+            if a > 0:
+                pos *= p**a
+            else:
+                neg *= p**-a
+        return (pos > neg) - (pos < neg)
+
+    for e in net.edges:
+        cap = tup.cap(e.id)
+        if cap is not UNCAPPED and sign(code.alphabets[e.id].log_size() - cap) > 0:
+            return False
+    return all(sign(code.alphabets[s].log_size() - tup.rates.get(s, ZERO)) >= 0
+               for s in conn.sessions)
+
+
+@st.composite
+def alphabet_bounds(draw, size):
+    """A nonnegative bound near log(size): (1/k)·log(size^k + delta), whose
+    primes are those of size^k + delta; log 2 and log 3 with either sign; or
+    round(den·log2(size) + delta)/den · log 2 with den past the bit cap."""
+    kind = draw(st.sampled_from(["near", "mixed", "past-cap"]))
+    delta = draw(st.integers(-2, 2))
+    if kind == "near":
+        k = draw(st.integers(1, 4))
+        return LogScalar.log_int(max(1, size**k + delta)) * Fraction(1, k)
+    if kind == "mixed":
+        x = LogScalar({2: Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 7))),
+                       3: Fraction(draw(st.integers(-12, 12)), draw(st.integers(1, 7)))})
+        return x if x.sign() >= 0 else -x
+    den = draw(st.integers(SIGN_BIT_CAP, 2 * SIGN_BIT_CAP))
+    return log2_units(Fraction(max(0, round(den * math.log2(size)) + delta), den))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_alphabets_meet_tuple_matches_the_logscalar_formulation(data):
+    """One session X on one edge e: the rate of X and the capacity of e are
+    fractional, mixed-prime, exactly log|A| or just either side of it."""
+    net = Network(["s", "r"], [Edge("e", "s", "r", UNCAPPED)])
+    conn = ConnectionRequirement(["X"], {"X": "s"}, {"X": ["r"]})
+    alphabets = {}
+    for key in ("X", "e"):
+        if data.draw(st.booleans()):
+            alphabets[key] = Alphabet(symbols=range(data.draw(st.integers(1, 40))))
+        else:
+            alphabets[key] = Alphabet(q=data.draw(st.sampled_from([2, 3, 5])),
+                                      dim=data.draw(st.integers(1, 4)))
+    code = NetworkCode(alphabets, {}, {})
+    lam = data.draw(alphabet_bounds(alphabets["X"].size))
+    caps = {"e": data.draw(alphabet_bounds(alphabets["e"].size))} if data.draw(st.booleans()) else {}
+    tup = RateCapacityTuple({"X": lam}, caps)
+    assert alphabets_meet_tuple(net, conn, code, tup) == \
+        reference_alphabets_meet_tuple(net, conn, code, tup)
