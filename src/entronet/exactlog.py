@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
@@ -280,7 +281,9 @@ class LogScalar:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> Dict[str, str]:
-        return {str(p): str(q) for p, q in sorted(self._terms.items())}
+        """Prime and coefficient as text, each string interned: the few that
+        recur across the values of a document or a verdict are held once."""
+        return {sys.intern(str(p)): sys.intern(str(q)) for p, q in sorted(self._terms.items())}
 
     @classmethod
     def from_json(cls, obj: Mapping[str, str]) -> "LogScalar":

@@ -17,8 +17,8 @@ eliminated through the field's add and mul tables.
 Every tuple space of the package is numbered one way, by `flat_index` and
 its inverse `digits_of`: the mixed-radix index with the FIRST coordinate
 most significant.  That numbers the vectors of F_q^dim (`GF.vec_index`),
-the entries of a code's tables over their feeds, and the source tuples
-that `evaluate_code` enumerates.
+the entries of a code's tables over their feeds, and the tuples of the
+sessions a variable reads when `evaluate_code` tabulates a code.
 """
 
 from __future__ import annotations

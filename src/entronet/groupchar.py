@@ -257,6 +257,7 @@ class SubspaceFamily:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "members", tuple(mem))
         object.__setattr__(self, "_annihilators", {})
+        object.__setattr__(self, "_logs", {})
 
     @classmethod
     def _trusted(
@@ -271,6 +272,7 @@ class SubspaceFamily:
         object.__setattr__(out, "ambient_dim", ambient_dim)
         object.__setattr__(out, "members", tuple(tuple(map(tuple, m)) for m in members))
         object.__setattr__(out, "_annihilators", dict(annihilators))
+        object.__setattr__(out, "_logs", {})
         return out
 
     @property
@@ -308,10 +310,15 @@ class SubspaceFamily:
 
     def entropy_at(self, indices: Sequence[int]) -> LogScalar:
         """(ambient_dim - dim of the indexed intersection) * log q, from one
-        rank (`intersection_codim`)."""
+        rank (`intersection_codim`); the family keeps that value for each
+        codimension it has answered."""
         if not indices:
             return ZERO
-        return LogScalar.log_int(self.q) * self.intersection_codim(indices)
+        codim = self.intersection_codim(indices)
+        log = self._logs.get(codim)
+        if log is None:
+            log = self._logs[codim] = LogScalar.log_int(self.q) * codim
+        return log
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,9 @@
 """Directed acyclic networks, connection requirements, network codes, and
-zero-error evaluation that tabulates each variable once, over the sessions
-it reads, and checks each decoder on those tables.
+zero-error evaluation.  A wholly linear code is decided by its global maps,
+one composition per edge, with each decoder checked as a matrix identity
+and entropies read as ranks; any other code, and a linear one that fails,
+is tabulated, each variable once over the sessions it reads, and each
+decoder is checked on those tables (`evaluate_code`).
 
 Conventions:
   - An edge's encoder reads, in canonical order, the sessions originating at
@@ -24,7 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .exactlog import ZERO, LogScalar, entropy_of_histogram, log_int_sign
-from .ffield import GF, Matrix, digits_of, flat_index
+from .ffield import GF, Matrix, Row, digits_of, flat_index
 from .groupchar import SubspaceFamily
 from .schema import (MAX_CONE_TUPLES, ResourceError, StructuralError, document, int_rows,
                      sym_from_json, sym_to_json, typed)
@@ -307,20 +310,25 @@ class LinearMap:
     def out_dim(self) -> int:
         return len(self.matrix[0]) if self.matrix else 0
 
-    def to_table(self, feed_alphabets: Sequence[Alphabet]) -> np.ndarray:
-        """Dense output-index table over the flat feed domain, read-only:
-        built once (`GF.image_table`), with the feeds and the cap checked on
-        every call."""
-        dims = []
+    def check_feeds(self, feed_alphabets: Sequence[Alphabet]) -> int:
+        """The dimension of the concatenated feeds, which must be F_q vector
+        spaces whose dimensions add up to `in_dim`."""
+        in_dim = 0
         for a in feed_alphabets:
             if a.kind != "vector" or a.q != self.q:
                 raise StructuralError("linear encoder requires F_q vector feeds over the same q")
-            dims.append(a.dim)
-        in_dim = sum(dims)
+            in_dim += a.dim
         if in_dim != self.in_dim:
             raise StructuralError(
                 f"linear map expects input dim {self.in_dim}, feeds provide {in_dim}"
             )
+        return in_dim
+
+    def to_table(self, feed_alphabets: Sequence[Alphabet]) -> np.ndarray:
+        """Dense output-index table over the flat feed domain, read-only:
+        built once (`GF.image_table`), with the feeds (`check_feeds`) and
+        the cap checked on every call."""
+        in_dim = self.check_feeds(feed_alphabets)
         if self.q ** in_dim > MAX_CONE_TUPLES:
             raise ResourceError(
                 f"linear map over F_{self.q}^{in_dim} needs a table of "
@@ -482,7 +490,14 @@ class EntropyOracle:
     the product of the alphabet sizes of the sessions outside U, and the
     entropy of a count histogram does not change when every count is
     scaled by one factor.  A query whose U has more than `MAX_QUERY_TUPLES`
-    tuples raises ResourceError, and no array a query allocates is longer."""
+    tuples raises ResourceError, and no array a query allocates is longer.
+
+    An oracle of a wholly linear code that `evaluate_code` found zero-error
+    keeps no arrays but the global maps of its variables, as packed columns
+    over the stacked source space (`_keep_columns`): H(keys) is then r·log q
+    for r the rank of the union of the keys' columns (Li, Yeung & Cai,
+    "Linear network coding", IEEE Trans. IT 49(2), 2003), and log q^r is
+    built once per rank."""
 
     def __init__(self, arrays: Mapping[str, np.ndarray], sizes: Mapping[str, int],
                  scopes: Mapping[str, Sequence[str]]):
@@ -491,6 +506,14 @@ class EntropyOracle:
         self.scopes = {k: tuple(scope) for k, scope in scopes.items()}
         self.ground = GroundSet(sorted(self.scopes))
         self._digits: Dict[Tuple[str, ...], Dict[str, np.ndarray]] = {}
+        self._columns: Optional[Tuple[GF, int, Mapping[str, List[Row]]]] = None
+        self._logs: Dict[int, LogScalar] = {}
+
+    def _keep_columns(self, gf: GF, width: int, columns: Mapping[str, List[Row]]) -> "EntropyOracle":
+        """Answer by rank: `columns` holds the packed global columns of each
+        variable, vectors of length `width` over `gf`."""
+        self._columns = (gf, width, columns)
+        return self
 
     def tuples(self, scope: Sequence[str]) -> int:
         return math.prod(self.sizes[s] for s in scope)
@@ -526,7 +549,8 @@ class EntropyOracle:
         keeps the partition and so the counts.  The counts come from
         `np.bincount` when the code's radix product is at most
         `_BINCOUNT_SPAN` times the tuples of U, and from `np.unique`
-        otherwise."""
+        otherwise.  An oracle that keeps global columns answers by one rank
+        instead, after the same bound on U."""
         keys = list(keys)
         if not keys:
             return ZERO
@@ -539,6 +563,13 @@ class EntropyOracle:
             raise ResourceError(
                 f"entropy of {keys} needs {n} source tuples, over the bound {MAX_QUERY_TUPLES}"
             )
+        if self._columns is not None:
+            gf, width, columns = self._columns
+            rank = len(gf.echelon([c for k in keys for c in columns[k]], width, reduced=False)[1])
+            log = self._logs.get(rank)
+            if log is None:
+                log = self._logs[rank] = LogScalar.log_int(gf.q ** rank)
+            return log
         code, card = None, 1
         for k in keys:
             arr, size = self.over(k, union), self.sizes[k]
@@ -575,9 +606,10 @@ class EntropyOracle:
 
 @dataclass
 class EvaluationResult:
-    """Verdict of `evaluate_code`, and the oracle over the tables that
-    decided it: each variable tabulated once, over the tuples of its
-    scope."""
+    """Verdict of `evaluate_code`, and the oracle that decided it: over the
+    tables of its variables, each tabulated once over the tuples of its
+    scope, or over their global maps when a wholly linear code is
+    zero-error."""
 
     zero_error: bool
     failing_inputs: List[tuple]
@@ -588,17 +620,18 @@ class EvaluationResult:
         return self.oracle.to_setfunction()
 
 
-def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
-              alphabets: Mapping[str, Alphabet], sizes: Mapping[str, int]) -> np.ndarray:
-    """Dense table of an encoder or decoder; a TableMap must cover exactly
-    its feed domain and write inside the alphabet of `out`, and a LinearMap
-    must map into the vector space that is the alphabet of `out`.  `sizes`
-    holds the size of each alphabet."""
+def _check_map(m: EncoderMap, what: str, feeds: List[str], out: str,
+               alphabets: Mapping[str, Alphabet], sizes: Mapping[str, int]) -> None:
+    """A TableMap must cover exactly its feed domain and write inside the
+    alphabet of `out`; a LinearMap must map into the vector space that is
+    the alphabet of `out` and read F_q vector feeds of its input dimension
+    (`LinearMap.check_feeds`).  `sizes` holds the size of each alphabet."""
     if not isinstance(m, TableMap):
         a = alphabets[out]
         if a.kind != "vector" or a.q != m.q or (m.matrix and m.out_dim != a.dim):
             raise StructuralError(f"{what} does not map into the alphabet of {out}")
-        return m.to_table([alphabets[f] for f in feeds])
+        m.check_feeds([alphabets[f] for f in feeds])
+        return
     dom = 1
     for f in feeds:
         dom *= sizes[f]
@@ -607,7 +640,46 @@ def _tabulate(m: EncoderMap, what: str, feeds: List[str], out: str,
     # a negative entry reads as at least 2^63 in the unsigned view
     if len(m.table) and m.table.view(np.uint64).max() >= sizes[out]:
         raise StructuralError(f"{what} writes outside its alphabet")
-    return m.table
+
+
+def _table(m: EncoderMap, feeds: List[str], alphabets: Mapping[str, Alphabet]) -> np.ndarray:
+    """Dense table of a map that `_check_map` passed."""
+    return m.table if isinstance(m, TableMap) else m.to_table([alphabets[f] for f in feeds])
+
+
+def _global_columns(net: Network, conn: ConnectionRequirement, code: NetworkCode,
+                    gf: GF) -> Tuple[int, Dict[str, List[Row]]]:
+    """D, the dimension of the stacked source space F_q^D (sessions in
+    order), and the packed columns (`GF.pack`) of the global map of each
+    session and edge: a session's are unit vectors, and an edge's column j
+    is the combination of its feeds' columns that column j of its encoder
+    matrix selects (`_global_image`), in topological order."""
+    sess = conn.sessions
+    D = sum(code.alphabets[s].dim for s in sess)
+    unit = [gf.pack(r) for r in gf.identity(D)]
+    cols: Dict[str, List[Row]] = {}
+    off = 0
+    for s in sess:
+        d = code.alphabets[s].dim
+        cols[s] = unit[off:off + d]
+        off += d
+    feeds: Dict[str, List[Row]] = {}  # a tail's in-edges come before it
+    for e in net.edges_topo():
+        feed = feeds.get(e.tail)
+        if feed is None:
+            feed = feeds[e.tail] = [c for f in edge_feeds(net, conn, e) for c in cols[f]]
+        cols[e.id] = _global_image(gf, code.encoders[e.id], feed, D, code.alphabets, e.id)
+    return D, cols
+
+
+def _global_image(gf: GF, m: LinearMap, feed: List[Row], width: int,
+                  alphabets: Mapping[str, Alphabet], out: str) -> List[Row]:
+    """The packed columns of the global map of `m` applied to feeds with
+    packed global columns `feed`: one `GF.combine`; a map with no input
+    rows is the zero map into the alphabet of `out`."""
+    if m.matrix:
+        return gf.combine(feed, m.matrix, width)
+    return [gf.pack([0] * width)] * alphabets[out].dim
 
 
 REPORT_LIMIT = 50  # failing inputs evaluate_code reports
@@ -618,22 +690,40 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
 
     A session's scope is itself, and an edge's scope is the union of its
     feeds' scopes, in session order: the sessions originating in its tail's
-    ancestor cone.  Each variable is tabulated once, in topological order,
-    over the tuples of its scope, and the result's `oracle` keeps these
-    tables.  A demand (r, s) is checked over the tuples of its union: the
-    sessions that r's decoder feeds read, plus s.  Sessions are independent
-    and the decoder reads nothing outside that union, so this verdict
-    equals that of checking every source tuple.
+    ancestor cone.  A demand (r, s) is checked over the tuples of its
+    union: the sessions that r's decoder feeds read, plus s.  Sessions are
+    independent and the decoder reads nothing outside that union, so this
+    verdict equals that of checking every source tuple.
 
     `MAX_CONE_TUPLES` caps the tuples of each demand's union, the entries
     of all scope tables together and those of all linear map tables
-    together, each checked before any table is built.  Only the alphabets
-    of sessions and edges are sized (`Alphabet.size`).  Each entry of
-    `failing_inputs` is (source tuple over all sessions, receiver, session),
-    at most `REPORT_LIMIT` of them; demands that share a union are checked
-    together, in the order of their first appearance among the sorted
-    demands, and a session outside the failing demand's union is reported
-    at its first symbol."""
+    together, each checked before any map is checked or any table built.
+    Only the alphabets of sessions and edges are sized (`Alphabet.size`).
+    Every encoder, in topological order, and then every decoder, in the
+    order below, is checked against its feeds and its alphabet
+    (`_check_map`) before any table is built.
+
+    Which path decides:
+      - A wholly linear code (`NetworkCode.is_linear`) whose global maps
+        hold at most `MAX_CONE_TUPLES` entries together (D per column, for
+        F_q^D the stacked source space) is first decided by those maps
+        (Koetter & Médard, "An algebraic approach to network coding",
+        IEEE/ACM Trans. Networking 11(5), 2003): each edge's is composed
+        once, in topological order (`_global_columns`), and a demand
+        (r, s) holds iff r's decoder applied to the global maps of its
+        feeds is the global map of s, an exact identity of packed columns.
+        If every demand holds the code is zero-error, no table is built,
+        and the result's `oracle` answers entropies by rank.
+      - Any other code, and a linear code with a failing demand, is
+        tabulated, so a failure is reported from the tables: each variable
+        once, in topological order, over the tuples of its scope, and each
+        decoder is checked on those tables; the `oracle` keeps them.
+
+    Each entry of `failing_inputs` is (source tuple over all sessions,
+    receiver, session), at most `REPORT_LIMIT` of them; demands that share
+    a union are checked together, in the order of their first appearance
+    among the sorted demands, and a session outside the failing demand's
+    union is reported at its first symbol."""
     conn.validate_against(net)
     for e in net.edges:
         if e.id not in code.encoders:
@@ -689,20 +779,36 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
     if entries > MAX_CONE_TUPLES:
         raise ResourceError(f"linear map tables of {entries} entries exceed the cap {MAX_CONE_TUPLES}")
 
+    demands = [d for checks in groups.values() for d in checks]
+    for tail, edges in out_edges.items():
+        for e in edges:
+            _check_map(code.encoders[e.id], f"encoder for {e.id}", node_feeds[tail], e.id,
+                       code.alphabets, sizes)
+    for r, s in demands:
+        _check_map(code.decoders[(r, s)], f"decoder for session {s} at receiver {r}",
+                   node_feeds[r], s, code.alphabets, sizes)
+
+    # the global maps hold D entries per column: capped together like the tables
+    q = code.is_linear()
+    if q is not None and (sum(code.alphabets[s].dim for s in sess)
+                          * sum(code.alphabets[k].dim for k in sizes) <= MAX_CONE_TUPLES):
+        gf = GF(q)
+        D, cols = _global_columns(net, conn, code, gf)
+        if all(_global_image(gf, code.decoders[(r, s)], [c for f in node_feeds[r] for c in cols[f]],
+                             D, code.alphabets, s) == cols[s] for r, s in demands):
+            return EvaluationResult(True, [], oracle._keep_columns(gf, D, cols))
+
     for s in sess:
         oracle.arrays[s] = np.arange(sizes[s], dtype=np.int64)
     for tail, edges in out_edges.items():
         rows = oracle.index(node_feeds[tail], node_scope[tail])
         for e in edges:
-            table = _tabulate(code.encoders[e.id], f"encoder for {e.id}", node_feeds[tail], e.id,
-                              code.alphabets, sizes)
-            oracle.arrays[e.id] = table[rows]
+            oracle.arrays[e.id] = _table(code.encoders[e.id], node_feeds[tail], code.alphabets)[rows]
 
     failing: List[tuple] = []
     for union, checks in groups.items():
         for r, s in checks:
-            table = _tabulate(code.decoders[(r, s)], f"decoder for session {s} at receiver {r}",
-                              node_feeds[r], s, code.alphabets, sizes)
+            table = _table(code.decoders[(r, s)], node_feeds[r], code.alphabets)
             bad = np.flatnonzero(table[oracle.index(node_feeds[r], union)] != oracle.over(s, union))
             if bad.size:
                 values = {t: oracle.over(t, union) for t in union}
@@ -732,13 +838,18 @@ def alphabets_meet_tuple(
     admissibility that does not need the code evaluated.  Each comparison
     is one of integers, |A|^d against a product of prime powers, for d the
     denominator of the capacity or rate
-    (:func:`~entronet.exactlog.log_int_sign`)."""
+    (:func:`~entronet.exactlog.log_int_sign`), made once per distinct pair
+    of alphabet size and capacity over the edges."""
+    met = set()
     for e in net.edges:
         cap = tup.cap(e.id)
         if cap is UNCAPPED:
             continue
-        if log_int_sign(code.alphabets[e.id].size, cap) > 0:
-            return False
+        pair = (code.alphabets[e.id].size, cap)
+        if pair not in met:
+            if log_int_sign(*pair) > 0:
+                return False
+            met.add(pair)
     for s in conn.sessions:
         lam = tup.rates.get(s, ZERO)
         if log_int_sign(code.alphabets[s].size, lam) < 0:
@@ -753,9 +864,8 @@ def kernels_of_linear_code(
     maps from the stacked source space F_q^D, and return their kernels,
     indexed by sessions (sorted) then edges (sorted).
 
-    A global map M is kept as its columns, packed (`GF.pack`): a session's
-    are unit vectors, and an edge's column j is the combination of its
-    feeds' columns that column j of the local matrix selects.  Each kernel
+    A global map M is kept as its packed columns, composed by
+    `_global_columns` as `evaluate_code` composes them.  Each kernel
     is `GF.perp` of those columns, one per distinct global map, a full-rank
     basis, so the family is built without re-validating it.  When the
     columns are independent they are kept as the member's annihilator, and
@@ -764,20 +874,9 @@ def kernels_of_linear_code(
     if q is None:
         raise ValueError("code is not linear over a common field")
     gf = GF(q)
-    sess = list(conn.sessions)
-    D = sum(code.alphabets[s].dim for s in sess)
-    unit = gf.identity(D)
-    cols: Dict[str, list] = {}
-    off = 0
-    for s in sess:
-        d = code.alphabets[s].dim
-        cols[s] = [gf.pack(r) for r in unit[off:off + d]]
-        off += d
-    for e in net.edges_topo():
-        feed = [c for f in edge_feeds(net, conn, e) for c in cols[f]]
-        cols[e.id] = gf.combine(feed, code.encoders[e.id].matrix, D)
+    D, cols = _global_columns(net, conn, code, gf)
 
-    keys = sess + sorted(e.id for e in net.edges)
+    keys = list(conn.sessions) + sorted(e.id for e in net.edges)
     kernels: Dict[tuple, Matrix] = {}
     members: List[Matrix] = []
     independent: Dict[int, list] = {}

@@ -27,8 +27,12 @@ from entronet.netmodel import (
     LinearMap,
     Network,
     NetworkCode,
+    ResourceError,
+    StructuralError,
     TableMap,
     UNCAPPED,
+    decoder_feeds,
+    edge_feeds,
 )
 from entronet.setfunc import GroundSet, SetFunction
 
@@ -268,6 +272,27 @@ def xor_code(middle=None):
         ("r2", "X"): LinearMap(2, [[1], [0]]), ("r2", "Y"): LinearMap(2, [[1], [1]]),
     }
     return NetworkCode(alph, enc, dec)
+
+
+def table_form(net, conn, code):
+    """`code` with each `LinearMap` that reads its feeds' F_q spaces and maps
+    into its alphabet replaced by its table, so that `evaluate_code` takes
+    the table path; a map that fails those checks is kept, so the table
+    path refuses it as the linear code is refused."""
+    def tabled(m, feeds, out):
+        a = code.alphabets.get(out)
+        if not isinstance(m, LinearMap) or a is None or a.kind != "vector" or a.q != m.q \
+                or (m.matrix and m.out_dim != a.dim):
+            return m
+        try:
+            return TableMap(m.to_table([code.alphabets[f] for f in feeds]))
+        except (KeyError, StructuralError, ResourceError):
+            return m
+
+    enc = {e.id: tabled(code.encoders[e.id], edge_feeds(net, conn, e), e.id)
+           for e in net.edges if e.id in code.encoders}
+    dec = {(r, s): tabled(m, decoder_feeds(net, conn, r), s) for (r, s), m in code.decoders.items()}
+    return NetworkCode(code.alphabets, {**code.encoders, **enc}, dec)
 
 
 def reference_verify(cert, layout, tup, failures=None) -> bool:

@@ -80,6 +80,16 @@ def test_json_round_trip(x):
     assert LogScalar.from_json(x.to_json()) == x
 
 
+def test_equal_values_write_the_same_strings():
+    """Two values built apart share each string of their JSON, so a
+    document that holds many equal values holds each string once."""
+    x = LogScalar({2: Fraction(3, 2), 3: -1})
+    y = LogScalar.log_int(8) * Fraction(1, 2) - LogScalar.log_int(3)
+    a, b = x.to_json(), y.to_json()
+    assert a == b == {"2": "3/2", "3": "-1"}
+    assert all(k1 is k2 and a[k1] is b[k2] for k1, k2 in zip(a, b))
+
+
 @pytest.mark.parametrize("text, value", [
     ("3", Fraction(3)), ("-3/4", Fraction(-3, 4)), ("+6/4", Fraction(3, 2)), ("0", Fraction(0)),
 ])

@@ -5,13 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import EDGE_IDS, butterfly, wide_inner_code, xor_code
+from conftest import (EDGE_IDS, all_subspaces, butterfly, chained_intersection, table_form,
+                      wide_inner_code, xor_code)
 from entronet import netmodel
-from entronet.exactlog import SIGN_BIT_CAP, ZERO, LogScalar, entropy_of_counts, log2_units
+from entronet.codegen import linear_code
+from entronet.construct import build_gdagger
+from entronet.exactlog import (SIGN_BIT_CAP, ZERO, LogScalar, entropy_of_counts, log2_units,
+                               log_int_sign)
 from entronet.ffield import GF
+from entronet.groupchar import SubspaceFamily, entropy_from_subspaces
 from entronet.netmodel import (
     Alphabet,
     ConnectionRequirement,
@@ -78,7 +83,9 @@ def test_induced_entropy_of_xor_code():
 
 def test_evaluation_is_refused_when_its_scope_tables_pass_the_cap(monkeypatch):
     net, conn = butterfly()
-    res = evaluate_code(net, conn, xor_code())
+    # the linear xor code builds no table, so its tables are read off its
+    # table form, which is tabulated
+    res = evaluate_code(net, conn, table_form(net, conn, xor_code()))
     # e_cd reads both sessions, so its scope holds 2 * 2 tuples
     assert res.oracle.scopes["e_cd"] == ("X", "Y")
     assert res.oracle.tuples(res.oracle.scopes["e_cd"]) == len(res.oracle.arrays["e_cd"]) == 4
@@ -562,3 +569,231 @@ def test_alphabets_meet_tuple_matches_the_logscalar_formulation(data):
     tup = RateCapacityTuple({"X": lam}, caps)
     assert alphabets_meet_tuple(net, conn, code, tup) == \
         reference_alphabets_meet_tuple(net, conn, code, tup)
+
+
+# --- once per distinct (alphabet size, capacity) pair ---
+
+
+def per_edge_alphabets_meet_tuple(net, conn, code, tup):
+    """`alphabets_meet_tuple` with one `log_int_sign` per capacitated edge."""
+    for e in net.edges:
+        cap = tup.cap(e.id)
+        if cap is not UNCAPPED and log_int_sign(code.alphabets[e.id].size, cap) > 0:
+            return False
+    return all(log_int_sign(code.alphabets[s].size, tup.rates.get(s, ZERO)) >= 0
+               for s in conn.sessions)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_alphabets_meet_tuple_compares_each_distinct_pair_once(data):
+    """Up to 12 parallel edges whose alphabets and capacities repeat, with
+    fractional and mixed-prime capacities and rates, and a zero capacity
+    on an id that names no edge, which is ignored: the verdict of the
+    per-edge form, with one comparison per distinct pair and session."""
+    k = data.draw(st.integers(1, 12))
+    net = Network(["s", "r"], [Edge(f"e{i}", "s", "r", UNCAPPED) for i in range(k)])
+    conn = ConnectionRequirement(["X", "Y"], {"X": "s", "Y": "s"}, {"X": ["r"], "Y": ["r"]})
+    pool = [Alphabet(symbols=range(data.draw(st.integers(1, 40)))) if data.draw(st.booleans())
+            else Alphabet(q=data.draw(st.sampled_from([2, 3, 5])), dim=data.draw(st.integers(1, 4)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    alphabets = {key: data.draw(st.sampled_from(pool))
+                 for key in ["X", "Y"] + [e.id for e in net.edges]}
+    bounds = [data.draw(alphabet_bounds(data.draw(st.sampled_from(pool)).size))
+              for _ in range(data.draw(st.integers(1, 3)))]
+    caps = {e.id: data.draw(st.sampled_from(bounds)) for e in net.edges if data.draw(st.booleans())}
+    caps["nowhere"] = ZERO
+    rates = {s: data.draw(alphabet_bounds(alphabets[s].size)) for s in ("X", "Y")}
+    code = NetworkCode(alphabets, {}, {})
+    tup = RateCapacityTuple(rates, caps)
+    calls = []
+
+    def counted(size, bound):
+        calls.append((size, bound))
+        return log_int_sign(size, bound)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netmodel, "log_int_sign", counted)
+        got = alphabets_meet_tuple(net, conn, code, tup)
+    assert got == per_edge_alphabets_meet_tuple(net, conn, code, tup) == \
+        reference_alphabets_meet_tuple(net, conn, code, tup)
+    # each distinct edge pair once, then each session once, until one fails
+    pairs = {(alphabets[e].size, c) for e, c in caps.items() if e != "nowhere"}
+    assert len(calls) == len(pairs) + 2 if got else len(calls) <= len(pairs) + 2
+
+
+# --- differential test of the global-map path against the table path ---
+
+
+_GDAGGER = {}
+_SUBSPACES = {}
+
+
+def _q_butterfly(q, rng):
+    """The butterfly code over F_q with e_cd = aX + bY for random nonzero a
+    and b, and each receiver solving for the session it lacks."""
+    gf = GF(q)
+    a, b = rng.randrange(1, q), rng.randrange(1, q)
+    binary = xor_code()
+    F = Alphabet(q=q, dim=1)
+    enc = {e: LinearMap(q, m.matrix) for e, m in binary.encoders.items()}
+    enc["e_cd"] = LinearMap(q, [[a], [b]])
+    # r1 reads (e_br1, e_dr1) = (Y, aX + bY), r2 reads (e_ar2, e_dr2) = (X, aX + bY)
+    dec = {
+        ("r1", "X"): LinearMap(q, [[gf.mul(gf.inv(a), gf.neg(b))], [gf.inv(a)]]),
+        ("r1", "Y"): LinearMap(q, [[1], [0]]),
+        ("r2", "X"): LinearMap(q, [[1], [0]]),
+        ("r2", "Y"): LinearMap(q, [[gf.mul(gf.inv(b), gf.neg(a))], [gf.inv(b)]]),
+    }
+    return NetworkCode({k: F for k in binary.alphabets}, enc, dec)
+
+
+def _random_matrix(rng, q, rows, cols):
+    return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+
+
+def _random_butterfly(q, rng):
+    """Random dims 0..2 on every session and edge, and random matrices of
+    the shapes they imply."""
+    net, conn = butterfly()
+    alph = {k: Alphabet(q=q, dim=rng.randint(0, 2)) for k in ["X", "Y"] + EDGE_IDS}
+
+    def shaped(feeds, out):
+        return LinearMap(q, _random_matrix(rng, q, sum(alph[f].dim for f in feeds), alph[out].dim))
+
+    enc = {e.id: shaped(netmodel.edge_feeds(net, conn, e), e.id) for e in net.edges}
+    dec = {(r, s): shaped(netmodel.decoder_feeds(net, conn, r), s) for r, s in conn.demands()}
+    return NetworkCode(alph, enc, dec)
+
+
+@st.composite
+def linear_codes(draw):
+    """A linear code over q in {2, 3, 4, 5}: on the butterfly, the q-ary
+    butterfly code or one of random dimensions (0-dim alphabets included);
+    on G†(2) or G†(3), `linear_code` of a random family with a zero
+    intersection.  Then at most one change: a decoder or an encoder
+    replaced by a random matrix of its shape, an alphabet's dimension
+    moved by one, or a row dropped from or added to a map."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    rng = draw(st.randoms(use_true_random=False))
+    where = draw(st.sampled_from(["G3", "G2", "random butterfly", "butterfly"]))
+    if where.endswith("butterfly"):
+        net, conn = butterfly()
+        code = _q_butterfly(q, rng) if where == "butterfly" else _random_butterfly(q, rng)
+    else:
+        N = int(where[1])
+        n = draw(st.integers(1, 2 if q <= 3 or N == 2 else 1))
+        subs = _SUBSPACES.setdefault((q, n), all_subspaces(q, n))
+        fam = SubspaceFamily(q, n, [draw(st.sampled_from(subs)) for _ in range(N)])
+        assume(not chained_intersection(fam, range(N)))
+        lay = _GDAGGER.setdefault(N, build_gdagger(N))
+        net, conn = lay.network, lay.conn
+        code = linear_code(fam, lay)
+    change = draw(st.sampled_from(["none", "decoder", "encoder", "out_dim", "in_dim"]))
+    if change in ("decoder", "encoder", "in_dim"):
+        maps = {"decoder": code.decoders, "encoder": code.encoders}.get(change) \
+            or draw(st.sampled_from([code.encoders, code.decoders]))
+        key = draw(st.sampled_from(sorted(maps)))
+        m = maps[key]
+        if change == "in_dim":
+            rows = [list(r) for r in m.matrix]
+            if rows and draw(st.booleans()):
+                rows = rows[:-1]
+            else:
+                rows += _random_matrix(rng, q, 1, m.out_dim)
+            maps[key] = LinearMap(q, rows)
+        else:
+            maps[key] = LinearMap(q, _random_matrix(rng, q, m.in_dim, m.out_dim))
+    elif change == "out_dim":
+        key = draw(st.sampled_from(sorted(code.alphabets)))
+        a = code.alphabets[key]
+        dim = max(0, a.dim + draw(st.sampled_from([-1, 1])))
+        code.alphabets = {**code.alphabets, key: Alphabet(q=q, dim=dim)}
+    return net, conn, code
+
+
+def _outcome(net, conn, code):
+    try:
+        return evaluate_code(net, conn, code)
+    except (StructuralError, ResourceError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _entropy(oracle, sel):
+    try:
+        return oracle.entropy(sel).to_json()
+    except ResourceError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(linear_codes(), st.data())
+def test_global_maps_decide_as_the_tables_do(case, data):
+    """A linear code and its table form (`table_form`), which takes the
+    table path: the same verdict and failing inputs, or the same refusal,
+    under the default cap or a small one; and the same entropies on random
+    subsets, or the same refusal, under the default query bound or a small
+    one.  A zero-error linear code under the default cap builds no table."""
+    net, conn, code = case
+    ref = table_form(net, conn, code)
+    bound = data.draw(st.one_of(st.just(MAX_CONE_TUPLES), st.integers(1, 3000)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netmodel, "MAX_CONE_TUPLES", bound)
+        got, want = _outcome(net, conn, code), _outcome(net, conn, ref)
+    if isinstance(got, str) and "linear map tables" in got:
+        return  # the table form holds fewer LinearMaps, so this cap counts fewer entries
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    assert (got.zero_error, got.failing_inputs) == (want.zero_error, want.failing_inputs)
+    if got.zero_error and bound == MAX_CONE_TUPLES:
+        assert not got.oracle.arrays
+    labels = list(conn.sessions) + [e.id for e in net.edges]
+    query_bound = data.draw(st.one_of(st.just(1 << 20), st.integers(1, 700)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(netmodel, "MAX_QUERY_TUPLES", query_bound)
+        for _ in range(6):
+            sel = data.draw(st.lists(st.sampled_from(labels), min_size=1, max_size=5))
+            assert _entropy(got.oracle, sel) == _entropy(want.oracle, sel)
+
+
+def test_a_zero_error_linear_code_builds_no_table(monkeypatch):
+    """Evaluating the linear code of three lines of F_2^2 on G†(3) and
+    reading its session entropies asks `GF.image_table` for nothing; with
+    one decoder changed the same code is tabulated."""
+    fam = SubspaceFamily(2, 2, (((1, 0),), ((0, 1),), ((1, 1),)))
+    lay = build_gdagger(3)
+    code = linear_code(fam, lay)
+    calls = []
+    image_table = GF.image_table
+    monkeypatch.setattr(GF, "image_table", lambda self, M: calls.append(M) or image_table(self, M))
+    ev = evaluate_code(lay.network, lay.conn, code)
+    assert ev.zero_error and not ev.oracle.arrays
+    h = entropy_from_subspaces(fam)
+    assert [ev.oracle.entropy([lay.session_labels[m]]) for m in range(1, 8)] == h.values[1:]
+    assert calls == []
+    key = sorted(code.decoders)[0]
+    m = code.decoders[key]
+    code.decoders[key] = LinearMap(2, [[0] * m.out_dim for _ in range(m.in_dim)])
+    assert not evaluate_code(lay.network, lay.conn, code).zero_error
+    assert calls
+
+
+def test_a_map_with_no_input_rows_is_the_zero_map_into_its_alphabet():
+    """e0 leaves a node with no feeds, so its encoder has no rows and sends
+    the zero vector of F_3^2; r reads it before e1, which carries X.  The
+    global maps keep e0's two zero columns, so the decoder reading e1 holds
+    without a table, and the entropies are those of the table form."""
+    net = Network(("s", "z", "r"), (Edge("e0", "z", "r", UNCAPPED), Edge("e1", "s", "r", UNCAPPED)))
+    conn = ConnectionRequirement(("X",), {"X": "s"}, {"X": ("r",)})
+    code = NetworkCode(
+        {"X": Alphabet(q=3, dim=1), "e0": Alphabet(q=3, dim=2), "e1": Alphabet(q=3, dim=1)},
+        {"e0": LinearMap(3, []), "e1": LinearMap(3, [[1]])},
+        {("r", "X"): LinearMap(3, [[0], [0], [1]])},
+    )
+    ev = evaluate_code(net, conn, code)
+    assert ev.zero_error and not ev.oracle.arrays
+    ref = evaluate_code(net, conn, table_form(net, conn, code))
+    assert ref.zero_error and ref.oracle.arrays
+    for sel in (["e0"], ["e1"], ["e0", "e1"], ["X", "e0"]):
+        assert ev.oracle.entropy(sel) == ref.oracle.entropy(sel)
