@@ -85,8 +85,7 @@ def quasi_uniform_code(s: SupportSet, layout: GDaggerLayout) -> NetworkCode:
 
     def on_fans(eid: str, values: np.ndarray) -> np.ndarray:
         """Table over the fan feeds of `eid`, giving each support row's value."""
-        feeds = edge_feeds(net, conn, net.edge(eid))
-        cols = [layout.fans[f] - 1 for f in feeds if f in layout.fans]
+        cols = [layout.fans[f] - 1 for f in edge_feeds(net, conn, net.edge(eid)) if f in layout.fans]
         table = np.zeros(int(np.prod([sizes[c] for c in cols])), dtype=np.int64)
         table[flat_index(mf, [R[:, c] for c in cols], [sizes[c] for c in cols])] = values
         return table

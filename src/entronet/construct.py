@@ -227,9 +227,9 @@ def rate_capacity(h: SetFunction, layout: GDaggerLayout) -> RateCapacityTuple:
 
 
 def capacitated_network(layout: GDaggerLayout, tup: RateCapacityTuple) -> Network:
-    """The layout's network with the tuple's capacities written onto edges."""
-    edges = [
-        Edge(e.id, e.tail, e.head, tup.cap(e.id))
-        for e in layout.network.edges
-    ]
-    return Network(layout.network.nodes, edges)
+    """The layout's network with the tuple's capacities written onto edges.
+    It shares the layout network's structure (`Network.with_caps`), which
+    is not checked again, and with it the plan `evaluate_code` keeps for
+    `layout.conn`, so every capacitated copy of one layout reuses one plan."""
+    net = layout.network
+    return net.with_caps([tup.cap(e.id) for e in net.edges])

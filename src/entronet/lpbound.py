@@ -513,11 +513,11 @@ def connection_clauses(net: Network, conn: ConnectionRequirement, tup: RateCapac
     each edge, then each decoder, is a function of its feeds; the sessions
     are independent; each rate is met; each capacity is kept."""
     for e in net.edges:
-        feeds = tuple(edge_feeds(net, conn, e))
+        feeds = edge_feeds(net, conn, e)
         yield (f"edge {e.id}: not a function of its feeds",
                [(1, (e.id,) + feeds), (-1, feeds)], ZERO, "=")
     for r, s in conn.demands():
-        feeds = tuple(decoder_feeds(net, conn, r))
+        feeds = decoder_feeds(net, conn, r)
         yield (f"decode {s} at {r}: not a function of the received values",
                [(1, (s,) + feeds), (-1, feeds)], ZERO, "=")
     if len(conn.sessions) > 1:
@@ -874,9 +874,9 @@ def build_witness(h: SetFunction, layout: GDaggerLayout) -> WitnessCertificate:
         each mapped to the label of the element it forwards."""
         out = {}
         for role in roles:
-            for e in net.in_edges(net.edge(sub.role_edges[role]).tail):
-                if e.id in layout.fans:
-                    out[e.id] = vlabels[layout.fans[e.id] - 1]
+            for f in edge_feeds(net, layout.conn, net.edge(sub.role_edges[role])):
+                if f in layout.fans:
+                    out[f] = vlabels[layout.fans[f] - 1]
         return out
 
     # session independence: the modular product of all session values

@@ -59,34 +59,67 @@ class Edge:
     cap: Capacity
 
 
-class Network:
+class _Topology:
+    """The structure of a network, which its capacities do not change:
+    node labels, the position of each edge id, the in-edge ids of each node
+    (sorted by id) and the edge positions in topological order (`topo_order`,
+    ties by edge id), checked and computed once.  `plan` is the one kept
+    `_Plan`, with the connection requirement it was built for."""
+
+    __slots__ = ("nodes", "pos", "in_ids", "order", "plan")
+
     def __init__(self, nodes: Sequence[str], edges: Sequence[Edge]):
         self.nodes = tuple(str(n) for n in nodes)
         if len(set(self.nodes)) != len(self.nodes):
             raise StructuralError("duplicate node labels")
-        nodeset = set(self.nodes)
-        self.edges = tuple(edges)
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
+        self.pos = {e.id: i for i, e in enumerate(edges)}
+        if len(self.pos) != len(edges):
             raise StructuralError("duplicate edge ids")
-        for e in self.edges:
-            if e.tail not in nodeset or e.head not in nodeset:
+        in_ids: Dict[str, List[str]] = {n: [] for n in self.nodes}
+        for e in edges:
+            if e.tail not in in_ids or e.head not in in_ids:
                 raise StructuralError(f"edge {e.id} references unknown node")
-        self._by_id = {e.id: e for e in self.edges}
-        self._in: Dict[str, List[Edge]] = {n: [] for n in self.nodes}
-        for e in sorted(self.edges, key=lambda e: e.id):
-            self._in[e.head].append(e)
-        self._topo = topo_order(self)  # raises on cycles
-        self._topo_pos = {n: i for i, n in enumerate(self._topo)}
+            in_ids[e.head].append(e.id)
+        self.in_ids = {n: tuple(sorted(ids)) for n, ids in in_ids.items()}
+        rank = {n: i for i, n in enumerate(topo_order(self.nodes, edges))}  # raises on cycles
+        self.order = tuple(sorted(range(len(edges)), key=lambda i: (rank[edges[i].tail], edges[i].id)))
+        self.plan: Optional[Tuple[ConnectionRequirement, _Plan]] = None
+
+
+class Network:
+    """Nodes and directed edges, each edge with a capacity or UNCAPPED.
+
+    Its structure is checked and computed once (`_Topology`: unique labels,
+    known ends, no cycle, in-edges and topological order), and the copies
+    `with_caps` makes share it, and with it the plan `evaluate_code` keeps
+    for a connection requirement.  A Network is treated as immutable."""
+
+    def __init__(self, nodes: Sequence[str], edges: Sequence[Edge]):
+        self.edges = tuple(edges)
+        self._topo = _Topology(nodes, self.edges)
+        self.nodes = self._topo.nodes
+        self._in: Optional[Dict[str, Tuple[Edge, ...]]] = None
+
+    def with_caps(self, caps: Sequence[Capacity]) -> "Network":
+        """This network with edge i's capacity `caps[i]`: the structure is
+        shared, not checked again."""
+        net = object.__new__(Network)
+        net.edges = tuple(e if c is e.cap else Edge(e.id, e.tail, e.head, c)
+                          for e, c in zip(self.edges, caps, strict=True))
+        net._topo, net.nodes, net._in = self._topo, self.nodes, None
+        return net
 
     def edge(self, eid: str) -> Edge:
-        return self._by_id[eid]
+        return self.edges[self._topo.pos[eid]]
 
-    def in_edges(self, node: str) -> List[Edge]:
-        return list(self._in.get(node, ()))
+    def in_edges(self, node: str) -> Tuple[Edge, ...]:
+        """The node's in-edges, sorted by id (built once per network)."""
+        if self._in is None:
+            self._in = {n: tuple(self.edge(i) for i in ids) for n, ids in self._topo.in_ids.items()}
+        return self._in.get(node, ())
 
     def edges_topo(self) -> List[Edge]:
-        return sorted(self.edges, key=lambda e: (self._topo_pos[e.tail], e.id))
+        return [self.edges[i] for i in self._topo.order]
 
     def to_json(self) -> dict:
         return {
@@ -115,14 +148,14 @@ class Network:
         return cls(typed(obj.get("nodes"), list, "a network's nodes"), edges)
 
 
-def topo_order(net: Network) -> List[str]:
+def topo_order(nodes: Sequence[str], edges: Sequence[Edge]) -> List[str]:
     """Topological node order, stable by label among ready nodes."""
-    indeg = {n: 0 for n in net.nodes}
-    out: Dict[str, List[str]] = {n: [] for n in net.nodes}
-    for e in net.edges:
+    indeg = {n: 0 for n in nodes}
+    out: Dict[str, List[str]] = {n: [] for n in nodes}
+    for e in edges:
         indeg[e.head] += 1
         out[e.tail].append(e.head)
-    ready = [n for n in net.nodes if indeg[n] == 0]
+    ready = [n for n in nodes if indeg[n] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
@@ -132,12 +165,16 @@ def topo_order(net: Network) -> List[str]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 heapq.heappush(ready, m)
-    if len(order) != len(net.nodes):
+    if len(order) != len(nodes):
         raise StructuralError("network contains a cycle")
     return order
 
 
 class ConnectionRequirement:
+    """The sessions, each with its origin node and its receivers.  Treated as
+    immutable: `evaluate_code` keeps a plan built for this very object on
+    the network's structure and reuses it while the object is the same."""
+
     def __init__(
         self,
         sessions: Sequence[str],
@@ -458,13 +495,85 @@ class RateCapacityTuple:
         )
 
 
-def edge_feeds(net: Network, conn: ConnectionRequirement, edge: Edge) -> List[str]:
+def edge_feeds(net: Network, conn: ConnectionRequirement, edge: Edge) -> Tuple[str, ...]:
     """Canonical feed keys of an edge encoder: tail-origin sessions, then
-    tail in-edges."""
-    return conn.sessions_at(edge.tail) + [e.id for e in net.in_edges(edge.tail)]
+    tail in-edges (read from the kept `_Plan`)."""
+    return _plan(net, conn).feeds[edge.tail]
 
-def decoder_feeds(net: Network, conn: ConnectionRequirement, node: str) -> List[str]:
-    return conn.sessions_at(node) + [e.id for e in net.in_edges(node)]
+
+def decoder_feeds(net: Network, conn: ConnectionRequirement, node: str) -> Tuple[str, ...]:
+    """Canonical feed keys of a decoder at `node`, ordered as `edge_feeds`."""
+    return _plan(net, conn).feeds.get(node, ())
+
+
+class _Plan:
+    """What `evaluate_code` reads of a network's structure and a connection
+    requirement, and of no code; built by `_plan` once the requirement has
+    passed `validate_against`:
+
+      feeds         each node's feed keys: the sessions originating there,
+                    then its in-edge ids, each sorted
+      tails         each edge tail with its out-edge ids, in topological order
+      scopes        each session's and edge's scope: the sessions, in session
+                    order, that its tail's feeds read (a session's is itself)
+      node_scope    the scope of each tail and receiver, read the same way
+      scope_counts  each distinct scope of `scopes` with its multiplicity
+      sessions      the requirement's sessions, sorted
+      keys          the sessions, then the edge ids in network order
+      demands       the sorted (receiver, session) pairs
+      groups        (union, demands) for the demands of each union, the
+                    sessions a receiver's feeds read plus the one it decodes,
+                    in order of first appearance among `demands`
+      checks        the demands in the order of `groups`
+      slots         (name, feeds, output key) of each encoder in the order of
+                    `tails`, then of each decoder of `checks`: the order in
+                    which maps are checked"""
+
+    def __init__(self, net: Network, conn: ConnectionRequirement):
+        conn.validate_against(net)
+        self.sessions = sess = conn.sessions
+        self.feeds = {n: tuple(conn.sessions_at(n)) + ids for n, ids in net._topo.in_ids.items()}
+        self.scopes: Dict[str, Tuple[str, ...]] = {s: (s,) for s in sess}
+        self.node_scope: Dict[str, Tuple[str, ...]] = {}
+
+        def visit(node: str) -> None:
+            reads = {s for f in self.feeds[node] for s in self.scopes[f]}
+            self.node_scope[node] = tuple(s for s in sess if s in reads)
+
+        tails: Dict[str, List[str]] = {}
+        for e in net.edges_topo():
+            tails.setdefault(e.tail, []).append(e.id)
+        self.tails = tuple((tail, tuple(ids)) for tail, ids in tails.items())
+        for tail, ids in self.tails:  # a tail's in-edges come before it
+            visit(tail)
+            for eid in ids:
+                self.scopes[eid] = self.node_scope[tail]
+        self.scope_counts = tuple(Counter(self.scopes.values()).items())
+        self.keys = sess + tuple(e.id for e in net.edges)
+        self.demands = tuple(conn.demands())
+        groups: Dict[Tuple[str, ...], List[Tuple[str, str]]] = {}
+        for r, s in self.demands:
+            if r not in self.node_scope:
+                visit(r)
+            scope = self.node_scope[r]
+            union = scope if s in scope else tuple(t for t in sess if t in scope or t == s)
+            groups.setdefault(union, []).append((r, s))
+        self.groups = tuple((union, tuple(checks)) for union, checks in groups.items())
+        self.checks = tuple(d for _, checks in self.groups for d in checks)
+        self.slots = tuple(
+            [(f"encoder for {eid}", self.feeds[tail], eid) for tail, ids in self.tails for eid in ids]
+            + [(f"decoder for session {s} at receiver {r}", self.feeds[r], s) for r, s in self.checks])
+
+
+def _plan(net: Network, conn: ConnectionRequirement) -> _Plan:
+    """The plan of `net`'s structure under `conn`: the one kept on the
+    structure if it was built for this very `conn` object, else a new one,
+    which replaces it."""
+    topo = net._topo
+    kept = topo.plan
+    if kept is None or kept[0] is not conn:
+        kept = topo.plan = (conn, _Plan(net, conn))
+    return kept[1]
 
 
 _CODE_LIMIT = 1 << 62  # largest radix product a mixed-radix int64 code may reach
@@ -620,12 +729,14 @@ class EvaluationResult:
         return self.oracle.to_setfunction()
 
 
-def _check_map(m: EncoderMap, what: str, feeds: List[str], out: str,
-               alphabets: Mapping[str, Alphabet], sizes: Mapping[str, int]) -> None:
+def _check_map(m: EncoderMap, what: str, feeds: Sequence[str], out: str,
+               alphabets: Mapping[str, Alphabet], sizes: Mapping[str, int],
+               top: Optional[int]) -> None:
     """A TableMap must cover exactly its feed domain and write inside the
     alphabet of `out`; a LinearMap must map into the vector space that is
     the alphabet of `out` and read F_q vector feeds of its input dimension
-    (`LinearMap.check_feeds`).  `sizes` holds the size of each alphabet."""
+    (`LinearMap.check_feeds`).  `sizes` holds the size of each alphabet, and
+    `top` the largest entry of a nonempty table (`_table_maxima`)."""
     if not isinstance(m, TableMap):
         a = alphabets[out]
         if a.kind != "vector" or a.q != m.q or (m.matrix and m.out_dim != a.dim):
@@ -637,24 +748,56 @@ def _check_map(m: EncoderMap, what: str, feeds: List[str], out: str,
         dom *= sizes[f]
     if len(m.table) != dom:
         raise StructuralError(f"{what} has {len(m.table)} entries, expected {dom}")
-    # a negative entry reads as at least 2^63 in the unsigned view
-    if len(m.table) and m.table.view(np.uint64).max() >= sizes[out]:
+    if top is not None and top >= sizes[out]:
         raise StructuralError(f"{what} writes outside its alphabet")
 
 
-def _table(m: EncoderMap, feeds: List[str], alphabets: Mapping[str, Alphabet]) -> np.ndarray:
+_MAX_BATCH = 1 << 16  # table entries `_table_maxima` copies into one batch
+
+
+def _table_maxima(maps: Sequence[EncoderMap]) -> List[Optional[int]]:
+    """The largest entry of each nonempty TableMap's table, in the unsigned
+    view, where a negative entry reads as at least 2^63; None for any other
+    map.  Tables are concatenated in batches of at most `_MAX_BATCH`
+    entries, each reduced by one `np.maximum.reduceat`; a larger table is
+    reduced alone, in place."""
+    tops: List[Optional[int]] = [None] * len(maps)
+    batches: List[List[int]] = []
+    room = 0  # entries the last batch can still take
+    for i, m in enumerate(maps):
+        k = m.table.size if isinstance(m, TableMap) else 0
+        if not k:
+            continue
+        if k > _MAX_BATCH:
+            tops[i] = int(m.table.view(np.uint64).max())
+            continue
+        if k > room:
+            batches.append([])
+            room = _MAX_BATCH
+        batches[-1].append(i)
+        room -= k
+    for batch in batches:
+        tables = [maps[i].table for i in batch]
+        starts = list(itertools.accumulate((t.size for t in tables[:-1]), initial=0))
+        joined = np.concatenate(tables, axis=None).view(np.uint64)
+        for i, top in zip(batch, np.maximum.reduceat(joined, starts).tolist()):
+            tops[i] = top
+    return tops
+
+
+def _table(m: EncoderMap, feeds: Sequence[str], alphabets: Mapping[str, Alphabet]) -> np.ndarray:
     """Dense table of a map that `_check_map` passed."""
     return m.table if isinstance(m, TableMap) else m.to_table([alphabets[f] for f in feeds])
 
 
-def _global_columns(net: Network, conn: ConnectionRequirement, code: NetworkCode,
-                    gf: GF) -> Tuple[int, Dict[str, List[Row]]]:
+def _global_columns(plan: _Plan, code: NetworkCode, gf: GF) -> Tuple[int, Dict[str, List[Row]]]:
     """D, the dimension of the stacked source space F_q^D (sessions in
     order), and the packed columns (`GF.pack`) of the global map of each
     session and edge: a session's are unit vectors, and an edge's column j
     is the combination of its feeds' columns that column j of its encoder
-    matrix selects (`_global_image`), in topological order."""
-    sess = conn.sessions
+    matrix selects (`_global_image`), tail by tail in the plan's
+    topological order."""
+    sess = plan.sessions
     D = sum(code.alphabets[s].dim for s in sess)
     unit = [gf.pack(r) for r in gf.identity(D)]
     cols: Dict[str, List[Row]] = {}
@@ -663,12 +806,10 @@ def _global_columns(net: Network, conn: ConnectionRequirement, code: NetworkCode
         d = code.alphabets[s].dim
         cols[s] = unit[off:off + d]
         off += d
-    feeds: Dict[str, List[Row]] = {}  # a tail's in-edges come before it
-    for e in net.edges_topo():
-        feed = feeds.get(e.tail)
-        if feed is None:
-            feed = feeds[e.tail] = [c for f in edge_feeds(net, conn, e) for c in cols[f]]
-        cols[e.id] = _global_image(gf, code.encoders[e.id], feed, D, code.alphabets, e.id)
+    for tail, ids in plan.tails:  # a tail's in-edges come before it
+        feed = [c for f in plan.feeds[tail] for c in cols[f]]
+        for eid in ids:
+            cols[eid] = _global_image(gf, code.encoders[eid], feed, D, code.alphabets, eid)
     return D, cols
 
 
@@ -688,6 +829,13 @@ REPORT_LIMIT = 50  # failing inputs evaluate_code reports
 def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) -> EvaluationResult:
     """Check every decoder on every source tuple it can see.
 
+    What depends on `net`'s structure and `conn` alone (`_Plan`: the check
+    of `conn` against `net`, feeds, scopes, out-edges by tail in topological
+    order, and demands grouped by union) is built once and kept on the
+    structure, which the copies `capacitated_network` makes of one layout
+    share; a different `conn` object replaces it.  `net` and `conn` are
+    treated as immutable.  Every check of `code` runs on every call.
+
     A session's scope is itself, and an edge's scope is the union of its
     feeds' scopes, in session order: the sessions originating in its tail's
     ancestor cone.  A demand (r, s) is checked over the tuples of its
@@ -701,7 +849,9 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
     Only the alphabets of sessions and edges are sized (`Alphabet.size`).
     Every encoder, in topological order, and then every decoder, in the
     order below, is checked against its feeds and its alphabet
-    (`_check_map`) before any table is built.
+    (`_check_map`) before any table is built, and the first that fails is
+    named; the largest entry of every table is found first, in batched
+    passes (`_table_maxima`).
 
     Which path decides:
       - A wholly linear code (`NetworkCode.is_linear`) whose global maps
@@ -724,7 +874,7 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
     a union are checked together, in the order of their first appearance
     among the sorted demands, and a session outside the failing demand's
     union is reported at its first symbol."""
-    conn.validate_against(net)
+    plan = _plan(net, conn)
     for e in net.edges:
         if e.id not in code.encoders:
             raise StructuralError(f"no encoder for edge {e.id}")
@@ -734,42 +884,18 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
         if s not in code.alphabets:
             raise StructuralError(f"no alphabet for session {s}")
 
-    sess = list(conn.sessions)
-    sizes = {k: code.alphabets[k].size for k in sess + [e.id for e in net.edges]}
-    # the edges out of a node and the node's decoders read the node's feeds,
-    # and so the sessions those feeds read: the node's scope
-    scopes: Dict[str, Tuple[str, ...]] = {s: (s,) for s in sess}
-    node_feeds: Dict[str, List[str]] = {}
-    node_scope: Dict[str, Tuple[str, ...]] = {}
-
-    def visit(node: str) -> None:
-        node_feeds[node] = decoder_feeds(net, conn, node)
-        reads = {s for f in node_feeds[node] for s in scopes[f]}
-        node_scope[node] = tuple(s for s in sess if s in reads)
-
-    out_edges: Dict[str, List[Edge]] = {}
-    for e in net.edges_topo():
-        out_edges.setdefault(e.tail, []).append(e)
-    for tail, edges in out_edges.items():  # a tail's in-edges come before it
-        visit(tail)
-        for e in edges:
-            scopes[e.id] = node_scope[tail]
-    groups: Dict[Tuple[str, ...], List[Tuple[str, str]]] = {}
-    for r, s in conn.demands():
+    sess = plan.sessions
+    sizes = {k: code.alphabets[k].size for k in plan.keys}
+    for r, s in plan.demands:
         if (r, s) not in code.decoders:
             raise StructuralError(f"no decoder for session {s} at receiver {r}")
-        if r not in node_scope:
-            visit(r)
-        scope = node_scope[r]
-        union = scope if s in scope else tuple(t for t in sess if t in scope or t == s)
-        groups.setdefault(union, []).append((r, s))
 
-    oracle = EntropyOracle({}, sizes, scopes)
-    for union in groups:
+    oracle = EntropyOracle({}, sizes, plan.scopes)
+    for union, _ in plan.groups:
         n = oracle.tuples(union)
         if n > MAX_CONE_TUPLES:
             raise ResourceError(f"source-tuple space of size {n} exceeds the cap {MAX_CONE_TUPLES}")
-    entries = sum(m * oracle.tuples(scope) for scope, m in Counter(scopes.values()).items())
+    entries = sum(m * oracle.tuples(scope) for scope, m in plan.scope_counts)
     if entries > MAX_CONE_TUPLES:
         raise ResourceError(f"scope tables of {entries} entries exceed the cap {MAX_CONE_TUPLES}")
     # each LinearMap keeps its table, so their entries are capped together
@@ -779,37 +905,34 @@ def evaluate_code(net: Network, conn: ConnectionRequirement, code: NetworkCode) 
     if entries > MAX_CONE_TUPLES:
         raise ResourceError(f"linear map tables of {entries} entries exceed the cap {MAX_CONE_TUPLES}")
 
-    demands = [d for checks in groups.values() for d in checks]
-    for tail, edges in out_edges.items():
-        for e in edges:
-            _check_map(code.encoders[e.id], f"encoder for {e.id}", node_feeds[tail], e.id,
-                       code.alphabets, sizes)
-    for r, s in demands:
-        _check_map(code.decoders[(r, s)], f"decoder for session {s} at receiver {r}",
-                   node_feeds[r], s, code.alphabets, sizes)
+    maps = ([code.encoders[eid] for _, ids in plan.tails for eid in ids]
+            + [code.decoders[d] for d in plan.checks])
+    for m, top, (what, feeds, out) in zip(maps, _table_maxima(maps), plan.slots):
+        _check_map(m, what, feeds, out, code.alphabets, sizes, top)
 
     # the global maps hold D entries per column: capped together like the tables
     q = code.is_linear()
     if q is not None and (sum(code.alphabets[s].dim for s in sess)
                           * sum(code.alphabets[k].dim for k in sizes) <= MAX_CONE_TUPLES):
         gf = GF(q)
-        D, cols = _global_columns(net, conn, code, gf)
-        if all(_global_image(gf, code.decoders[(r, s)], [c for f in node_feeds[r] for c in cols[f]],
-                             D, code.alphabets, s) == cols[s] for r, s in demands):
+        D, cols = _global_columns(plan, code, gf)
+        if all(_global_image(gf, code.decoders[(r, s)], [c for f in plan.feeds[r] for c in cols[f]],
+                             D, code.alphabets, s) == cols[s] for r, s in plan.checks):
             return EvaluationResult(True, [], oracle._keep_columns(gf, D, cols))
 
     for s in sess:
         oracle.arrays[s] = np.arange(sizes[s], dtype=np.int64)
-    for tail, edges in out_edges.items():
-        rows = oracle.index(node_feeds[tail], node_scope[tail])
-        for e in edges:
-            oracle.arrays[e.id] = _table(code.encoders[e.id], node_feeds[tail], code.alphabets)[rows]
+    for tail, ids in plan.tails:
+        feeds = plan.feeds[tail]
+        rows = oracle.index(feeds, plan.node_scope[tail])
+        for eid in ids:
+            oracle.arrays[eid] = _table(code.encoders[eid], feeds, code.alphabets)[rows]
 
     failing: List[tuple] = []
-    for union, checks in groups.items():
+    for union, checks in plan.groups:
         for r, s in checks:
-            table = _table(code.decoders[(r, s)], node_feeds[r], code.alphabets)
-            bad = np.flatnonzero(table[oracle.index(node_feeds[r], union)] != oracle.over(s, union))
+            table = _table(code.decoders[(r, s)], plan.feeds[r], code.alphabets)
+            bad = np.flatnonzero(table[oracle.index(plan.feeds[r], union)] != oracle.over(s, union))
             if bad.size:
                 values = {t: oracle.over(t, union) for t in union}
                 for b in bad[: max(0, REPORT_LIMIT - len(failing))]:
@@ -874,7 +997,7 @@ def kernels_of_linear_code(
     if q is None:
         raise ValueError("code is not linear over a common field")
     gf = GF(q)
-    D, cols = _global_columns(net, conn, code, gf)
+    D, cols = _global_columns(_plan(net, conn), code, gf)
 
     keys = list(conn.sessions) + sorted(e.id for e in net.edges)
     kernels: Dict[tuple, Matrix] = {}
